@@ -1,0 +1,36 @@
+"""Byte-for-byte command line output pinned by files under tests/golden/.
+
+Each ``<case>.stdout`` holds the exact stdout of one ``hyperdp`` run on
+the specs in ``tests/golden/specs/``.  A refactor that changes a byte of
+these outputs fails here; such a change must be deliberate and the file
+re-recorded with it, never edited to match.
+"""
+
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# case -> CLI arguments; spec paths are relative to tests/golden/
+CASES = {
+    "diagnose_good": ("diagnose", "--spec", "specs/good.json", "--samples", "5", "--seed", "3"),
+    "diagnose_refinement_violated": ("diagnose", "--spec", "specs/refinement_violated.json"),
+    "diagnose_inconsistent": ("diagnose", "--spec", "specs/inconsistent.json"),
+    "diagnose_non_decomposable": ("diagnose", "--spec", "specs/non_decomposable.json"),
+    "diagnose_disconnected": ("diagnose", "--spec", "specs/disconnected.json"),
+    "build_hdp_good": ("build-hdp", "--spec", "specs/good.json"),
+    "build_hdp_refinement_violated": ("build-hdp", "--spec", "specs/refinement_violated.json"),
+    "build_hdp_inconsistent": ("build-hdp", "--spec", "specs/inconsistent.json"),
+    "build_hdp_non_decomposable": ("build-hdp", "--spec", "specs/non_decomposable.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_matches_golden_bytes(case):
+    argv = [str(GOLDEN / a) if a.startswith("specs/") else a for a in CASES[case]]
+    proc = subprocess.run([sys.executable, "-m", "hyperdp", *argv], capture_output=True)
+    assert proc.returncode == (0 if case.endswith("_good") else 1), proc.stderr
+    assert proc.stdout == (GOLDEN / f"{case}.stdout").read_bytes()
