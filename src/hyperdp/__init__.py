@@ -49,9 +49,11 @@ from .graphs import (
     separates,
 )
 from .hdp import (
+    HDPAudit,
     HDPSpec,
     RefinementReport,
     SeparatorCheck,
+    audit_hdp,
     build_hdp,
     check_refinement,
     hdp_posterior,
@@ -110,5 +112,3 @@ from .serialize import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

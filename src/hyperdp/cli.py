@@ -13,21 +13,22 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
 from .dp import DPParams, SamplerConfig, bayes_cdf, dp_posterior, sample_dp
-from .errors import HyperDPError, NotConnected, NotDecomposable
+from .errors import HyperDPError
 from .graphs import is_connected, is_decomposable, perfect_ordering
 from .hdp import (
+    audit_hdp,
     build_hdp,
-    check_refinement,
     hdp_posterior,
     verify_sample_markov,
     verify_sample_refinement,
 )
-from .measures import is_consistent, is_markov, markov_combination, markov_combination_seq
+from .measures import is_consistent, markov_combination
 from .mixture import gibbs_chain, identity_likelihood
 from .reconcile import ReconcileStrategy, reconcile, suggested_gamma
 from . import serialize as ser
@@ -143,107 +144,29 @@ def cmd_posterior_hdp(args):
 
 def cmd_diagnose(args):
     graph, nu, bases = ser.hdp_spec_from_dict(ser.load_json(args.spec))
-    checks = []
-    error = None
-    witness = None
-
-    def fail(name, exc, extra=None):
-        nonlocal error, witness
-        entry = {"name": name, "passed": False, "detail": str(exc)}
-        if extra:
-            entry.update(extra)
-        checks.append(entry)
-        if error is None:
-            error = type(exc).__name__
-            witness = getattr(exc, "report", None)
-            witness = witness.first_witness() if witness is not None else None
-
-    decomp = None
-    try:
-        decomp = perfect_ordering(graph)
-        checks.append({"name": "graph", "passed": True})
-    except (NotDecomposable, NotConnected) as exc:
-        fail("graph", exc)
-
-    combined = None
-    if decomp is not None:
-        consistent = True
-        for i in range(len(bases)):
-            for j in range(i + 1, len(bases)):
-                report = is_consistent(bases[i], bases[j])
-                entry = {
-                    "name": f"consistency of clique bases {i + 1} and {j + 1}",
-                    "passed": report.consistent,
-                    "marginal_gap": report.marginal_gap,
-                    "mass_gap": report.mass_gap,
-                }
-                checks.append(entry)
-                if not report.consistent:
-                    consistent = False
-                    if error is None:
-                        error = "Inconsistent"
-        if consistent and len(bases) == len(decomp.cliques):
-            combined = markov_combination_seq(decomp, bases)
-            checks.append(
-                {
-                    "name": "combined base factorizes over the cliques",
-                    "passed": is_markov(combined, decomp),
-                }
-            )
-            for k, clique in enumerate(decomp.cliques[1:], start=1):
-                sep = decomp.separators[k - 1]
-                report = check_refinement(combined, sep, clique)
-                check = report.checks[0]
-                entry = {
-                    "name": f"degenerate completion of clique {list(clique)} "
-                    f"given separator {list(sep)}",
-                    "passed": check.passed,
-                }
-                if not check.passed:
-                    entry["witness"] = check.witness
-                    entry["conditional"] = check.conditional
-                    if error is None:
-                        error = "RefinementViolated"
-                        witness = check.witness
-                checks.append(entry)
-
+    audit = audit_hdp(graph, bases)
+    checks = list(audit.checks)
+    if audit.failure is None and args.samples > 0:
+        decomp = audit.decomposition
+        params, cfg = DPParams(nu, audit.combined), _sampler_config(args)
+        draws = [sample_dp(params, cfg, r) for r in range(args.samples)]
+        blocks = list(zip(decomp.separators, decomp.cliques[1:]))
+        passing = {
+            "sampled measures factorize": sum(verify_sample_markov(t, decomp) for t in draws),
+            "sampled atoms respect degeneracy": sum(
+                all(verify_sample_refinement(t, s, c) for s, c in blocks) for t in draws
+            ),
+        }
+        checks += [
+            {"name": f"{name} ({args.samples} draws)", "passed": ok == args.samples, "passing": ok}
+            for name, ok in passing.items()
+        ]
     passed = all(c["passed"] for c in checks)
-    if passed and combined is not None and args.samples > 0:
-        cfg = SamplerConfig(seed=args.seed, eps=args.eps, max_atoms=args.max_atoms)
-        params = DPParams(nu, combined)
-        markov_ok = 0
-        refinement_ok = 0
-        for r in range(args.samples):
-            theta = sample_dp(params, cfg, r)
-            if verify_sample_markov(theta, decomp):
-                markov_ok += 1
-            if all(
-                verify_sample_refinement(theta, s, c)
-                for s, c in zip(decomp.separators, decomp.cliques[1:])
-            ):
-                refinement_ok += 1
-        checks.append(
-            {
-                "name": f"sampled measures factorize ({args.samples} draws)",
-                "passed": markov_ok == args.samples,
-                "passing": markov_ok,
-            }
-        )
-        checks.append(
-            {
-                "name": f"sampled atoms respect degeneracy ({args.samples} draws)",
-                "passed": refinement_ok == args.samples,
-                "passing": refinement_ok,
-            }
-        )
-        passed = all(c["passed"] for c in checks)
-
     out = {"passed": passed, "checks": checks}
     if not passed:
-        if error is not None:
-            out["error"] = error
-        if witness is not None:
-            out["witness"] = witness
+        if audit.failure is not None:
+            payload = audit.failure.payload()
+            out.update((key, payload[key]) for key in ("error", "witness") if key in payload)
         raise _Failure(json.dumps(out))
     return json.dumps(out)
 
@@ -319,6 +242,8 @@ def _parse_grid(text):
     if len(parts) != 3:
         raise ValueError("--t-grid must look like LO:HI:STEPS")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("--t-grid needs finite LO and HI")
     if steps < 2 or hi <= lo:
         raise ValueError("--t-grid needs HI > LO and at least 2 steps")
     return [float(t) for t in np.linspace(lo, hi, steps)]

@@ -256,13 +256,15 @@ def bayes_cdf(params, data, t):
     empirical one, with data weight n / (nu + n); algebraically this is
     (nu * G((-inf, t]) + #{x <= t}) / (nu + n).
     """
+    if not math.isfinite(t):
+        raise ValueError(f"threshold t must be finite, got {t!r}")
     prior = _base_cdf(params.base, t)
     n = len(data)
     if n == 0:
         return prior
     for x in data:
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise ValueError("observations must be real numbers")
+        if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
+            raise ValueError(f"observations must be finite real numbers, got {x!r}")
     w = n / (params.nu + n)
     empirical = sum(1 for x in data if x <= t) / n
     return (1.0 - w) * prior + w * empirical

@@ -1,11 +1,12 @@
 """Graph-structured Dirichlet process priors.
 
 A prior here is a plain Dirichlet process whose base measure is the
-combination of per-clique bases along a perfect ordering.  Construction
-verifies everything that makes the clique marginals of a draw behave
-like coupled Dirichlet processes: pairwise consistency, factorization
-of the combined base, and degeneracy of every clique-given-separator
-conditional.
+combination of per-clique bases along a perfect ordering.  ``audit_hdp``
+is the one place that checks what makes the clique marginals of a draw
+behave like coupled Dirichlet processes: a decomposable connected
+graph, pairwise consistency, factorization of the combined base, and
+degeneracy of every clique-given-separator conditional.  ``build_hdp``
+raises the audit's failure; ``hyperdp diagnose`` prints its report.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .dp import ContinuousBase, DPParams, atoms_to_measure, sample_dp
+from .dp import ContinuousBase, DPParams, _coerce_data, atoms_to_measure, dp_posterior, sample_dp
 from .errors import (
-    DomainMismatch,
+    NotConnected,
+    NotDecomposable,
     NotMarkov,
     ObservationViolatesSupport,
     RefinementViolated,
@@ -24,10 +26,9 @@ from .errors import (
 from .graphs import perfect_ordering
 from .measures import (
     CONSISTENCY_TOL,
-    DiscreteMeasure,
+    combine_clique_bases,
     is_markov,
     marginalize,
-    markov_combination_seq,
 )
 
 DEGENERACY_TOL = 1e-12
@@ -146,52 +147,98 @@ def check_refinement(base, separator, clique, tol=DEGENERACY_TOL):
     )
 
 
-def build_hdp(graph, clique_bases, nu, tol=CONSISTENCY_TOL, strict=False):
-    """Validate clique bases against a graph and fuse them into one prior.
+@dataclass(frozen=True)
+class HDPAudit:
+    """Verdicts of every check ``build_hdp`` makes, in the order made.
 
-    Raises NotDecomposable / NotConnected for an unusable graph,
-    Inconsistent when clique bases disagree, and RefinementViolated when
-    some separator value admits two clique completions.  ``strict`` also
-    audits each running-history block against its separator.
+    ``checks`` holds one JSON-ready dict per check, each with a ``name``
+    and a ``passed`` flag.  ``failure`` is the exception ``build_hdp``
+    raises for the spec, or None when every check passed.
     """
-    decomp = perfect_ordering(graph)
-    bases = tuple(clique_bases)
-    if len(bases) != len(decomp.cliques):
-        raise ValueError(
-            f"{len(decomp.cliques)} cliques but {len(bases)} base measures"
-        )
-    for k, (clique, base) in enumerate(zip(decomp.cliques, bases), start=1):
-        if not isinstance(base, DiscreteMeasure):
-            raise TypeError("clique bases must be discrete measures")
-        if set(base.space.variables) != set(clique):
-            raise DomainMismatch(
-                f"base {k} is not defined on exactly the clique {clique!r}"
-            )
+
+    checks: tuple
+    decomposition: object = None
+    combined: object = None
+    failure: Optional[Exception] = None
+
+
+def audit_hdp(graph, clique_bases, tol=CONSISTENCY_TOL, strict=False):
+    """Check a spec stage by stage: the graph, every pair of clique bases
+    (a sequence in perfect order) for consistency, factorization of the
+    combined base, and degeneracy of each clique (and, when ``strict``,
+    each running-history block) given its separator.  A failed graph or
+    consistency stage ends the audit.
+
+    A malformed spec (wrong base count, a base that is not discrete, not
+    on its clique, or not a probability measure) raises instead.
+    """
+    try:
+        decomp = perfect_ordering(graph)
+    except (NotDecomposable, NotConnected) as exc:
+        return HDPAudit(({"name": "graph", "passed": False, "detail": str(exc)},), failure=exc)
+    checks = [{"name": "graph", "passed": True}]
+    pairs, combined, failure = combine_clique_bases(decomp, clique_bases, tol)
+    # only now is every base known to be a DiscreteMeasure
+    for k, base in enumerate(clique_bases, start=1):
         if not base.is_probability():
             raise ValueError(f"clique base {k} is not a probability measure")
-    combined = markov_combination_seq(decomp, bases, tol)
+    checks += [
+        {
+            "name": f"consistency of clique bases {i + 1} and {j + 1}",
+            "passed": report.consistent,
+            "marginal_gap": report.marginal_gap,
+            "mass_gap": report.mass_gap,
+        }
+        for i, j, report in pairs
+    ]
+    if failure is not None:
+        return HDPAudit(tuple(checks), decomp, failure=failure)
+    factorizes = is_markov(combined, decomp, tol)
+    checks.append({"name": "combined base factorizes over the cliques", "passed": factorizes})
     report = RefinementReport(())
-    for k, clique in enumerate(decomp.cliques[1:], start=1):
-        sep = decomp.separators[k - 1]
-        report = report.merged(check_refinement(combined, sep, clique))
-        if strict:
-            report = report.merged(
-                check_refinement(combined, sep, decomp.histories[k - 1])
-            )
+    for sep, clique, history in zip(decomp.separators, decomp.cliques[1:], decomp.histories):
+        for kind, block in (("clique", clique), ("history", history))[: 2 if strict else 1]:
+            step = check_refinement(combined, sep, block)
+            report = report.merged(step)
+            (c,) = step.checks
+            entry = {
+                "name": f"degenerate completion of {kind} {list(block)} given separator {list(sep)}",
+                "passed": c.passed,
+            }
+            if not c.passed:
+                entry["witness"] = c.witness
+                entry["conditional"] = c.conditional
+            checks.append(entry)
     if not report.passed:
         w = report.first_witness()
-        raise RefinementViolated(
+        failure = RefinementViolated(
             f"a separator value admits multiple completions (witness {w!r})",
             report,
         )
-    if not is_markov(combined, decomp, tol):
-        raise NotMarkov("internal error: the combined base does not factorize")
+    elif not factorizes:
+        failure = NotMarkov("internal error: the combined base does not factorize")
+    return HDPAudit(tuple(checks), decomp, combined, failure)
+
+
+def build_hdp(graph, clique_bases, nu, tol=CONSISTENCY_TOL, strict=False):
+    """Validate clique bases against a graph and fuse them into one prior.
+
+    Raises the failure ``audit_hdp`` reports: NotDecomposable /
+    NotConnected for an unusable graph, Inconsistent when clique bases
+    disagree, and RefinementViolated when some separator value admits two
+    clique completions.  ``strict`` also audits each running-history
+    block against its separator.
+    """
+    bases = tuple(clique_bases)
+    audit = audit_hdp(graph, bases, tol, strict)
+    if audit.failure is not None:
+        raise audit.failure
     return HDPSpec(
         graph=graph,
-        decomposition=decomp,
+        decomposition=audit.decomposition,
         clique_bases=bases,
         nu=float(nu),
-        combined=DPParams(nu, combined),
+        combined=DPParams(nu, audit.combined),
     )
 
 
@@ -242,8 +289,6 @@ def hdp_posterior(spec, data, tol=CONSISTENCY_TOL):
     the combined base, which it must reproduce within 1e-12.
     """
     space = spec.combined.base.space
-    from .dp import _coerce_data, dp_posterior  # shared validation
-
     obs = _coerce_data(space, data)
     if not obs:
         return spec

@@ -281,26 +281,47 @@ def markov_combination(mu, lam, tol=CONSISTENCY_TOL):
     return DiscreteMeasure(union, out)
 
 
-def markov_combination_seq(decomp, bases, tol=CONSISTENCY_TOL):
-    """Fold clique bases along a perfect ordering into one joint measure."""
+def combine_clique_bases(decomp, bases, tol=CONSISTENCY_TOL):
+    """Check clique bases pairwise and fold them along a perfect ordering.
+
+    Raises unless there is one discrete base per clique, on exactly its
+    clique.  Returns ``(pairs, combined, failure)``: ``pairs`` holds an
+    ``(i, j, report)`` consistency triple for every pair of bases, in
+    lexicographic order; ``failure`` is the ``Inconsistent`` error of the
+    first failing pair, in which case ``combined`` is None.
+    """
     if len(bases) != len(decomp.cliques):
         raise ValueError(
             f"{len(decomp.cliques)} cliques but {len(bases)} base measures"
         )
     for k, (clique, base) in enumerate(zip(decomp.cliques, bases), start=1):
+        if not isinstance(base, DiscreteMeasure):
+            raise TypeError("clique bases must be discrete measures")
         if set(base.space.variables) != set(clique):
             raise DomainMismatch(
                 f"base {k} is not defined on exactly the clique {clique!r}"
             )
-    for i, j in itertools.combinations(range(len(bases)), 2):
-        report = is_consistent(bases[i], bases[j], tol)
+    pairs = [
+        (i, j, is_consistent(bases[i], bases[j], tol))
+        for i, j in itertools.combinations(range(len(bases)), 2)
+    ]
+    for i, j, report in pairs:
         if not report.consistent:
-            raise Inconsistent(
+            failure = Inconsistent(
                 f"clique bases {i + 1} and {j + 1} are not consistent", report
             )
+            return pairs, None, failure
     combined = bases[0]
     for base in bases[1:]:
         combined = markov_combination(combined, base, tol)
+    return pairs, combined, None
+
+
+def markov_combination_seq(decomp, bases, tol=CONSISTENCY_TOL):
+    """Fold clique bases along a perfect ordering into one joint measure."""
+    _, combined, failure = combine_clique_bases(decomp, bases, tol)
+    if failure is not None:
+        raise failure
     return combined
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 from .graphs import build_graph
 from .measures import DiscreteMeasure, ProductSpace
@@ -147,10 +148,13 @@ def load_data_csv(path, space):
 def likelihood_from_dict(obj, data_space, base_space):
     """Sparse likelihood table f(x | value); absent pairs mean zero."""
     table = {}
-    for entry in obj["entries"]:
+    for k, entry in enumerate(obj["entries"], start=1):
         x = data_space.as_tuple(entry["x"])
         pi = base_space.as_tuple(entry["pi"])
-        table[(x, pi)] = float(entry["prob"])
+        prob = float(entry["prob"])
+        if prob < 0.0 or not math.isfinite(prob):
+            raise ValueError(f"likelihood entry {k} {entry!r}: prob must be finite and nonnegative")
+        table[(x, pi)] = prob
 
     def f(x, pi):
         return table.get((tuple(x), tuple(pi)), 0.0)

@@ -11,6 +11,8 @@ import sys
 
 import pytest
 
+from hyperdp import cli, measures
+
 
 def run_cli(*argv):
     return subprocess.run(
@@ -248,6 +250,40 @@ def test_diagnose_bad_spec(bad_spec):
     assert proc.stdout.strip().count("\n") == 0
 
 
+HEAVY_IJ = {**UNIFORM_IJ, "points": [{**p, "mass": "0.5"} for p in UNIFORM_IJ["points"]]}
+HEAVY_JK = {**COPY_JK, "points": [{**p, "mass": "1.0"} for p in COPY_JK["points"]]}
+
+
+@pytest.mark.parametrize(
+    "bases",
+    [[UNIFORM_IJ], [UNIFORM_IJ, COPY_JK, COPY_JK], [HEAVY_IJ, HEAVY_JK], [UNIFORM_IJ, HEAVY_JK]],
+    ids=["one-base", "three-bases", "both-total-2", "second-totals-2"],
+)
+def test_diagnose_malformed_spec_fails_like_build_hdp(tmp_path, bases):
+    spec = write_json(tmp_path, "spec.json", {"graph": PATH_GRAPH, "nu": 4.0, "clique_bases": bases})
+    built = run_cli("build-hdp", "--spec", spec)
+    diagnosed = run_cli("diagnose", "--spec", spec, "--samples", "2", "--seed", "1")
+    assert built.returncode == diagnosed.returncode == 1
+    assert json.loads(built.stdout)["error"] == "ValueError"
+    assert diagnosed.stdout == built.stdout
+
+
+def test_diagnose_checks_each_pair_of_bases_once(good_spec, monkeypatch, capsys):
+    calls = []
+    original = measures.is_consistent
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (cli, measures):
+        monkeypatch.setattr(module, "is_consistent", counted)
+    assert cli.main(["diagnose", "--spec", str(good_spec)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    # one check of the only pair, one inside the Markov combination step
+    assert len(calls) == 2
+
+
 def test_reconcile_average_defaults_gamma(tmp_path):
     mu = write_json(tmp_path, "mu.json", SKEW_IJ)
     lam = write_json(tmp_path, "lam.json", UNIFORM_JK)
@@ -367,6 +403,50 @@ def test_cdf_estimate_requires_threshold(tmp_path):
     proc = run_cli("cdf-estimate", "--base", base, "--nu", "1.0", "--data", data)
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "rows, flags",
+    [
+        ("0\nnan\n", ("--t", "1")),
+        ("0\ninf\n", ("--t", "1")),
+        ("0\n", ("--t", "nan")),
+        ("0\n", ("--t", "inf")),
+        ("0\n", ("--t-grid", "0:nan:3")),
+        ("0\n", ("--t-grid=-inf:1:3",)),
+    ],
+    ids=["nan-row", "inf-row", "t-nan", "t-inf", "grid-hi-nan", "grid-lo-inf"],
+)
+def test_cdf_estimate_rejects_non_finite_input(tmp_path, rows, flags):
+    base = write_json(
+        tmp_path, "base.json",
+        measure_dict(("X",), {"X": (0, 1)}, {(0,): 0.5, (1,): 0.5}),
+    )
+    data = tmp_path / "data.csv"
+    data.write_text("X\n" + rows, encoding="utf-8")
+    proc = run_cli("cdf-estimate", "--base", base, "--nu", "1.0", "--data", data, *flags)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"] == "ValueError"
+
+
+def test_mixture_rejects_non_finite_likelihood(tmp_path):
+    base = write_json(
+        tmp_path, "base.json",
+        measure_dict(("X",), {"X": (0, 1)}, {(0,): 0.5, (1,): 0.5}),
+    )
+    table = write_json(
+        tmp_path, "lik.json",
+        {"entries": [{"x": {"X": 0}, "pi": {"X": 0}, "prob": "nan"}]},
+    )
+    data = tmp_path / "data.csv"
+    data.write_text("X\n0\n1\n", encoding="utf-8")
+    proc = run_cli(
+        "mixture", "--data", data, "--base", base, "--a", "1.0",
+        "--sweeps", "2", "--seed", "1", "--likelihood", table,
+    )
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)
+    assert out["error"] == "ValueError" and "entry 1" in out["detail"]
 
 
 # ------------------------------------------------------------- exit codes

@@ -339,3 +339,14 @@ def test_bayes_cdf_input_validation():
     )
     with pytest.raises(ValueError):
         bayes_cdf(DPParams(1.0, labeled), [], 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bayes_cdf_rejects_non_finite_values(bad):
+    params = DPParams(2.0, one_var_base([0.2, 0.8]))
+    with pytest.raises(ValueError):
+        bayes_cdf(params, [0.0, bad], 1)
+    with pytest.raises(ValueError):
+        bayes_cdf(params, [0.0], bad)
+    with pytest.raises(ValueError):
+        bayes_cdf(params, [], bad)

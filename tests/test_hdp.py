@@ -1,11 +1,17 @@
 """Graph-structured priors: degeneracy checks, assembly, posteriors."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hyperdp
 from hyperdp import (
     ContinuousBase,
     DiscreteMeasure,
     DomainMismatch,
+    HyperDPError,
     Inconsistent,
     NotConnected,
     NotDecomposable,
@@ -16,10 +22,14 @@ from hyperdp import (
     UnknownVariable,
     WeightedAtoms,
     atoms_to_measure,
+    audit_hdp,
     build_graph,
     build_hdp,
     check_refinement,
     hdp_posterior,
+    is_consistent,
+    marginalize,
+    perfect_ordering,
     sample_hdp,
     uniform_measure,
     verify_sample_markov,
@@ -169,6 +179,107 @@ def test_build_hdp_rejects_bad_graphs(space_ij, uniform_ij):
     split = build_graph(("I", "J", "K", "L"), [("I", "J"), ("K", "L")])
     with pytest.raises(NotConnected):
         build_hdp(split, [], nu=1.0)
+
+
+# -------------------------------------------------------------------- audit
+
+
+def test_audit_reports_every_stage(path_graph, uniform_ij, copy_jk):
+    audit = audit_hdp(path_graph, [uniform_ij, copy_jk])
+    assert audit.failure is None
+    assert [c["name"] for c in audit.checks] == [
+        "graph",
+        "consistency of clique bases 1 and 2",
+        "combined base factorizes over the cliques",
+        "degenerate completion of clique ['J', 'K'] given separator ['J']",
+    ]
+    assert all(c["passed"] for c in audit.checks)
+    spec = build_hdp(path_graph, [uniform_ij, copy_jk], nu=1.0)
+    assert audit.decomposition == spec.decomposition
+    assert audit.combined == spec.combined.base
+
+
+def test_audit_strict_adds_history_blocks(path_graph, uniform_ij, copy_jk):
+    audit = audit_hdp(path_graph, [uniform_ij, copy_jk], strict=True)
+    history = audit.checks[-1]
+    assert history["name"] == "degenerate completion of history ['I', 'J'] given separator ['J']"
+    assert history["passed"] is False and history["witness"] == {"J": 0}
+    assert isinstance(audit.failure, RefinementViolated)
+    assert len(audit.failure.report.checks) == 2
+
+
+def test_audit_raises_on_malformed_specs(path_graph, space_jk, uniform_ij, copy_jk):
+    with pytest.raises(ValueError, match="2 cliques but 3 base measures"):
+        audit_hdp(path_graph, [uniform_ij, copy_jk, copy_jk])
+    with pytest.raises(TypeError):
+        audit_hdp(path_graph, [uniform_ij, "nope"])
+    with pytest.raises(DomainMismatch):
+        audit_hdp(path_graph, [uniform_ij, uniform_ij])
+    heavy = DiscreteMeasure(space_jk, {(0, 0): 1.0, (1, 1): 1.0})
+    with pytest.raises(ValueError, match="clique base 2 is not a probability measure"):
+        audit_hdp(path_graph, [uniform_ij, heavy])
+
+
+@st.composite
+def small_specs(draw):
+    """Path or star graphs on 2-4 binary vertices with clique bases that are
+    the marginals of a random sparse joint, one of them optionally replaced
+    by an unrelated measure."""
+    n = draw(st.integers(2, 4))
+    verts = tuple(f"V{i}" for i in range(n))
+    if draw(st.booleans()):
+        edges = list(zip(verts, verts[1:]))
+    else:
+        edges = [(verts[0], v) for v in verts[1:]]
+    graph = build_graph(verts, edges)
+    decomp = perfect_ordering(graph)
+    space = ProductSpace.from_domains(verts, {v: (0, 1) for v in verts})
+    cells = list(space.assignments())
+    support = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(support), max_size=len(support)))
+    joint = DiscreteMeasure(space, {x: w / sum(weights) for x, w in zip(support, weights)})
+    bases = [marginalize(joint, c) for c in decomp.cliques]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(bases) - 1))
+        sp = bases[k].space
+        masses = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any))
+        bases[k] = DiscreteMeasure(
+            sp, {x: m / sum(masses) for x, m in zip(sp.assignments(), masses)}
+        )
+    return graph, bases, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_specs())
+def test_build_hdp_raises_exactly_when_the_audit_fails(case):
+    graph, bases, strict = case
+    audit = audit_hdp(graph, bases, strict=strict)
+    failing = [c for c in audit.checks if not c["passed"]]
+    inconsistent = any(
+        not is_consistent(a, b).consistent for a, b in itertools.combinations(bases, 2)
+    )
+    assert isinstance(audit.failure, Inconsistent) == inconsistent
+    try:
+        spec = build_hdp(graph, bases, nu=1.0, strict=strict)
+    except HyperDPError as exc:
+        assert failing
+        assert type(exc).__name__ == type(audit.failure).__name__
+        witness = exc.report.first_witness() if isinstance(exc, RefinementViolated) else None
+        assert witness == failing[0].get("witness")
+        if isinstance(exc, Inconsistent):
+            assert exc.report.marginal_gap == failing[0]["marginal_gap"]
+            assert exc.report.mass_gap == failing[0]["mass_gap"]
+    else:
+        assert audit.failure is None and not failing
+        assert spec.combined.base == audit.combined
+
+
+def test_star_import_exposes_the_public_names():
+    namespace = {}
+    exec("from hyperdp import *", namespace)
+    public = {name for name in vars(hyperdp) if not name.startswith("_")}
+    assert {"audit_hdp", "HDPAudit", "build_hdp"} <= public
+    assert public <= set(namespace)
 
 
 # ----------------------------------------------------------------- sampling

@@ -162,3 +162,16 @@ def test_likelihood_from_dict():
         likelihood_from_dict(
             {"entries": [{"x": {"X": 9}, "pi": {"X": 0}, "prob": 1.0}]}, sp, sp
         )
+
+
+@pytest.mark.parametrize("prob", ["nan", "inf", -0.1])
+def test_likelihood_from_dict_rejects_bad_probabilities(prob):
+    sp = ProductSpace.from_domains(("X",), {"X": (0, 1)})
+    table = {
+        "entries": [
+            {"x": {"X": 0}, "pi": {"X": 0}, "prob": 0.9},
+            {"x": {"X": 1}, "pi": {"X": 0}, "prob": prob},
+        ]
+    }
+    with pytest.raises(ValueError, match="entry 2"):
+        likelihood_from_dict(table, sp, sp)
