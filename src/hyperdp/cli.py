@@ -14,6 +14,7 @@ import concurrent.futures
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -63,10 +64,13 @@ def _replicate_line(params, cfg, seed, replicate):
 def _sample_lines(params, args):
     if args.replicates < 1:
         raise ValueError("--replicates must be at least 1")
+    if args.parallel < 1:
+        raise ValueError("--parallel must be at least 1")
     cfg = _sampler_config(args)
     reps = range(args.replicates)
     if args.parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
+        workers = min(args.parallel, args.replicates, os.cpu_count() or 1)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             lines = list(
                 pool.map(_replicate_line, *zip(*[(params, cfg, args.seed, r) for r in reps]))
             )
@@ -282,8 +286,8 @@ def _add_sampling_flags(p):
         type=int,
         default=1,
         metavar="N",
-        help="worker processes; replicate r always uses the (seed, r) stream, "
-        "so output bytes do not depend on N",
+        help="worker processes, at most one per replicate and per CPU; replicate r "
+        "always uses the (seed, r) stream, so output bytes do not depend on N",
     )
 
 

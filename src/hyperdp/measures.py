@@ -328,9 +328,17 @@ def markov_combination_seq(decomp, bases, tol=CONSISTENCY_TOL):
 def is_markov(theta, decomp, tol=CONSISTENCY_TOL):
     """Does the measure factorize over the decomposition's cliques?
 
-    Checks, for every full assignment, that the product of clique
-    marginals equals the measure times the product of separator
-    marginals, up to ``tol`` in absolute terms.
+    Checks that the product of clique marginals equals the measure times
+    the product of separator marginals, up to ``tol`` in absolute terms,
+    at every full assignment.  Only assignments whose projection on each
+    clique carries clique-marginal mass are visited: they are built by
+    joining the clique supports along the perfect ordering, extending
+    each row by the residual values the next clique allows for the row's
+    separator value.  Anywhere else some clique factor is zero, so both
+    sides are zero (a point of the measure's support projects into every
+    clique support), and the check cannot fail there for any ``tol``.
+    The cost is thus bounded by the joined supports, not the product
+    space, and the verdict is the one of the full walk.
     """
     if set(theta.space.variables) != set(decomp.vertices):
         raise DomainMismatch(
@@ -340,14 +348,35 @@ def is_markov(theta, decomp, tol=CONSISTENCY_TOL):
         raise ValueError("a probability measure is required")
 
     def projector(vars_):
-        sub = [theta.space.index(v) for v in theta.space.variables if v in set(vars_)]
-        return tuple(sub)
+        keep = set(vars_)
+        return tuple(i for i, v in enumerate(theta.space.variables) if v in keep)
 
     clique_idx = [projector(c) for c in decomp.cliques]
     sep_idx = [projector(s) for s in decomp.separators]
     clique_mass = [marginalize(theta, c).mass for c in decomp.cliques]
     sep_mass = [marginalize(theta, s).mass for s in decomp.separators]
-    for x in theta.space.assignments():
+    # rows hold values of the positions in ``order``, the history so far
+    order = list(clique_idx[0])
+    rows = list(clique_mass[0])
+    res_idx = [projector(r) for r in decomp.residuals]
+    for sep, res, idx, mass in zip(sep_idx, res_idx, clique_idx[1:], clique_mass[1:]):
+        sep_in_key = [idx.index(i) for i in sep]
+        res_in_key = [idx.index(i) for i in res]
+        allowed = {}
+        for y in mass:
+            allowed.setdefault(tuple(y[j] for j in sep_in_key), []).append(
+                tuple(y[j] for j in res_in_key)
+            )
+        sep_in_row = [order.index(i) for i in sep]
+        rows = [
+            row + r
+            for row in rows
+            for r in allowed.get(tuple(row[j] for j in sep_in_row), ())
+        ]
+        order += res
+    back = [order.index(i) for i in range(len(order))]
+    for row in rows:
+        x = tuple(row[j] for j in back)
         lhs = theta.mass.get(x, 0.0)
         for idx, mass in zip(sep_idx, sep_mass):
             lhs *= mass.get(tuple(x[i] for i in idx), 0.0)

@@ -4,10 +4,13 @@ import pytest
 
 from hyperdp import (
     DiscreteMeasure,
+    DomainMismatch,
     ProductSpace,
     build_graph,
+    marginalize,
     perfect_ordering,
 )
+from hyperdp.measures import CONSISTENCY_TOL
 
 
 @pytest.fixture
@@ -89,3 +92,38 @@ def exact_partition_law(data, likelihood, a, base):
         out[pattern] = out.get(pattern, 0.0) + weight
     total = sum(out.values())
     return {k: v / total for k, v in out.items() if v > 0.0}
+
+
+def dense_is_markov(theta, decomp, tol=CONSISTENCY_TOL):
+    """Oracle for ``is_markov`` that walks every full assignment.
+
+    Checks, for every full assignment, that the product of clique
+    marginals equals the measure times the product of separator
+    marginals, up to ``tol`` in absolute terms.  Its cost grows with the
+    whole product space, so it only suits small spaces.
+    """
+    if set(theta.space.variables) != set(decomp.vertices):
+        raise DomainMismatch(
+            "measure variables do not match the decomposition's vertex set"
+        )
+    if not theta.is_probability():
+        raise ValueError("a probability measure is required")
+
+    def projector(vars_):
+        sub = [theta.space.index(v) for v in theta.space.variables if v in set(vars_)]
+        return tuple(sub)
+
+    clique_idx = [projector(c) for c in decomp.cliques]
+    sep_idx = [projector(s) for s in decomp.separators]
+    clique_mass = [marginalize(theta, c).mass for c in decomp.cliques]
+    sep_mass = [marginalize(theta, s).mass for s in decomp.separators]
+    for x in theta.space.assignments():
+        lhs = theta.mass.get(x, 0.0)
+        for idx, mass in zip(sep_idx, sep_mass):
+            lhs *= mass.get(tuple(x[i] for i in idx), 0.0)
+        rhs = 1.0
+        for idx, mass in zip(clique_idx, clique_mass):
+            rhs *= mass.get(tuple(x[i] for i in idx), 0.0)
+        if abs(lhs - rhs) > tol:
+            return False
+    return True

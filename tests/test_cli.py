@@ -152,6 +152,41 @@ def test_sample_parallel_bytes_match_serial(tmp_path):
     assert parallel.stdout == serial.stdout
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sample_rejects_fewer_than_one_worker(tmp_path, workers):
+    base = write_json(tmp_path, "base.json", UNIFORM_IJ)
+    proc = run_cli("sample", "--base", base, "--nu", "1", "--seed", "1", "--parallel", workers)
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)
+    assert out["error"] == "ValueError" and "--parallel" in out["detail"]
+
+
+def test_parallel_workers_are_capped(tmp_path, monkeypatch, capsys):
+    # a recorder stands in for the pool, so no worker process is started
+    created = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    base = write_json(tmp_path, "base.json", UNIFORM_IJ)
+    argv = ["sample", "--base", str(base), "--nu", "3.0", "--replicates", "3", "--seed", "9"]
+    assert cli.main(argv) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Recorder)
+    assert cli.main([*argv, "--parallel", str(10**6)]) == 0
+    assert created == [min(3, cli.os.cpu_count() or 1)]
+    assert capsys.readouterr().out == serial
+
+
 def test_sample_rejects_zero_replicates(tmp_path):
     base = write_json(tmp_path, "base.json", UNIFORM_IJ)
     proc = run_cli("sample", "--base", base, "--nu", "1", "--replicates", "0", "--seed", "1")

@@ -1,7 +1,7 @@
 """Byte-for-byte command line output pinned by files under tests/golden/.
 
 Each ``<case>.stdout`` holds the exact stdout of one ``hyperdp`` run on
-the specs in ``tests/golden/specs/``.  A refactor that changes a byte of
+the specs and data files in ``tests/golden/specs/``.  A refactor that changes a byte of
 these outputs fails here; such a change must be deliberate and the file
 re-recorded with it, never edited to match.
 """
@@ -25,6 +25,15 @@ CASES = {
     "build_hdp_refinement_violated": ("build-hdp", "--spec", "specs/refinement_violated.json"),
     "build_hdp_inconsistent": ("build-hdp", "--spec", "specs/inconsistent.json"),
     "build_hdp_non_decomposable": ("build-hdp", "--spec", "specs/non_decomposable.json"),
+    "posterior_hdp_good": (
+        "posterior-hdp", "--spec", "specs/good.json", "--data", "specs/good_data.csv",
+    ),
+    "posterior_hdp_observation_violates_support": (
+        "posterior-hdp", "--spec", "specs/good.json", "--data", "specs/violating_data.csv",
+    ),
+    "sample_hdp_good": (
+        "sample-hdp", "--spec", "specs/good.json", "--replicates", "5", "--seed", "3",
+    ),
 }
 
 

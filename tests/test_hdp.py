@@ -28,6 +28,7 @@ from hyperdp import (
     check_refinement,
     hdp_posterior,
     is_consistent,
+    is_markov,
     marginalize,
     perfect_ordering,
     sample_hdp,
@@ -280,6 +281,40 @@ def test_star_import_exposes_the_public_names():
     public = {name for name in vars(hyperdp) if not name.startswith("_")}
     assert {"audit_hdp", "HDPAudit", "build_hdp"} <= public
     assert public <= set(namespace)
+
+
+# ------------------------------------------------------------------ scaling
+
+
+def _copy_flip_chain(k):
+    """Binary chain v0 - ... - v(k-1): a uniform first clique, then each
+    clique copies its separator value or flips it, alternately."""
+    verts = [f"v{i}" for i in range(k)]
+    graph = build_graph(verts, list(zip(verts, verts[1:])))
+    bases = [uniform_measure(ProductSpace.from_domains(verts[:2], {v: (0, 1) for v in verts[:2]}))]
+    for i, (a, b) in enumerate(zip(verts[1:], verts[2:])):
+        sp = ProductSpace.from_domains((a, b), {a: (0, 1), b: (0, 1)})
+        bases.append(DiscreteMeasure(sp, {(x, x ^ (i % 2)): 0.5 for x in (0, 1)}))
+    return graph, bases
+
+
+def test_factorization_checks_never_walk_the_product_space(monkeypatch):
+    # a 64-vertex space has 2**64 assignments; the checks must stay on
+    # the joined clique supports, which hold four points here
+    graph, bases = _copy_flip_chain(64)
+
+    def refuse(self):
+        raise AssertionError("walked the whole product space")
+
+    monkeypatch.setattr(ProductSpace, "assignments", refuse)
+    spec = build_hdp(graph, bases, nu=2.0)
+    assert len(spec.combined.base.mass) == 4
+    theta = sample_hdp(spec, SamplerConfig(seed=5))
+    assert verify_sample_markov(theta, spec.decomposition)
+    # v0 and v63 are coupled although every vertex between them is fixed
+    space = ProductSpace.from_domains(graph.vertices, {v: (0, 1, 2) for v in graph.vertices})
+    coupled = DiscreteMeasure(space, {(0,) * 64: 0.5, (1,) + (0,) * 62 + (2,): 0.5})
+    assert not is_markov(coupled, spec.decomposition)
 
 
 # ----------------------------------------------------------------- sampling

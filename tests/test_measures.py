@@ -35,7 +35,7 @@ from hyperdp import (
     uniform_measure,
 )
 
-from conftest import random_joint
+from conftest import dense_is_markov, random_joint
 
 
 # ---------------------------------------------------------------- oracles
@@ -526,3 +526,74 @@ def test_is_markov_single_vertex():
     sp = ProductSpace.from_domains(("A",), {"A": (0, 1, 2)})
     theta = DiscreteMeasure(sp, {(0,): 0.2, (1,): 0.3, (2,): 0.5})
     assert is_markov(theta, decomp)
+
+
+def _graph_of_shape(shape, n):
+    """Path, star or two-triangle graph on vertices v0..v(n-1).
+
+    Two triangles share an edge on four vertices and a vertex on five;
+    below four vertices the triangle shape is the complete graph.
+    """
+    verts = [f"v{i}" for i in range(n)]
+    if shape == "path":
+        edges = list(zip(verts, verts[1:]))
+    elif shape == "star":
+        edges = [(verts[0], v) for v in verts[1:]]
+    elif n < 4:
+        edges = list(itertools.combinations(verts, 2))
+    else:
+        second = verts[1:4] if n == 4 else verts[2:5]
+        edges = [p for c in (verts[:3], second) for p in itertools.combinations(c, 2)]
+    return build_graph(verts, edges)
+
+
+def _reordered(m, variables):
+    """The same measure on a space whose variables come in another order."""
+    space = ProductSpace.from_domains(variables, dict(zip(m.space.variables, m.space.domains)))
+    pos = [m.space.index(v) for v in variables]
+    return DiscreteMeasure(space, {tuple(x[i] for i in pos): w for x, w in m.mass.items()})
+
+
+@st.composite
+def markov_check_cases(draw):
+    """A decomposition, a probability measure on its vertices and a tolerance.
+
+    The measure is a sparse random joint, the Markov combination of its
+    clique marginals, or that combination mixed with a little of the
+    joint, so verdicts fall on both sides of every tolerance.
+    """
+    graph = _graph_of_shape(
+        draw(st.sampled_from(["path", "star", "triangles"])), draw(st.integers(1, 5))
+    )
+    decomp = perfect_ordering(graph)
+    sizes = draw(st.lists(st.integers(2, 3), min_size=len(graph.vertices),
+                          max_size=len(graph.vertices)))
+    variables = tuple(draw(st.permutations(graph.vertices)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    joint = random_joint(rng, variables, [sizes[graph.index(v)] for v in variables])
+    zero_share = draw(st.sampled_from([0.0, 0.5, 0.8, 0.95]))
+    cells = list(joint.mass)
+    keep = {x: w for x, w in joint.mass.items() if rng.uniform() >= zero_share}
+    keep = keep or {cells[int(rng.integers(len(cells)))]: 1.0}
+    joint = normalize(DiscreteMeasure(joint.space, keep))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]))
+    kind = draw(st.sampled_from(["joint", "combination", "mixed"]))
+    if kind == "joint":
+        return joint, decomp, tol
+    bases = [marginalize(joint, c) for c in decomp.cliques]
+    combined = _reordered(markov_combination_seq(decomp, bases), variables)
+    if kind == "mixed":
+        share = draw(st.sampled_from([1e-13, 1e-10, 1e-6, 1e-2]))
+        combined = DiscreteMeasure(
+            joint.space,
+            {x: (1.0 - share) * combined.mass.get(x, 0.0) + share * joint.mass.get(x, 0.0)
+             for x in joint.space.assignments()},
+        )
+    return normalize(combined), decomp, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(markov_check_cases())
+def test_is_markov_agrees_with_dense_walk(case):
+    theta, decomp, tol = case
+    assert is_markov(theta, decomp, tol) == dense_is_markov(theta, decomp, tol)
