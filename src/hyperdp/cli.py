@@ -213,20 +213,17 @@ def cmd_mixture(args):
     values, history = gibbs_chain(data, likelihood, args.a, base, args.sweeps, cfg)
     labels = {}
     assignments = [labels.setdefault(v, len(labels)) for v in values]
-    classes = []
-    for value, label in labels.items():
-        size = sum(1 for lbl in assignments if lbl == label)
-        classes.append(
-            {
-                "label": label,
-                "size": size,
-                "value": dict(zip(base.space.variables, value)),
-            }
-        )
+    sizes = [0] * len(labels)
+    for label in assignments:
+        sizes[label] += 1
+    classes = [
+        {"label": label, "size": sizes[label], "value": dict(zip(base.space.variables, value))}
+        for value, label in labels.items()
+    ]
     out = json.dumps(
         {
             "assignments": assignments,
-            "class_counts": [c["size"] for c in classes],
+            "class_counts": sizes,
             "classes": classes,
         }
     )

@@ -7,11 +7,11 @@ only.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 from .errors import OutsideDomain
 from .measures import DiscreteMeasure, ProductSpace, marginalize
@@ -91,14 +91,18 @@ class WeightedAtoms:
             raise ValueError("weights must sum to one")
 
 
+def _atom_index(cum, u):
+    """Index of the first running sum in ``cum`` above ``u``, clamped to
+    the last atom."""
+    return min(bisect.bisect_right(cum, u), len(cum) - 1)
+
+
 def _discrete_sampler(measure):
     support = list(measure.mass)
-    cum = np.cumsum(np.array([measure.mass[x] for x in support], dtype=float))
+    cum = list(itertools.accumulate(measure.mass.values()))
 
     def draw(rng):
-        u = rng.random() * cum[-1]
-        i = int(np.searchsorted(cum, u, side="right"))
-        return support[min(i, len(support) - 1)]
+        return support[_atom_index(cum, rng.random() * cum[-1])]
 
     return draw
 
@@ -158,13 +162,8 @@ def marginal_atoms(theta, keep):
 
 def sample_from_atoms(theta, rng, size):
     """Independent draws from a sampled measure."""
-    cum = np.cumsum(np.array(theta.weights, dtype=float))
-    out = []
-    for _ in range(size):
-        u = rng.random() * cum[-1]
-        i = int(np.searchsorted(cum, u, side="right"))
-        out.append(theta.atoms[min(i, len(theta.atoms) - 1)])
-    return out
+    cum = list(itertools.accumulate(theta.weights))
+    return [theta.atoms[_atom_index(cum, rng.random() * cum[-1])] for _ in range(size)]
 
 
 def finite_partition_law(params, partition):

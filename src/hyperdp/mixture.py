@@ -83,15 +83,13 @@ def expected_clusters(a, n):
     return math.fsum(a / (a + i) for i in range(n))
 
 
-def _gibbs_weights(i, assignments, data, likelihood, a, base):
-    """Candidate values and their unnormalized reassignment weights."""
-    if not isinstance(base, DiscreteMeasure):
-        raise TypeError("collapsed reassignment requires a discrete base")
-    others = [p for j, p in enumerate(assignments) if j != i]
-    counts = {}
-    for p in others:
-        key = base.space.as_tuple(p)
-        counts[key] = counts.get(key, 0.0) + 1.0
+def _urn_weights(x, counts, likelihood, a, base):
+    """Candidate values and their unnormalized weights for observation ``x``.
+
+    ``counts`` maps each value held by the other observations to how
+    many hold it.  Candidates are the base's support in its order, then
+    the counted values off the support.
+    """
     candidates = list(base.mass)
     for key in counts:
         if key not in base.mass:
@@ -99,17 +97,11 @@ def _gibbs_weights(i, assignments, data, likelihood, a, base):
     weights = []
     for cand in candidates:
         predictive = a * base.mass.get(cand, 0.0) + counts.get(cand, 0.0)
-        weights.append(predictive * float(likelihood(data[i], cand)))
+        weights.append(predictive * float(likelihood(x, cand)))
     return candidates, weights
 
 
-def gibbs_reassign(i, assignments, data, likelihood, a, base, rng):
-    """Redraw the latent value of observation ``i`` given all the others.
-
-    The urn predictive built from the remaining values is reweighted by
-    the likelihood of the observation under each candidate value.
-    """
-    candidates, weights = _gibbs_weights(i, assignments, data, likelihood, a, base)
+def _draw_candidate(candidates, weights, rng):
     total = math.fsum(weights)
     if total <= 0.0:
         raise ZeroMass(
@@ -125,20 +117,60 @@ def gibbs_reassign(i, assignments, data, likelihood, a, base, rng):
     return candidates[-1]
 
 
+def _gibbs_weights(i, assignments, data, likelihood, a, base):
+    """Candidate values and their unnormalized reassignment weights."""
+    if not isinstance(base, DiscreteMeasure):
+        raise TypeError("collapsed reassignment requires a discrete base")
+    counts = {}
+    for j, p in enumerate(assignments):
+        if j != i:
+            key = base.space.as_tuple(p)
+            counts[key] = counts.get(key, 0.0) + 1.0
+    return _urn_weights(data[i], counts, likelihood, a, base)
+
+
+def gibbs_reassign(i, assignments, data, likelihood, a, base, rng):
+    """Redraw the latent value of observation ``i`` given all the others.
+
+    The urn predictive built from the remaining values is reweighted by
+    the likelihood of the observation under each candidate value.
+    """
+    candidates, weights = _gibbs_weights(i, assignments, data, likelihood, a, base)
+    return _draw_candidate(candidates, weights, rng)
+
+
 def gibbs_chain(data, likelihood, a, base, sweeps, cfg, replicate=0):
     """Run index-order sweeps from the all-in-one-class start.
 
     Every observation begins at one shared value drawn from the base;
-    each sweep reassigns observations in index order.  Returns the final
-    values and the per-sweep label lists.
+    each sweep reassigns observations in index order.  The chain keeps
+    one running count per latent value: before observation ``i`` is
+    redrawn its old value loses one unit (and is dropped at zero), and
+    the new value gains one afterwards, so each step costs one pass over
+    the candidates rather than a recount of the other n-1 values.
+    Returns the final values and the per-sweep label lists.
     """
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError("precision a must be finite and positive")
+    if sweeps < 0:
+        raise ValueError(f"sweeps must be nonnegative, got {sweeps!r}")
+    if not isinstance(base, DiscreteMeasure):
+        raise TypeError("collapsed reassignment requires a discrete base")
     rng = stream(cfg.seed, replicate)
-    draw = _base_draw(base)
-    assignments = [draw(rng)] * len(data)
+    start = _discrete_sampler(base)(rng)
+    assignments = [start] * len(data)
+    counts = {start: float(len(data))} if len(data) else {}
     history = []
     for _ in range(sweeps):
-        for i in range(len(data)):
-            assignments[i] = gibbs_reassign(i, assignments, data, likelihood, a, base, rng)
+        for i, x in enumerate(data):
+            old = assignments[i]
+            counts[old] -= 1.0
+            if counts[old] == 0.0:
+                del counts[old]
+            candidates, weights = _urn_weights(x, counts, likelihood, a, base)
+            new = _draw_candidate(candidates, weights, rng)
+            assignments[i] = new
+            counts[new] = counts.get(new, 0.0) + 1.0
         labels = {}
         history.append([labels.setdefault(v, len(labels)) for v in assignments])
     return assignments, history

@@ -82,11 +82,10 @@ def hdp_spec_from_dict(obj):
 
 def atoms_to_json_line(theta, seed, replicate):
     """One draw as a compact JSON line with reproducibility metadata."""
-    atoms = [list(a) if isinstance(a, tuple) else a for a in theta.atoms]
     return json.dumps(
         {
-            "atoms": atoms,
-            "weights": list(theta.weights),
+            "atoms": theta.atoms,
+            "weights": theta.weights,
             "residual": theta.truncation_residual,
             "seed": seed,
             "replicate": replicate,

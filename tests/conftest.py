@@ -10,7 +10,10 @@ from hyperdp import (
     marginalize,
     perfect_ordering,
 )
+from hyperdp.dp import _discrete_sampler
 from hyperdp.measures import CONSISTENCY_TOL
+from hyperdp.mixture import gibbs_reassign
+from hyperdp.rng import stream
 
 
 @pytest.fixture
@@ -127,3 +130,21 @@ def dense_is_markov(theta, decomp, tol=CONSISTENCY_TOL):
         if abs(lhs - rhs) > tol:
             return False
     return True
+
+
+def recount_gibbs_chain(data, likelihood, a, base, sweeps, cfg, replicate=0):
+    """Oracle for ``gibbs_chain`` that recounts the other values at every step.
+
+    Each reassignment goes through the public ``gibbs_reassign``, which
+    rebuilds the urn counts of the other n-1 values from scratch, so one
+    sweep costs O(n^2) validated lookups.
+    """
+    rng = stream(cfg.seed, replicate)
+    assignments = [_discrete_sampler(base)(rng)] * len(data)
+    history = []
+    for _ in range(sweeps):
+        for i in range(len(data)):
+            assignments[i] = gibbs_reassign(i, assignments, data, likelihood, a, base, rng)
+        labels = {}
+        history.append([labels.setdefault(v, len(labels)) for v in assignments])
+    return assignments, history

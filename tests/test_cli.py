@@ -484,6 +484,45 @@ def test_mixture_rejects_non_finite_likelihood(tmp_path):
     assert out["error"] == "ValueError" and "entry 1" in out["detail"]
 
 
+@pytest.mark.parametrize(
+    "flags, detail",
+    [
+        (("--a", "nan", "--sweeps", "2"), "precision a must be finite and positive"),
+        (("--a", "inf", "--sweeps", "2"), "precision a must be finite and positive"),
+        (("--a", "-0.5", "--sweeps", "2"), "precision a must be finite and positive"),
+        (("--a", "0", "--sweeps", "2"), "precision a must be finite and positive"),
+        (("--a", "1.0", "--sweeps", "-3"), "sweeps must be nonnegative"),
+    ],
+    ids=["a-nan", "a-inf", "a-negative", "a-zero", "sweeps-negative"],
+)
+def test_mixture_rejects_bad_precision_and_sweeps(tmp_path, flags, detail):
+    base = write_json(
+        tmp_path, "base.json",
+        measure_dict(("X",), {"X": (0, 1)}, {(0,): 0.5, (1,): 0.5}),
+    )
+    data = tmp_path / "data.csv"
+    data.write_text("X\n0\n1\n", encoding="utf-8")
+    proc = run_cli("mixture", "--data", data, "--base", base, "--seed", "1", *flags)
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)
+    assert out["error"] == "ValueError" and detail in out["detail"]
+
+
+def test_mixture_zero_sweeps_prints_the_start_state(tmp_path):
+    base = write_json(
+        tmp_path, "base.json",
+        measure_dict(("X",), {"X": (0, 1)}, {(0,): 0.5, (1,): 0.5}),
+    )
+    data = tmp_path / "data.csv"
+    data.write_text("X\n0\n1\n0\n", encoding="utf-8")
+    proc = run_cli(
+        "mixture", "--data", data, "--base", base, "--a", "1.0", "--sweeps", "0", "--seed", "1",
+    )
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert out["assignments"] == [0, 0, 0] and out["class_counts"] == [3]
+
+
 # ------------------------------------------------------------- exit codes
 
 

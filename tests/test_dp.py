@@ -5,6 +5,7 @@ replicates with 3-sigma bands); the heavy sweeps live in the
 acceptance suite.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from hyperdp import (
     stream,
     uniform_measure,
 )
+from hyperdp.dp import _atom_index
 
 
 def one_var_base(masses):
@@ -205,6 +207,33 @@ def test_marginal_atoms_mean_matches_marginal_prior():
     want = dp_marginal(params, ("J",)).base.mass_at((0,))
     assert want == pytest.approx(0.4)
     assert abs(vals.mean() - want) < 3 * math.sqrt(0.25 / (params.nu + 1) / reps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(
+        st.floats(min_value=1e-300, max_value=1e3, allow_nan=False), min_size=1, max_size=40
+    ),
+    pick=st.one_of(
+        st.integers(0, 39).map(lambda k: ("boundary", k)),
+        st.just(("total", None)),
+        st.just(("zero", None)),
+        st.floats(0.0, 1.0).map(lambda f: ("fraction", f)),
+    ),
+)
+def test_atom_index_matches_searchsorted(weights, pick):
+    cum = list(itertools.accumulate(weights))
+    dense = np.cumsum(np.array(weights, dtype=float))
+    assert cum == dense.tolist()
+    kind, value = pick
+    u = {
+        "boundary": lambda: cum[value % len(cum)],
+        "total": lambda: cum[-1],
+        "zero": lambda: 0.0,
+        "fraction": lambda: value * cum[-1],
+    }[kind]()
+    expected = min(int(np.searchsorted(dense, u, side="right")), len(cum) - 1)
+    assert _atom_index(cum, u) == expected
 
 
 def test_sample_from_atoms_frequencies():

@@ -34,6 +34,23 @@ CASES = {
     "sample_hdp_good": (
         "sample-hdp", "--spec", "specs/good.json", "--replicates", "5", "--seed", "3",
     ),
+    "mixture_table_good": (
+        "mixture", "--data", "specs/mixture_data.csv", "--base", "specs/mixture_base.json",
+        "--a", "1.5", "--likelihood", "specs/mixture_likelihood.json", "--sweeps", "3", "--seed", "5",
+    ),
+    "mixture_identity_good": (
+        "mixture", "--data", "specs/mixture_data.csv", "--base", "specs/mixture_base.json",
+        "--a", "1.5", "--sweeps", "3", "--seed", "5",
+    ),
+    "mixture_zero_mass": (
+        "mixture", "--data", "specs/mixture_data.csv", "--base", "specs/mixture_base.json",
+        "--a", "1.5", "--likelihood", "specs/mixture_likelihood_partial.json",
+        "--sweeps", "3", "--seed", "5",
+    ),
+    "sample_good": (
+        "sample", "--base", "specs/mixture_base.json", "--nu", "2", "--replicates", "5",
+        "--seed", "3",
+    ),
 }
 
 

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdp import (
     ContinuousBase,
@@ -28,7 +30,7 @@ from hyperdp import (
 )
 from hyperdp.mixture import _gibbs_weights
 
-from conftest import exact_partition_law
+from conftest import exact_partition_law, recount_gibbs_chain
 
 
 def one_var_base(masses):
@@ -264,6 +266,67 @@ def test_gibbs_chain_reaches_exact_stationary_law():
         _, history = gibbs_chain(data, noisy_likelihood, a, base, sweeps, cfg, replicate=r)
         hits += history[-1] == [0, 0]
     assert abs(hits / reps - p_same) < 3 * math.sqrt(p_same * (1 - p_same) / reps)
+
+
+def test_gibbs_chain_rejects_bad_precision_and_sweeps():
+    base = one_var_base([0.5, 0.5])
+    data = [(0,), (1,)]
+    cfg = SamplerConfig(seed=3)
+    for a in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="precision a must be finite and positive"):
+            gibbs_chain(data, noisy_likelihood, a, base, 2, cfg)
+    with pytest.raises(ValueError, match="sweeps"):
+        gibbs_chain(data, noisy_likelihood, 1.0, base, -3, cfg)
+    with pytest.raises(TypeError):
+        gibbs_chain(data, noisy_likelihood, 1.0, distinct_base(), 2, cfg)
+    final, history = gibbs_chain(data, noisy_likelihood, 1.0, base, 0, cfg)
+    assert final[0] == final[1] and history == []
+
+
+def _outcome(chain, *args):
+    try:
+        return chain(*args)
+    except ZeroMass:
+        return "ZeroMass"
+
+
+@st.composite
+def gibbs_chain_cases(draw):
+    """A small chain whose base may leave cells without mass.
+
+    Observations range over the whole space, so identity and sparse
+    likelihood tables can leave an observation with no candidate.
+    """
+    size = draw(st.integers(2, 5))
+    masses = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 3.0]),
+                           min_size=size, max_size=size))
+    if not any(masses):
+        masses[draw(st.integers(0, size - 1))] = 1.0
+    total = math.fsum(masses)
+    base = one_var_base([m / total for m in masses])
+    cells = [(k,) for k in range(size)]
+    data = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=30))
+    if draw(st.booleans()):
+        likelihood = identity_likelihood
+    else:
+        table = {
+            (x, pi): draw(st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0]))
+            for x in cells for pi in cells
+        }
+
+        def likelihood(x, pi):
+            return table[(tuple(x), tuple(pi))]
+
+    a = draw(st.sampled_from([0.1, 1.0, 50.0]))
+    sweeps = draw(st.integers(0, 4))
+    cfg = SamplerConfig(seed=draw(st.integers(0, 2**32 - 1)))
+    return data, likelihood, a, base, sweeps, cfg, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gibbs_chain_cases())
+def test_gibbs_chain_running_counts_match_recount(case):
+    assert _outcome(gibbs_chain, *case) == _outcome(recount_gibbs_chain, *case)
 
 
 def test_identity_likelihood():
