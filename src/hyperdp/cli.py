@@ -17,8 +17,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .dp import DPParams, SamplerConfig, bayes_cdf, dp_posterior, sample_dp
 from .errors import HyperDPError
 from .graphs import is_connected, is_decomposable, perfect_ordering
@@ -247,6 +245,8 @@ def _parse_grid(text):
         raise ValueError("--t-grid needs finite LO and HI")
     if steps < 2 or hi <= lo:
         raise ValueError("--t-grid needs HI > LO and at least 2 steps")
+    import numpy as np  # loaded here so that only a --t-grid run pays for it
+
     return [float(t) for t in np.linspace(lo, hi, steps)]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -26,7 +27,13 @@ PROBABILITY_TOL = 1e-12    # |total - 1| threshold for probability measures
 
 @dataclass(frozen=True)
 class ProductSpace:
-    """Finite product of per-variable category tuples."""
+    """Finite product of per-variable category tuples.
+
+    Each domain also gets a ``{category: index}`` map, built once, so a
+    membership test or an index lookup is one hash probe rather than a
+    scan of the domain.  The maps are plain attributes, not fields, so
+    equality, hashing and ``repr`` see only the two tuples.
+    """
 
     variables: tuple
     domains: tuple
@@ -36,11 +43,15 @@ class ProductSpace:
             raise ValueError("variable labels must be distinct")
         if len(self.domains) != len(self.variables):
             raise ValueError("exactly one domain per variable is required")
+        maps = []
         for var, dom in zip(self.variables, self.domains):
             if not dom:
                 raise ValueError(f"variable {var!r} has an empty domain")
-            if len(set(dom)) != len(dom):
+            index = {x: i for i, x in enumerate(dom)}
+            if len(index) != len(dom):
                 raise ValueError(f"variable {var!r} has duplicate categories")
+            maps.append(index)
+        object.__setattr__(self, "_category_index", tuple(maps))
 
     @classmethod
     def from_domains(cls, variables, domains):
@@ -75,7 +86,7 @@ class ProductSpace:
         return ProductSpace(vs, tuple(self.domains[self.index(v)] for v in vs))
 
     def sort_key(self, assignment):
-        return tuple(self.domains[i].index(x) for i, x in enumerate(assignment))
+        return tuple(map(operator.getitem, self._category_index, assignment))
 
     def as_tuple(self, assignment):
         """Coerce a mapping or aligned sequence to a validated tuple."""
@@ -91,8 +102,12 @@ class ProductSpace:
             assignment = tuple(assignment)
         if len(assignment) != len(self.variables):
             raise ValueError("assignment length does not match the variable count")
-        for var, dom, val in zip(self.variables, self.domains, assignment):
-            if val not in dom:
+        for var, index, val in zip(self.variables, self._category_index, assignment):
+            try:
+                known = val in index
+            except TypeError:  # unhashable, so equal to no category
+                known = False
+            if not known:
                 raise ValueError(f"value {val!r} is not in the domain of {var!r}")
         return assignment
 
@@ -113,7 +128,7 @@ class DiscreteMeasure:
                 raise ValueError(f"mass at {x!r} must be finite and nonnegative")
             if v > 0.0:
                 cleaned[x] = cleaned.get(x, 0.0) + v
-        ordered = dict(sorted(cleaned.items(), key=lambda kv: self.space.sort_key(kv[0])))
+        ordered = {x: cleaned[x] for x in sorted(cleaned, key=self.space.sort_key)}
         object.__setattr__(self, "mass", ordered)
 
     @property
@@ -206,9 +221,21 @@ class ConsistencyReport:
         }
 
 
+def _overlap_law(m, overlap):
+    """Normalized marginal of ``m`` on ``overlap``, keyed in ``overlap``'s order.
+
+    ``marginalize`` keys cells in the measure's own variable order, so
+    two measures that list the shared variables differently are only
+    comparable after this reordering.
+    """
+    marginal = marginalize(normalize(m), overlap)
+    order = tuple(marginal.space.index(v) for v in overlap)
+    return {tuple(c[i] for i in order): w for c, w in marginal.mass.items()}
+
+
 def _sup_gap(a, b):
-    keys = set(a.mass) | set(b.mass)
-    return max((abs(a.mass.get(k, 0.0) - b.mass.get(k, 0.0)) for k in keys), default=0.0)
+    keys = a.keys() | b.keys()
+    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys), default=0.0)
 
 
 def is_consistent(mu, lam, tol=CONSISTENCY_TOL):
@@ -226,10 +253,7 @@ def is_consistent(mu, lam, tol=CONSISTENCY_TOL):
     mass_gap = abs(tm - tl)
     equal_mass = mass_gap <= tol * max(tm, tl)
     if tm > 0.0 and tl > 0.0:
-        marginal_gap = _sup_gap(
-            marginalize(normalize(mu), overlap),
-            marginalize(normalize(lam), overlap),
-        )
+        marginal_gap = _sup_gap(_overlap_law(mu, overlap), _overlap_law(lam, overlap))
         proportional = marginal_gap <= tol
     else:
         # a zero measure is proportional only to another zero measure

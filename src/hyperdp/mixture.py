@@ -64,6 +64,8 @@ def sample_partition(a, base, n, cfg, replicate=0):
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError("precision a must be finite and positive")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n!r}")
     rng = stream(cfg.seed, replicate)
     draw = _base_draw(base)
     values = []
@@ -80,6 +82,8 @@ def expected_clusters(a, n):
     """Mean number of distinct values when the base never repeats atoms."""
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError("precision a must be finite and positive")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n!r}")
     return math.fsum(a / (a + i) for i in range(n))
 
 
@@ -102,6 +106,12 @@ def _urn_weights(x, counts, likelihood, a, base):
 
 
 def _draw_candidate(candidates, weights, rng):
+    for cand, w in zip(candidates, weights):
+        if not 0.0 <= w < math.inf:
+            raise ValueError(
+                f"candidate value {cand!r} has weight {w!r}; the likelihood must "
+                "give finite nonnegative values"
+            )
     total = math.fsum(weights)
     if total <= 0.0:
         raise ZeroMass(

@@ -8,6 +8,7 @@ return the inputs themselves).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,10 +16,9 @@ from .errors import Inconsistent, ZeroConditional
 from .measures import (
     CONSISTENCY_TOL,
     DiscreteMeasure,
+    _overlap_law,
     _union_space,
     is_consistent,
-    marginalize,
-    normalize,
     scale_measure,
 )
 
@@ -88,6 +88,70 @@ def _grouped(measure, overlap, rest):
     return groups, totals
 
 
+@dataclass(frozen=True)
+class _UnionLayout:
+    """The union space of two measures and how its cells are put together.
+
+    A union cell is the first measure's variables in its order, then the
+    second measure's extra variables in theirs.  ``arrange`` takes the
+    concatenated values of the ``mu_only``, ``overlap`` and ``extra``
+    blocks and returns them in union order.
+    """
+
+    space: object
+    overlap: tuple
+    mu_only: tuple
+    extra: tuple
+    arrange: object
+
+
+def _union_layout(mu, lam):
+    lam_vars = set(lam.space.variables)
+    overlap = tuple(v for v in mu.space.variables if v in lam_vars)
+    mu_only = tuple(v for v in mu.space.variables if v not in lam_vars)
+    union, extra = _union_space(mu, lam)
+    blocks = mu_only + overlap + extra
+    pos = [blocks.index(v) for v in union.variables]
+    # itemgetter of a single position returns the bare value, not a tuple
+    arrange = operator.itemgetter(*pos) if len(pos) > 1 else tuple
+    return _UnionLayout(union, overlap, mu_only, extra, arrange)
+
+
+def _completion_cells(mu, lam, layout, side):
+    """Unvalidated cells of the one-sided completion; see ``complete_via``."""
+    out = {}
+    if side == "A":
+        lam_groups, lam_totals = _grouped(lam, layout.overlap, layout.extra)
+        o_mu = tuple(mu.space.index(v) for v in layout.overlap)
+        for x, w in mu.mass.items():
+            c = tuple(x[i] for i in o_mu)
+            denom = lam_totals.get(c, 0.0)
+            if denom <= 0.0:
+                raise ZeroConditional(
+                    f"the trusted measure puts mass on overlap value {c!r} "
+                    "where the other measure has none"
+                )
+            for b, wl in lam_groups[c]:
+                out[x + b] = w * (wl / denom)
+    else:
+        mu_groups, mu_totals = _grouped(mu, layout.overlap, layout.mu_only)
+        o_lam = tuple(lam.space.index(v) for v in layout.overlap)
+        b_lam = tuple(lam.space.index(v) for v in layout.extra)
+        arrange = layout.arrange
+        for y, w in lam.mass.items():
+            c = tuple(y[i] for i in o_lam)
+            denom = mu_totals.get(c, 0.0)
+            if denom <= 0.0:
+                raise ZeroConditional(
+                    f"the trusted measure puts mass on overlap value {c!r} "
+                    "where the other measure has none"
+                )
+            cb = c + tuple(y[i] for i in b_lam)
+            for u, wm in mu_groups[c]:
+                out[arrange(u + cb)] = w * (wm / denom)
+    return out
+
+
 def complete_via(mu, lam, side):
     """Trust one measure outright and borrow the other's conditional.
 
@@ -100,68 +164,22 @@ def complete_via(mu, lam, side):
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
-    overlap = tuple(v for v in mu.space.variables if v in set(lam.space.variables))
-    union, extra = _union_space(mu, lam)
-    mu_only = tuple(v for v in mu.space.variables if v not in set(overlap))
-    lam_groups, lam_totals = _grouped(lam, overlap, extra)
-    mu_groups, mu_totals = _grouped(mu, overlap, mu_only)
-    mu_pos = tuple(union.index(v) for v in mu.space.variables)
-    lam_extra_pos = tuple(union.index(v) for v in extra)
-    out = {}
-    if side == "A":
-        for x, w in mu.mass.items():
-            c = tuple(x[mu.space.index(v)] for v in overlap)
-            denom = lam_totals.get(c, 0.0)
-            if denom <= 0.0:
-                raise ZeroConditional(
-                    f"the trusted measure puts mass on overlap value {c!r} "
-                    "where the other measure has none"
-                )
-            for b, wl in lam_groups[c]:
-                cell = [None] * len(union.variables)
-                for pos, val in zip(mu_pos, x):
-                    cell[pos] = val
-                for pos, val in zip(lam_extra_pos, b):
-                    cell[pos] = val
-                out[tuple(cell)] = w * (wl / denom)
-    else:
-        o_in_mu = tuple(mu.space.index(v) for v in overlap)
-        u_idx = tuple(mu.space.index(v) for v in mu_only)
-        mu_only_pos = tuple(union.index(v) for v in mu_only)
-        o_pos = tuple(union.index(v) for v in overlap)
-        for y, w in lam.mass.items():
-            c = tuple(y[lam.space.index(v)] for v in overlap)
-            denom = mu_totals.get(c, 0.0)
-            if denom <= 0.0:
-                raise ZeroConditional(
-                    f"the trusted measure puts mass on overlap value {c!r} "
-                    "where the other measure has none"
-                )
-            b = tuple(y[lam.space.index(v)] for v in extra)
-            for u, wm in mu_groups[c]:
-                cell = [None] * len(union.variables)
-                for pos, val in zip(mu_only_pos, u):
-                    cell[pos] = val
-                for pos, val in zip(o_pos, c):
-                    cell[pos] = val
-                for pos, val in zip(lam_extra_pos, b):
-                    cell[pos] = val
-                out[tuple(cell)] = w * (wm / denom)
-    return DiscreteMeasure(union, out)
+    layout = _union_layout(mu, lam)
+    return DiscreteMeasure(layout.space, _completion_cells(mu, lam, layout, side))
 
 
 def weighted_average(mu, lam, gamma):
     """Pointwise gamma-blend of the two one-sided completions."""
     if not (0.0 <= gamma <= 1.0):
         raise ValueError("gamma must lie in [0, 1]")
-    via_a = complete_via(mu, lam, "A")
-    via_b = complete_via(mu, lam, "B")
-    keys = set(via_a.mass) | set(via_b.mass)
+    layout = _union_layout(mu, lam)
+    via_a = _completion_cells(mu, lam, layout, "A")
+    via_b = _completion_cells(mu, lam, layout, "B")
     out = {
-        k: gamma * via_a.mass.get(k, 0.0) + (1.0 - gamma) * via_b.mass.get(k, 0.0)
-        for k in keys
+        k: gamma * via_a.get(k, 0.0) + (1.0 - gamma) * via_b.get(k, 0.0)
+        for k in via_a.keys() | via_b.keys()
     }
-    return DiscreteMeasure(via_a.space, out)
+    return DiscreteMeasure(layout.space, out)
 
 
 def suggested_gamma(mu, lam):
@@ -178,22 +196,18 @@ def kl_compromise(mu, lam):
     probability vectors is their equal-weight mixture.  Both conditional
     laws are then hung off that marginal, giving a probability measure
     on the union space.  Raises ZeroConditional if either side lacks a
-    conditional somewhere the compromise puts mass.
+    conditional somewhere the compromise puts mass; the first measure's
+    overlap values are checked first, in its order.
     """
-    overlap = tuple(v for v in mu.space.variables if v in set(lam.space.variables))
-    union, extra = _union_space(mu, lam)
-    mu_only = tuple(v for v in mu.space.variables if v not in set(overlap))
-    mu_c = marginalize(normalize(mu), overlap)
-    lam_c = marginalize(normalize(lam), overlap)
-    keys = set(mu_c.mass) | set(lam_c.mass)
-    compromise = {
-        c: 0.5 * (mu_c.mass.get(c, 0.0) + lam_c.mass.get(c, 0.0)) for c in keys
-    }
-    mu_groups, mu_totals = _grouped(mu, overlap, mu_only)
-    lam_groups, lam_totals = _grouped(lam, overlap, extra)
-    mu_only_pos = tuple(union.index(v) for v in mu_only)
-    o_pos = tuple(union.index(v) for v in overlap)
-    extra_pos = tuple(union.index(v) for v in extra)
+    layout = _union_layout(mu, lam)
+    overlap = layout.overlap
+    mu_c = _overlap_law(mu, overlap)
+    lam_c = _overlap_law(lam, overlap)
+    keys = list(mu_c) + [c for c in lam_c if c not in mu_c]
+    compromise = {c: 0.5 * (mu_c.get(c, 0.0) + lam_c.get(c, 0.0)) for c in keys}
+    mu_groups, mu_totals = _grouped(mu, overlap, layout.mu_only)
+    lam_groups, lam_totals = _grouped(lam, overlap, layout.extra)
+    arrange = layout.arrange
     out = {}
     for c, w_c in compromise.items():
         if w_c <= 0.0:
@@ -208,16 +222,10 @@ def kl_compromise(mu, lam):
             )
         for u, wm in mu_groups[c]:
             p_u = wm / mu_totals[c]
+            uc = u + c
             for b, wl in lam_groups[c]:
-                cell = [None] * len(union.variables)
-                for pos, val in zip(mu_only_pos, u):
-                    cell[pos] = val
-                for pos, val in zip(o_pos, c):
-                    cell[pos] = val
-                for pos, val in zip(extra_pos, b):
-                    cell[pos] = val
-                out[tuple(cell)] = p_u * w_c * (wl / lam_totals[c])
-    return DiscreteMeasure(union, out)
+                out[arrange(uc + b)] = p_u * w_c * (wl / lam_totals[c])
+    return DiscreteMeasure(layout.space, out)
 
 
 def reconcile(mu, lam, strategy, tol=CONSISTENCY_TOL):

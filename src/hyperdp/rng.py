@@ -7,13 +7,13 @@ state and a given pair reproduces the same draws on any platform.
 
 from __future__ import annotations
 
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
 
 
 def stream(seed, replicate=0):
     """Independent generator for one (seed, replicate) pair."""
+    import numpy as np  # loaded here so that commands drawing no random numbers skip it
+
     key = (int(seed) & _MASK64) | ((int(replicate) & _MASK64) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -6,12 +7,15 @@ from hyperdp import (
     DiscreteMeasure,
     DomainMismatch,
     ProductSpace,
+    UnknownVariable,
+    ZeroConditional,
     build_graph,
     marginalize,
+    normalize,
     perfect_ordering,
 )
 from hyperdp.dp import _discrete_sampler
-from hyperdp.measures import CONSISTENCY_TOL
+from hyperdp.measures import CONSISTENCY_TOL, _union_space
 from hyperdp.mixture import gibbs_reassign
 from hyperdp.rng import stream
 
@@ -148,3 +152,155 @@ def recount_gibbs_chain(data, likelihood, a, base, sweeps, cfg, replicate=0):
         labels = {}
         history.append([labels.setdefault(v, len(labels)) for v in assignments])
     return assignments, history
+
+
+def scan_as_tuple(space, assignment):
+    """Oracle for ``ProductSpace.as_tuple`` that scans each domain tuple."""
+    if isinstance(assignment, dict):
+        missing = [v for v in space.variables if v not in assignment]
+        if missing:
+            raise ValueError(f"assignment missing variables {missing!r}")
+        extra = [v for v in assignment if v not in space.variables]
+        if extra:
+            raise UnknownVariable(f"assignment names unknown variables {extra!r}")
+        assignment = tuple(assignment[v] for v in space.variables)
+    else:
+        assignment = tuple(assignment)
+    if len(assignment) != len(space.variables):
+        raise ValueError("assignment length does not match the variable count")
+    for var, dom, val in zip(space.variables, space.domains, assignment):
+        if val not in dom:
+            raise ValueError(f"value {val!r} is not in the domain of {var!r}")
+    return assignment
+
+
+def scan_sort_key(space, assignment):
+    """Oracle for ``ProductSpace.sort_key`` that scans each domain tuple."""
+    return tuple(space.domains[i].index(x) for i, x in enumerate(assignment))
+
+
+# Union-cell assembly as it was before the shared layout helper: every
+# strategy fills a fresh list per cell, one variable block at a time.
+# ``assembled_kl_compromise`` also rekeys the second measure's overlap
+# marginal into the overlap's order, which the original omitted.
+
+
+def _assembled_grouped(measure, overlap, rest):
+    o_idx = tuple(measure.space.index(v) for v in overlap)
+    r_idx = tuple(measure.space.index(v) for v in rest)
+    groups = {}
+    for x, w in measure.mass.items():
+        c = tuple(x[i] for i in o_idx)
+        groups.setdefault(c, []).append((tuple(x[i] for i in r_idx), w))
+    totals = {c: math.fsum(w for _, w in g) for c, g in groups.items()}
+    return groups, totals
+
+
+def assembled_complete_via(mu, lam, side):
+    """Oracle for ``reconcile.complete_via``."""
+    if side not in ("A", "B"):
+        raise ValueError("side must be 'A' or 'B'")
+    overlap = tuple(v for v in mu.space.variables if v in set(lam.space.variables))
+    union, extra = _union_space(mu, lam)
+    mu_only = tuple(v for v in mu.space.variables if v not in set(overlap))
+    lam_groups, lam_totals = _assembled_grouped(lam, overlap, extra)
+    mu_groups, mu_totals = _assembled_grouped(mu, overlap, mu_only)
+    mu_pos = tuple(union.index(v) for v in mu.space.variables)
+    lam_extra_pos = tuple(union.index(v) for v in extra)
+    out = {}
+    if side == "A":
+        for x, w in mu.mass.items():
+            c = tuple(x[mu.space.index(v)] for v in overlap)
+            denom = lam_totals.get(c, 0.0)
+            if denom <= 0.0:
+                raise ZeroConditional(
+                    f"the trusted measure puts mass on overlap value {c!r} "
+                    "where the other measure has none"
+                )
+            for b, wl in lam_groups[c]:
+                cell = [None] * len(union.variables)
+                for pos, val in zip(mu_pos, x):
+                    cell[pos] = val
+                for pos, val in zip(lam_extra_pos, b):
+                    cell[pos] = val
+                out[tuple(cell)] = w * (wl / denom)
+    else:
+        mu_only_pos = tuple(union.index(v) for v in mu_only)
+        o_pos = tuple(union.index(v) for v in overlap)
+        for y, w in lam.mass.items():
+            c = tuple(y[lam.space.index(v)] for v in overlap)
+            denom = mu_totals.get(c, 0.0)
+            if denom <= 0.0:
+                raise ZeroConditional(
+                    f"the trusted measure puts mass on overlap value {c!r} "
+                    "where the other measure has none"
+                )
+            b = tuple(y[lam.space.index(v)] for v in extra)
+            for u, wm in mu_groups[c]:
+                cell = [None] * len(union.variables)
+                for pos, val in zip(mu_only_pos, u):
+                    cell[pos] = val
+                for pos, val in zip(o_pos, c):
+                    cell[pos] = val
+                for pos, val in zip(lam_extra_pos, b):
+                    cell[pos] = val
+                out[tuple(cell)] = w * (wm / denom)
+    return DiscreteMeasure(union, out)
+
+
+def assembled_weighted_average(mu, lam, gamma):
+    """Oracle for ``reconcile.weighted_average``: two full completions, then a blend."""
+    if not (0.0 <= gamma <= 1.0):
+        raise ValueError("gamma must lie in [0, 1]")
+    via_a = assembled_complete_via(mu, lam, "A")
+    via_b = assembled_complete_via(mu, lam, "B")
+    keys = set(via_a.mass) | set(via_b.mass)
+    out = {
+        k: gamma * via_a.mass.get(k, 0.0) + (1.0 - gamma) * via_b.mass.get(k, 0.0)
+        for k in keys
+    }
+    return DiscreteMeasure(via_a.space, out)
+
+
+def assembled_kl_compromise(mu, lam):
+    """Oracle for ``reconcile.kl_compromise``."""
+    overlap = tuple(v for v in mu.space.variables if v in set(lam.space.variables))
+    union, extra = _union_space(mu, lam)
+    mu_only = tuple(v for v in mu.space.variables if v not in set(overlap))
+    mu_c = marginalize(normalize(mu), overlap)
+    lam_c = marginalize(normalize(lam), overlap)
+    lam_order = tuple(lam_c.space.index(v) for v in overlap)
+    lam_law = {tuple(c[i] for i in lam_order): w for c, w in lam_c.mass.items()}
+    keys = set(mu_c.mass) | set(lam_law)
+    compromise = {
+        c: 0.5 * (mu_c.mass.get(c, 0.0) + lam_law.get(c, 0.0)) for c in keys
+    }
+    mu_groups, mu_totals = _assembled_grouped(mu, overlap, mu_only)
+    lam_groups, lam_totals = _assembled_grouped(lam, overlap, extra)
+    mu_only_pos = tuple(union.index(v) for v in mu_only)
+    o_pos = tuple(union.index(v) for v in overlap)
+    extra_pos = tuple(union.index(v) for v in extra)
+    out = {}
+    for c, w_c in compromise.items():
+        if w_c <= 0.0:
+            continue
+        if mu_totals.get(c, 0.0) <= 0.0:
+            raise ZeroConditional(
+                f"the first measure has no conditional at overlap value {c!r}"
+            )
+        if lam_totals.get(c, 0.0) <= 0.0:
+            raise ZeroConditional(
+                f"the second measure has no conditional at overlap value {c!r}"
+            )
+        for u, wm in mu_groups[c]:
+            p_u = wm / mu_totals[c]
+            for b, wl in lam_groups[c]:
+                cell = [None] * len(union.variables)
+                for pos, val in zip(mu_only_pos, u):
+                    cell[pos] = val
+                for pos, val in zip(o_pos, c):
+                    cell[pos] = val
+                for pos, val in zip(extra_pos, b):
+                    cell[pos] = val
+                out[tuple(cell)] = p_u * w_c * (wl / lam_totals[c])
+    return DiscreteMeasure(union, out)

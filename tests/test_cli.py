@@ -6,6 +6,7 @@ on-disk formats.
 """
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -554,3 +555,26 @@ def test_failed_run_writes_no_plot_file(tmp_path):
     )
     assert proc.returncode == 1
     assert not plot.exists()
+
+
+def test_commands_without_random_draws_never_import_numpy():
+    specs = pathlib.Path(__file__).parent / "golden" / "specs"
+    script = f"""
+import contextlib, io, sys
+import hyperdp.cli
+loaded = ["numpy" in sys.modules]
+runs = [
+    ["reconcile", "--mu", {str(specs / "reconcile_mu.json")!r},
+     "--lambda", {str(specs / "reconcile_lambda_disagree.json")!r}, "--strategy", "average"],
+    ["posterior-hdp", "--spec", {str(specs / "good.json")!r},
+     "--data", {str(specs / "good_data.csv")!r}],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert hyperdp.cli.main(argv) == 0, argv
+    loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, False]"

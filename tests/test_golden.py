@@ -51,6 +51,54 @@ CASES = {
         "sample", "--base", "specs/mixture_base.json", "--nu", "2", "--replicates", "5",
         "--seed", "3",
     ),
+    # mu on (A, B, C), lambda on (C, B, D): the two-variable overlap is listed
+    # in a different order on each side; the *_bcd lambdas list it as mu does
+    "reconcile_rescale_min_good": (
+        "reconcile", "--mu", "specs/reconcile_mu.json",
+        "--lambda", "specs/reconcile_lambda_scaled.json", "--strategy", "rescale-min",
+    ),
+    "reconcile_rescale_convex_good": (
+        "reconcile", "--mu", "specs/reconcile_mu.json",
+        "--lambda", "specs/reconcile_lambda_scaled.json", "--strategy", "rescale-convex",
+        "--gamma", "0.25",
+    ),
+    "reconcile_rescale_convex_aligned_good": (
+        "reconcile", "--mu", "specs/reconcile_mu.json",
+        "--lambda", "specs/reconcile_lambda_scaled_bcd.json", "--strategy", "rescale-convex",
+        "--gamma", "0.25",
+    ),
+    "reconcile_condition_a_good": (
+        "reconcile", "--mu", "specs/reconcile_mu.json",
+        "--lambda", "specs/reconcile_lambda_disagree.json", "--strategy", "condition-a",
+    ),
+    "reconcile_condition_b_good": (
+        "reconcile", "--mu", "specs/reconcile_mu.json",
+        "--lambda", "specs/reconcile_lambda_disagree.json", "--strategy", "condition-b",
+    ),
+    "reconcile_average_good": (
+        "reconcile", "--mu", "specs/reconcile_mu.json",
+        "--lambda", "specs/reconcile_lambda_disagree.json", "--strategy", "average",
+    ),
+    "reconcile_kl_good": (
+        "reconcile", "--mu", "specs/reconcile_mu.json",
+        "--lambda", "specs/reconcile_lambda_disagree.json", "--strategy", "kl",
+    ),
+    "reconcile_kl_aligned_good": (
+        "reconcile", "--mu", "specs/reconcile_mu.json",
+        "--lambda", "specs/reconcile_lambda_disagree_bcd.json", "--strategy", "kl",
+    ),
+    "reconcile_zero_conditional": (
+        "reconcile", "--mu", "specs/reconcile_mu.json",
+        "--lambda", "specs/reconcile_lambda_partial.json", "--strategy", "condition-a",
+    ),
+    "combine_good": (
+        "combine", "--mu", "specs/reconcile_mu.json",
+        "--lambda", "specs/reconcile_lambda_consistent.json",
+    ),
+    "combine_aligned_good": (
+        "combine", "--mu", "specs/reconcile_mu.json",
+        "--lambda", "specs/reconcile_lambda_consistent_bcd.json",
+    ),
 }
 
 

@@ -35,7 +35,7 @@ from hyperdp import (
     uniform_measure,
 )
 
-from conftest import dense_is_markov, random_joint
+from conftest import dense_is_markov, random_joint, scan_as_tuple, scan_sort_key
 
 
 # ---------------------------------------------------------------- oracles
@@ -147,6 +147,72 @@ def test_as_tuple_coercion():
         sp.as_tuple((0,))
     with pytest.raises(ValueError):
         sp.as_tuple((0, 7))
+
+
+MIXED_CATEGORIES = st.one_of(
+    st.integers(-3, 3),
+    st.text(alphabet="ab1", max_size=2),
+    st.floats(-2.0, 2.0, allow_nan=False),
+    st.booleans(),
+)
+
+
+def _attempt(fn, *args):
+    try:
+        got = fn(*args)
+    except Exception as exc:  # compared by class and message below
+        return type(exc), str(exc)
+    return [(type(v), v) for v in got]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_category_maps_agree_with_domain_scans(data):
+    # lists(unique=True) hashes, so 1, 1.0 and True never share a domain
+    domains = data.draw(
+        st.lists(st.lists(MIXED_CATEGORIES, min_size=1, max_size=5, unique=True), min_size=1, max_size=3)
+    )
+    sp = ProductSpace(tuple(f"V{i}" for i in range(len(domains))), tuple(map(tuple, domains)))
+    assert sp == ProductSpace(sp.variables, sp.domains)
+    assert repr(sp) == f"ProductSpace(variables={sp.variables!r}, domains={sp.domains!r})"
+    for _ in range(5):
+        # known categories, equal values of another type, strangers, unhashables
+        value = st.one_of(st.sampled_from([c for dom in domains for c in dom]), MIXED_CATEGORIES, st.just([0]))
+        assignment = tuple(data.draw(value) for _ in domains)
+        want = _attempt(scan_as_tuple, sp, assignment)
+        assert _attempt(sp.as_tuple, assignment) == want
+        named = dict(zip(sp.variables, assignment))
+        assert _attempt(sp.as_tuple, named) == _attempt(scan_as_tuple, sp, named)
+        if isinstance(want, list):
+            assert sp.sort_key(assignment) == scan_sort_key(sp, assignment)
+
+
+class CountedCategory:
+    """A category whose equality test counts its calls."""
+
+    calls = 0
+
+    def __init__(self, key):
+        self.key = key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        CountedCategory.calls += 1
+        return isinstance(other, CountedCategory) and other.key == self.key
+
+
+def test_measure_construction_never_scans_a_domain():
+    n = 1000
+    sp = ProductSpace(("X", "Y"), (tuple(CountedCategory(k) for k in range(n)), (0, 1)))
+    # equal but distinct objects, as a parser produces them
+    mass = {(CountedCategory(k), k % 2): 1.0 for k in range(n)}
+    CountedCategory.calls = 0
+    m = DiscreteMeasure(sp, mass)
+    # one hash probe per lookup; a scan of the domain makes about n / 2 calls per cell
+    assert CountedCategory.calls <= 4 * n
+    assert [x[0].key for x in m.mass] == list(range(n))
 
 
 # --------------------------------------------------------------- measures

@@ -134,6 +134,15 @@ def test_expected_clusters_values():
         expected_clusters(-1.0, 3)
 
 
+def test_negative_draw_counts_are_rejected():
+    cfg = SamplerConfig(seed=1)
+    with pytest.raises(ValueError, match="n must be nonnegative, got -3"):
+        sample_partition(1.0, one_var_base([0.5, 0.5]), -3, cfg)
+    with pytest.raises(ValueError, match="n must be nonnegative, got -5"):
+        expected_clusters(1.0, -5)
+    assert sample_partition(1.0, one_var_base([0.5, 0.5]), 0, cfg) == []
+
+
 def test_mean_cluster_count_matches_formula():
     a, n, reps = 1.0, 5, 2000
     cfg = SamplerConfig(seed=31)
@@ -217,6 +226,23 @@ def test_gibbs_reassign_zero_likelihood_raises():
     base = one_var_base([0.5, 0.5])
     with pytest.raises(ZeroMass):
         gibbs_reassign(0, [(0,)], [(0,)], lambda x, pi: 0.0, 1.0, base, stream(1))
+
+
+@pytest.mark.parametrize(
+    "bad, shown",
+    [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (-1.0, "-0.5")],
+)
+def test_gibbs_reassign_rejects_bad_likelihood_values(bad, shown):
+    # only the last cell's likelihood is bad; the draw must not fall through to it
+    base = one_var_base([0.5, 0.5])
+
+    def likelihood(x, pi):
+        return bad if pi == (1,) else 1.0
+
+    with pytest.raises(ValueError, match=rf"value \(1,\) has weight {shown};"):
+        gibbs_reassign(0, [(0,)], [(0,)], likelihood, 1.0, base, stream(1))
+    with pytest.raises(ValueError, match=rf"weight {shown};"):
+        gibbs_chain([(0,), (1,)], likelihood, 1.0, base, 1, SamplerConfig(seed=2))
 
 
 def test_gibbs_reassign_single_observation_samples_base():
