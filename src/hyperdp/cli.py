@@ -180,12 +180,7 @@ def cmd_reconcile(args):
     gamma = args.gamma
     if kind == "weighted-average" and gamma is None:
         gamma = suggested_gamma(mu, lam)
-    if kind in ("rescale-convex",) and gamma is None:
-        raise ValueError("--gamma is required for rescale-convex")
-    strategy = ReconcileStrategy(
-        kind, gamma if kind in ("rescale-convex", "weighted-average") else None
-    )
-    result = reconcile(mu, lam, strategy)
+    result = reconcile(mu, lam, ReconcileStrategy(kind, gamma))
     if isinstance(result, tuple):
         out = {
             "strategy": kind,

@@ -11,7 +11,6 @@ raises the audit's failure; ``hyperdp diagnose`` prints its report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +25,7 @@ from .errors import (
 from .graphs import perfect_ordering
 from .measures import (
     CONSISTENCY_TOL,
+    _grouped,
     combine_clique_bases,
     is_markov,
     marginalize,
@@ -118,26 +118,18 @@ def check_refinement(base, separator, clique, tol=DEGENERACY_TOL):
     for v in clique:
         base.space.index(v)
     clique_m = marginalize(base, clique)
-    sep_in_clique = tuple(clique_m.space.index(v) for v in clique_m.space.variables if v in set(separator))
-    sep_vars = tuple(clique_m.space.variables[i] for i in sep_in_clique)
-    sep_doms = tuple(clique_m.space.domains[i] for i in sep_in_clique)
-    groups = {}
-    for x, w in clique_m.mass.items():
-        groups.setdefault(tuple(x[i] for i in sep_in_clique), []).append((x, w))
-
-    def sep_key(key):
-        return tuple(dom.index(v) for dom, v in zip(sep_doms, key))
-
+    sep_space = clique_m.space.subspace(separator)
+    groups, totals = _grouped(clique_m, sep_space.variables, clique_m.space.variables)
     witness = None
     conditional = None
     passed = True
-    for key in sorted(groups, key=sep_key):
+    for key in sorted(groups, key=sep_space.sort_key):
         entries = groups[key]
-        total = math.fsum(w for _, w in entries)
+        total = totals[key]
         top = max(w for _, w in entries)
         if top < (1.0 - tol) * total:
             passed = False
-            witness = dict(zip(sep_vars, key))
+            witness = dict(zip(sep_space.variables, key))
             conditional = {
                 repr(x): w / total for x, w in entries
             }

@@ -4,6 +4,13 @@ Measures are sparse: an assignment with zero mass is never stored.
 Assignments are tuples aligned with the space's variable order, support
 iteration is sorted by per-variable category index, and summation uses
 ``math.fsum``, so identical inputs give bit-identical outputs.
+
+Cells are grouped in one place, ``_grouped`` (split a measure's cells by
+their values on some variables), and glued in one place, ``_glue``
+(extend each cell of a trusted measure by another measure's conditional
+law given the overlap).  Marginals, conditionals, the Markov
+combination, the one-sided completions of ``reconcile`` and the
+degeneracy check of ``hdp`` are all built from these two loops.
 """
 
 from __future__ import annotations
@@ -159,14 +166,56 @@ def scale_measure(m, factor):
     return DiscreteMeasure(m.space, {x: v * factor for x, v in m.mass.items()})
 
 
+def _grouped(m, key_vars, rest_vars):
+    """Split the cells of ``m`` by their values on ``key_vars``.
+
+    Returns ``(groups, totals)``.  ``groups`` maps each key (values in
+    ``key_vars``' order, keys in order of first appearance) to the
+    ``(values on rest_vars, mass)`` pairs of its cells, in support
+    order; ``totals`` maps it to the ``fsum`` of those masses.
+    """
+    k_idx = tuple(m.space.index(v) for v in key_vars)
+    r_idx = tuple(m.space.index(v) for v in rest_vars)
+    groups = {}
+    for x, w in m.mass.items():
+        c = tuple(x[i] for i in k_idx)
+        groups.setdefault(c, []).append((tuple(x[i] for i in r_idx), w))
+    totals = {c: math.fsum(w for _, w in g) for c, g in groups.items()}
+    return groups, totals
+
+
+def _glue(trusted, other, overlap, rest, arrange):
+    """Extend each cell of ``trusted`` by ``other``'s law of ``rest`` given ``overlap``.
+
+    A cell ``x`` of mass ``w`` and a cell of ``other`` with the same
+    overlap value, values ``b`` on ``rest`` and mass ``wo`` give the cell
+    ``arrange(x + b)`` mass ``w * (wo / d)``, where ``d`` is ``other``'s
+    mass on that overlap value.  Returns ``(cells, first_missing)``:
+    cells of ``trusted`` whose overlap value ``other`` never touches are
+    skipped, and ``first_missing`` is the first such value in
+    ``trusted``'s order, or None.
+    """
+    groups, totals = _grouped(other, overlap, rest)
+    o_idx = tuple(trusted.space.index(v) for v in overlap)
+    cells = {}
+    first_missing = None
+    for x, w in trusted.mass.items():
+        c = tuple(x[i] for i in o_idx)
+        d = totals.get(c, 0.0)
+        if d <= 0.0:
+            if first_missing is None:
+                first_missing = c
+            continue
+        for b, wo in groups[c]:
+            cells[arrange(x + b)] = w * (wo / d)
+    return cells, first_missing
+
+
 def marginalize(m, keep):
     """Sum out every variable not in ``keep``; total mass is preserved."""
     sub = m.space.subspace(keep)
-    idx = tuple(m.space.index(v) for v in sub.variables)
-    cells = {}
-    for x, v in m.mass.items():
-        cells.setdefault(tuple(x[i] for i in idx), []).append(v)
-    return DiscreteMeasure(sub, {k: math.fsum(vs) for k, vs in cells.items()})
+    _, totals = _grouped(m, sub.variables, ())
+    return DiscreteMeasure(sub, totals)
 
 
 def normalize(m):
@@ -179,21 +228,15 @@ def normalize(m):
 def condition(m, given):
     """Probability measure on the remaining variables given a partial assignment."""
     given = dict(given)
-    checks = []
     for var, val in given.items():
-        i = m.space.index(var)
-        if val not in m.space.domains[i]:
+        if val not in m.space.domain(var):
             raise ValueError(f"value {val!r} is not in the domain of {var!r}")
-        checks.append((i, val))
     sub = m.space.subspace(v for v in m.space.variables if v not in given)
-    kidx = tuple(m.space.index(v) for v in sub.variables)
-    cells = {}
-    for x, v in m.mass.items():
-        if all(x[i] == val for i, val in checks):
-            cells.setdefault(tuple(x[i] for i in kidx), []).append(v)
-    if not cells:
+    groups, _ = _grouped(m, tuple(given), sub.variables)
+    cells = groups.get(tuple(given.values()))
+    if cells is None:
         raise ZeroConditional(f"conditioning event {given!r} has zero mass")
-    return normalize(DiscreteMeasure(sub, {k: math.fsum(vs) for k, vs in cells.items()}))
+    return normalize(DiscreteMeasure(sub, dict(cells)))
 
 
 @dataclass(frozen=True)
@@ -286,23 +329,8 @@ def markov_combination(mu, lam, tol=CONSISTENCY_TOL):
         )
         raise Inconsistent(f"measures cannot be combined: {failing}", report)
     union, extra = _union_space(mu, lam)
-    o_lam = tuple(lam.space.index(v) for v in report.overlap)
-    b_lam = tuple(lam.space.index(v) for v in extra)
-    groups = {}
-    for y, w in lam.mass.items():
-        c = tuple(y[i] for i in o_lam)
-        groups.setdefault(c, []).append((tuple(y[i] for i in b_lam), w))
-    denom = {c: math.fsum(w for _, w in g) for c, g in groups.items()}
-    o_mu = tuple(mu.space.index(v) for v in report.overlap)
-    out = {}
-    for x, v in mu.mass.items():
-        c = tuple(x[i] for i in o_mu)
-        d = denom.get(c, 0.0)
-        if d <= 0.0:
-            continue
-        for b, w in groups[c]:
-            out[x + b] = v * (w / d)
-    return DiscreteMeasure(union, out)
+    cells, _ = _glue(mu, lam, report.overlap, extra, tuple)
+    return DiscreteMeasure(union, cells)
 
 
 def combine_clique_bases(decomp, bases, tol=CONSISTENCY_TOL):

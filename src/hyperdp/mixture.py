@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dp import ContinuousBase, _discrete_sampler
+from .dp import ContinuousBase, DPParams, _base_sampler, _discrete_sampler, dp_posterior
 from .errors import ZeroMass
 from .measures import DiscreteMeasure
 from .rng import stream
@@ -40,19 +40,7 @@ def urn_predictive(state):
     """Law of the next value: base shrunk by a/(a+n) plus one unit per draw."""
     if not isinstance(state.base, DiscreteMeasure):
         raise TypeError("an explicit predictive law requires a discrete base")
-    n = len(state.drawn)
-    scale = state.a + n
-    mass = {x: state.a * v for x, v in state.base.mass.items()}
-    for x in state.drawn:
-        key = state.base.space.as_tuple(x)
-        mass[key] = mass.get(key, 0.0) + 1.0
-    return DiscreteMeasure(state.base.space, {x: v / scale for x, v in mass.items()})
-
-
-def _base_draw(base):
-    if isinstance(base, DiscreteMeasure):
-        return _discrete_sampler(base)
-    return base.sampler
+    return dp_posterior(DPParams(state.a, state.base), state.drawn).base
 
 
 def sample_partition(a, base, n, cfg, replicate=0):
@@ -67,7 +55,7 @@ def sample_partition(a, base, n, cfg, replicate=0):
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
     rng = stream(cfg.seed, replicate)
-    draw = _base_draw(base)
+    draw, _ = _base_sampler(base)
     values = []
     for i in range(n):
         if rng.random() * (a + i) < a:

@@ -2,12 +2,13 @@
 
 Every strategy degrades gracefully: on inputs that are already
 consistent each one reproduces the plain combination (the rescalers
-return the inputs themselves).
+return the inputs themselves).  The one-sided completions glue cells
+with ``measures._glue``, so ``condition-on-a`` on consistent inputs runs
+the very loop ``markov_combination`` runs.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -16,6 +17,8 @@ from .errors import Inconsistent, ZeroConditional
 from .measures import (
     CONSISTENCY_TOL,
     DiscreteMeasure,
+    _glue,
+    _grouped,
     _overlap_law,
     _union_space,
     is_consistent,
@@ -77,17 +80,6 @@ def rescale(mu, lam, strategy, tol=CONSISTENCY_TOL):
     return scale_measure(mu, target / tm), scale_measure(lam, target / tl)
 
 
-def _grouped(measure, overlap, rest):
-    o_idx = tuple(measure.space.index(v) for v in overlap)
-    r_idx = tuple(measure.space.index(v) for v in rest)
-    groups = {}
-    for x, w in measure.mass.items():
-        c = tuple(x[i] for i in o_idx)
-        groups.setdefault(c, []).append((tuple(x[i] for i in r_idx), w))
-    totals = {c: math.fsum(w for _, w in g) for c, g in groups.items()}
-    return groups, totals
-
-
 @dataclass(frozen=True)
 class _UnionLayout:
     """The union space of two measures and how its cells are put together.
@@ -95,7 +87,8 @@ class _UnionLayout:
     A union cell is the first measure's variables in its order, then the
     second measure's extra variables in theirs.  ``arrange`` takes the
     concatenated values of the ``mu_only``, ``overlap`` and ``extra``
-    blocks and returns them in union order.
+    blocks and returns them in union order; ``arrange_b`` does the same
+    for a cell of the second measure followed by its ``mu_only`` values.
     """
 
     space: object
@@ -103,6 +96,7 @@ class _UnionLayout:
     mu_only: tuple
     extra: tuple
     arrange: object
+    arrange_b: object
 
 
 def _union_layout(mu, lam):
@@ -110,46 +104,34 @@ def _union_layout(mu, lam):
     overlap = tuple(v for v in mu.space.variables if v in lam_vars)
     mu_only = tuple(v for v in mu.space.variables if v not in lam_vars)
     union, extra = _union_space(mu, lam)
-    blocks = mu_only + overlap + extra
-    pos = [blocks.index(v) for v in union.variables]
-    # itemgetter of a single position returns the bare value, not a tuple
-    arrange = operator.itemgetter(*pos) if len(pos) > 1 else tuple
-    return _UnionLayout(union, overlap, mu_only, extra, arrange)
+
+    def arranger(blocks):
+        pos = [blocks.index(v) for v in union.variables]
+        # itemgetter of a single position returns the bare value, not a tuple
+        return operator.itemgetter(*pos) if len(pos) > 1 else tuple
+
+    return _UnionLayout(
+        union,
+        overlap,
+        mu_only,
+        extra,
+        arranger(mu_only + overlap + extra),
+        arranger(lam.space.variables + mu_only),
+    )
 
 
 def _completion_cells(mu, lam, layout, side):
     """Unvalidated cells of the one-sided completion; see ``complete_via``."""
-    out = {}
     if side == "A":
-        lam_groups, lam_totals = _grouped(lam, layout.overlap, layout.extra)
-        o_mu = tuple(mu.space.index(v) for v in layout.overlap)
-        for x, w in mu.mass.items():
-            c = tuple(x[i] for i in o_mu)
-            denom = lam_totals.get(c, 0.0)
-            if denom <= 0.0:
-                raise ZeroConditional(
-                    f"the trusted measure puts mass on overlap value {c!r} "
-                    "where the other measure has none"
-                )
-            for b, wl in lam_groups[c]:
-                out[x + b] = w * (wl / denom)
+        cells, missing = _glue(mu, lam, layout.overlap, layout.extra, tuple)
     else:
-        mu_groups, mu_totals = _grouped(mu, layout.overlap, layout.mu_only)
-        o_lam = tuple(lam.space.index(v) for v in layout.overlap)
-        b_lam = tuple(lam.space.index(v) for v in layout.extra)
-        arrange = layout.arrange
-        for y, w in lam.mass.items():
-            c = tuple(y[i] for i in o_lam)
-            denom = mu_totals.get(c, 0.0)
-            if denom <= 0.0:
-                raise ZeroConditional(
-                    f"the trusted measure puts mass on overlap value {c!r} "
-                    "where the other measure has none"
-                )
-            cb = c + tuple(y[i] for i in b_lam)
-            for u, wm in mu_groups[c]:
-                out[arrange(u + cb)] = w * (wm / denom)
-    return out
+        cells, missing = _glue(lam, mu, layout.overlap, layout.mu_only, layout.arrange_b)
+    if missing is not None:
+        raise ZeroConditional(
+            f"the trusted measure puts mass on overlap value {missing!r} "
+            "where the other measure has none"
+        )
+    return cells
 
 
 def complete_via(mu, lam, side):

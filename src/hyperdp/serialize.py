@@ -58,9 +58,13 @@ def measure_to_dict(m):
 def measure_from_dict(obj):
     space = ProductSpace.from_domains(obj["variables"], obj["domains"])
     mass = {}
-    for point in obj["points"]:
+    for k, point in enumerate(obj["points"], start=1):
         x = space.as_tuple(point["assignment"])
-        mass[x] = mass.get(x, 0.0) + float(point["mass"])
+        v = float(point["mass"])
+        # checked per point: merging duplicates first could hide a negative mass
+        if v < 0.0 or not math.isfinite(v):
+            raise ValueError(f"point {k} {point!r}: mass must be finite and nonnegative")
+        mass[x] = mass.get(x, 0.0) + v
     return DiscreteMeasure(space, mass)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hyperdp import (
     DiscreteMeasure,
     DomainMismatch,
+    Inconsistent,
     ProductSpace,
     UnknownVariable,
     ZeroConditional,
@@ -15,7 +16,7 @@ from hyperdp import (
     perfect_ordering,
 )
 from hyperdp.dp import _discrete_sampler
-from hyperdp.measures import CONSISTENCY_TOL, _union_space
+from hyperdp.measures import CONSISTENCY_TOL, _union_space, is_consistent
 from hyperdp.mixture import gibbs_reassign
 from hyperdp.rng import stream
 
@@ -303,4 +304,67 @@ def assembled_kl_compromise(mu, lam):
                 for pos, val in zip(extra_pos, b):
                     cell[pos] = val
                 out[tuple(cell)] = p_u * w_c * (wl / lam_totals[c])
+    return DiscreteMeasure(union, out)
+
+
+def outcome(fn, *args):
+    """A measure-valued call's result as (space, cells), or its error as (class, message)."""
+    try:
+        m = fn(*args)
+    except Exception as exc:  # differential tests compare errors too
+        return type(exc), str(exc)
+    return m.space, list(m.mass.items())
+
+
+# Grouping and gluing as they were written out by hand before the shared
+# ``measures._grouped`` / ``measures._glue`` loops.
+
+
+def looped_condition(m, given):
+    """Oracle for ``measures.condition``: filter every cell, then group."""
+    given = dict(given)
+    checks = []
+    for var, val in given.items():
+        i = m.space.index(var)
+        if val not in m.space.domains[i]:
+            raise ValueError(f"value {val!r} is not in the domain of {var!r}")
+        checks.append((i, val))
+    sub = m.space.subspace(v for v in m.space.variables if v not in given)
+    kidx = tuple(m.space.index(v) for v in sub.variables)
+    cells = {}
+    for x, v in m.mass.items():
+        if all(x[i] == val for i, val in checks):
+            cells.setdefault(tuple(x[i] for i in kidx), []).append(v)
+    if not cells:
+        raise ZeroConditional(f"conditioning event {given!r} has zero mass")
+    return normalize(DiscreteMeasure(sub, {k: math.fsum(vs) for k, vs in cells.items()}))
+
+
+def assembled_markov_combination(mu, lam, tol=CONSISTENCY_TOL):
+    """Oracle for ``measures.markov_combination``."""
+    report = is_consistent(mu, lam, tol)
+    if not report.consistent:
+        failing = (
+            "overlap marginals are not proportional (condition 1)"
+            if not report.proportional_marginals
+            else "total masses differ (condition 2)"
+        )
+        raise Inconsistent(f"measures cannot be combined: {failing}", report)
+    union, extra = _union_space(mu, lam)
+    o_lam = tuple(lam.space.index(v) for v in report.overlap)
+    b_lam = tuple(lam.space.index(v) for v in extra)
+    groups = {}
+    for y, w in lam.mass.items():
+        c = tuple(y[i] for i in o_lam)
+        groups.setdefault(c, []).append((tuple(y[i] for i in b_lam), w))
+    denom = {c: math.fsum(w for _, w in g) for c, g in groups.items()}
+    o_mu = tuple(mu.space.index(v) for v in report.overlap)
+    out = {}
+    for x, v in mu.mass.items():
+        c = tuple(x[i] for i in o_mu)
+        d = denom.get(c, 0.0)
+        if d <= 0.0:
+            continue
+        for b, w in groups[c]:
+            out[x + b] = v * (w / d)
     return DiscreteMeasure(union, out)

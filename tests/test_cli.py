@@ -364,6 +364,58 @@ def test_reconcile_condition_a(tmp_path):
     assert got[(0, 1, 0)] == pytest.approx(0.10)
 
 
+@pytest.mark.parametrize(
+    "strategy, gamma, detail",
+    [
+        ("condition-a", "0.3", "takes no gamma"),
+        ("condition-b", "0.3", "takes no gamma"),
+        ("kl", "7", "takes no gamma"),
+        ("rescale-min", "0.5", "takes no gamma"),
+        ("average", "7", "gamma must lie in [0, 1]"),
+        ("average", "nan", "gamma must lie in [0, 1]"),
+        ("rescale-convex", "-0.1", "gamma must lie in [0, 1]"),
+    ],
+)
+def test_reconcile_rejects_a_gamma_the_strategy_cannot_use(
+    tmp_path, capsys, strategy, gamma, detail
+):
+    mu = write_json(tmp_path, "mu.json", UNIFORM_IJ)
+    lam = write_json(tmp_path, "lam.json", UNIFORM_JK)
+    argv = ["reconcile", "--mu", str(mu), "--lambda", str(lam), "--strategy", strategy]
+    assert cli.main([*argv, "--gamma", gamma]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "ValueError" and detail in out["detail"]
+
+
+def test_reconcile_rejects_a_negative_mass_hidden_by_a_duplicate(tmp_path, capsys):
+    split = measure_dict(("J", "K"), {"J": (0, 1), "K": (0, 1)}, {})
+    split["points"] = [
+        {"assignment": {"J": 0, "K": 0}, "mass": "-0.25"},
+        {"assignment": {"J": 0, "K": 0}, "mass": "0.75"},
+        {"assignment": {"J": 1, "K": 1}, "mass": "0.5"},
+    ]
+    mu = write_json(tmp_path, "mu.json", UNIFORM_IJ)
+    lam = write_json(tmp_path, "lam.json", split)
+    argv = ["reconcile", "--mu", str(mu), "--lambda", str(lam), "--strategy", "condition-a"]
+    assert cli.main(argv) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "ValueError" and out["detail"].startswith("point 1 ")
+
+
+def test_sample_rejects_a_negative_mass_hidden_by_a_duplicate(tmp_path):
+    base = measure_dict(("A",), {"A": (0, 1)}, {})
+    base["points"] = [
+        {"assignment": {"A": 0}, "mass": "-1.0"},
+        {"assignment": {"A": 0}, "mass": "1.5"},
+        {"assignment": {"A": 1}, "mass": "0.5"},
+    ]
+    path = write_json(tmp_path, "base.json", base)
+    proc = run_cli("sample", "--base", path, "--nu", "1", "--replicates", "2", "--seed", "1")
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)
+    assert out["error"] == "ValueError" and "point 1 " in out["detail"]
+
+
 def test_mixture(tmp_path):
     base = write_json(
         tmp_path, "base.json",

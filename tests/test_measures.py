@@ -35,7 +35,14 @@ from hyperdp import (
     uniform_measure,
 )
 
-from conftest import dense_is_markov, random_joint, scan_as_tuple, scan_sort_key
+from conftest import (
+    dense_is_markov,
+    looped_condition,
+    outcome,
+    random_joint,
+    scan_as_tuple,
+    scan_sort_key,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -315,6 +322,35 @@ def test_condition():
         condition(sparse, {"I": 0})
     with pytest.raises(ValueError):
         condition(m, {"I": 9})
+
+
+@st.composite
+def conditioning_cases(draw):
+    """A sparse measure and a partial assignment in a random order.
+
+    Values come from the variable's domain, an equal value of another
+    type or outside it; variables are occasionally unknown.
+    """
+    variables = draw(st.permutations(("A", "B", "C", "D")))[: draw(st.integers(1, 4))]
+    domains = {
+        v: tuple(draw(st.permutations((0, 1, 2, "a", "b", 2.5)))[: draw(st.integers(1, 3))])
+        for v in variables
+    }
+    space = ProductSpace.from_domains(variables, domains)
+    weights = st.sampled_from((0.0, 0.0, 0.1, 0.25, 1.0, 3.0))
+    m = DiscreteMeasure(space, {x: draw(weights) for x in space.assignments()})
+    chosen = draw(st.permutations(variables))[: draw(st.integers(0, len(variables)))]
+    partial = {v: draw(st.sampled_from(domains[v] + (True, 1.0, "z"))) for v in chosen}
+    if draw(st.integers(0, 9)) == 0:
+        partial["Z"] = 0
+    return m, partial
+
+
+@settings(max_examples=300, deadline=None)
+@given(conditioning_cases())
+def test_condition_matches_the_filtering_loop(case):
+    m, partial = case
+    assert outcome(condition, m, partial) == outcome(looped_condition, m, partial)
 
 
 # ------------------------------------------------------------- consistency

@@ -6,7 +6,9 @@ uniform conditionals, so every completion is easy to write down by
 hand.
 """
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,7 +38,9 @@ from hyperdp import (
 from conftest import (
     assembled_complete_via,
     assembled_kl_compromise,
+    assembled_markov_combination,
     assembled_weighted_average,
+    outcome,
     random_joint,
 )
 
@@ -297,31 +301,148 @@ def reconcile_cases(draw):
     return measure(mu_vars), measure(lam_vars), gamma
 
 
-def _outcome(fn, *args):
-    try:
-        m = fn(*args)
-    except Exception as exc:  # compared by class and message below
-        return type(exc), str(exc)
-    return m.space, list(m.mass.items())
-
-
 @settings(max_examples=300, deadline=None)
 @given(reconcile_cases())
 def test_union_cells_match_the_assembled_oracle(case):
     mu, lam, gamma = case
     for side in ("A", "B"):
-        assert _outcome(complete_via, mu, lam, side) == _outcome(
+        assert outcome(complete_via, mu, lam, side) == outcome(
             assembled_complete_via, mu, lam, side
         )
-    assert _outcome(weighted_average, mu, lam, gamma) == _outcome(
+    assert outcome(weighted_average, mu, lam, gamma) == outcome(
         assembled_weighted_average, mu, lam, gamma
     )
-    got, want = _outcome(kl_compromise, mu, lam), _outcome(assembled_kl_compromise, mu, lam)
+    got, want = outcome(kl_compromise, mu, lam), outcome(assembled_kl_compromise, mu, lam)
     if isinstance(want[0], type):
         # with several bad overlap values the oracle's set order picks which one is named
         assert got[0] is want[0]
     else:
         assert got == want
+
+
+@st.composite
+def nearly_consistent_cases(draw):
+    """A measure and a consistent partner that lacks one of its overlap values.
+
+    The first measure puts only a total mass below the consistency
+    tolerance on the overlap value the second one lacks, so the pair is
+    consistent and the combination has cells to skip.
+    """
+    n_overlap = draw(st.integers(1, 2))
+    overlap = [f"O{i}" for i in range(n_overlap)]
+    mu_vars = draw(st.permutations(overlap + [f"U{i}" for i in range(draw(st.integers(0, 2)))]))
+    lam_vars = draw(st.permutations(overlap + [f"E{i}" for i in range(draw(st.integers(0, 2)))]))
+    domains = {
+        v: tuple(draw(st.permutations(CATEGORIES))[: draw(st.integers(1, 3))])
+        for v in set(mu_vars) | set(lam_vars)
+    }
+    for v in overlap:  # room for a lacking value next to a kept one
+        domains[v] = domains[v] + tuple(c for c in CATEGORIES if c not in domains[v])[:1]
+    weights = st.sampled_from((0.0, 0.1, 0.25, 1.0, 3.0))
+    mu_space = ProductSpace.from_domains(mu_vars, domains)
+    o_mu = [mu_space.index(v) for v in overlap]
+    lacking = tuple(draw(st.sampled_from(domains[v])) for v in overlap)
+    mu_mass = {}
+    for x in mu_space.assignments():
+        c = tuple(x[i] for i in o_mu)
+        mu_mass[x] = draw(st.sampled_from((1e-13, 4e-13))) if c == lacking else draw(weights)
+    mu = DiscreteMeasure(mu_space, mu_mass)
+    marginal = {}
+    for x, w in mu.mass.items():
+        c = tuple(x[i] for i in o_mu)
+        if c != lacking:
+            marginal[c] = marginal.get(c, 0.0) + w
+    lam_space = ProductSpace.from_domains(lam_vars, domains)
+    o_lam = [lam_space.index(v) for v in overlap]
+    conditional = {x: draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))) for x in lam_space.assignments()}
+    norm = {}
+    for x, w in conditional.items():
+        c = tuple(x[i] for i in o_lam)
+        norm[c] = norm.get(c, 0.0) + w
+    lam_mass = {}
+    for x, w in conditional.items():
+        c = tuple(x[i] for i in o_lam)
+        if c in marginal:
+            # a conditional with no mass at all falls back to a point mass
+            lam_mass[x] = marginal[c] * (w / norm[c]) if norm[c] > 0.0 else 0.0
+    for c in marginal:
+        if not norm.get(c):
+            x = next(x for x in lam_space.assignments() if tuple(x[i] for i in o_lam) == c)
+            lam_mass[x] = marginal[c]
+    return mu, DiscreteMeasure(lam_space, lam_mass)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nearly_consistent_cases())
+def test_glued_cells_match_the_assembled_combination(case):
+    mu, lam = case
+    assert outcome(markov_combination, mu, lam) == outcome(
+        assembled_markov_combination, mu, lam
+    )
+    for side in ("A", "B"):
+        assert outcome(complete_via, mu, lam, side) == outcome(
+            assembled_complete_via, mu, lam, side
+        )
+    if is_consistent(mu, lam).consistent:
+        # condition-on-a runs the same glue, but names the skipped value
+        assert outcome(complete_via, mu, lam, "A")[0] is ZeroConditional
+
+
+@st.composite
+def sparse_overlap_cases(draw):
+    """A measure with full overlap support and a partner lacking two or more values.
+
+    Also returns the side that trusts the full measure and the partner's
+    overlap values, each as a set of (variable, value) pairs, since the
+    two measures may list the overlap in different orders.
+    """
+    mu, lam, _ = draw(reconcile_cases())
+    overlap = tuple(v for v in mu.space.variables if v in set(lam.space.variables))
+    domains = dict(zip(mu.space.variables, mu.space.domains))
+    domains.update(zip(lam.space.variables, lam.space.domains))
+    for v in overlap:
+        domains[v] = tuple(CATEGORIES[:3])
+    values = list(itertools.product(*(domains[v] for v in overlap)))
+    kept = set(draw(st.lists(st.sampled_from(values), max_size=len(values) - 2)))
+    positive = st.sampled_from((0.1, 0.25, 1.0, 3.0))
+
+    def measure(variables, keep):
+        space = ProductSpace.from_domains(variables, domains)
+        o_idx = [space.index(v) for v in overlap]
+        return DiscreteMeasure(
+            space,
+            {
+                x: draw(positive) if keep(tuple(x[i] for i in o_idx)) else 0.0
+                for x in space.assignments()
+            },
+        )
+
+    full = measure(mu.space.variables, lambda c: True)
+    partial = measure(lam.space.variables, lambda c: c in kept)
+    kept = {frozenset(zip(overlap, c)) for c in kept}
+    if draw(st.booleans()):
+        return full, partial, "A", kept
+    # swapped, so that side B is the one whose trusted measure outruns the other
+    return partial, full, "B", kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_overlap_cases())
+def test_zero_conditional_names_the_first_missing_overlap_value(case):
+    mu, lam, trusted_side, kept = case
+    for side in ("A", "B"):
+        got = outcome(complete_via, mu, lam, side)
+        assert got == outcome(assembled_complete_via, mu, lam, side)
+    trusted = mu if trusted_side == "A" else lam
+    overlap = tuple(v for v in mu.space.variables if v in set(lam.space.variables))
+    o_idx = [trusted.space.index(v) for v in overlap]
+    first = next(
+        c
+        for c in (tuple(x[i] for i in o_idx) for x in trusted.mass)
+        if frozenset(zip(overlap, c)) not in kept
+    )
+    with pytest.raises(ZeroConditional, match=re.escape(f"overlap value {first!r} ")):
+        complete_via(mu, lam, trusted_side)
 
 
 def test_interleaved_overlap_orders_are_consistent():

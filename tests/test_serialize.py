@@ -75,6 +75,21 @@ def test_measure_from_dict_accumulates_duplicates():
     assert measure_from_dict(d).mass == {(0,): 0.5}
 
 
+@pytest.mark.parametrize("bad", ["-1.0", "nan", "inf", "-inf"])
+def test_measure_from_dict_rejects_a_bad_mass_before_merging(bad):
+    d = {
+        "variables": ["A"],
+        "domains": {"A": [0, 1]},
+        "points": [
+            {"assignment": {"A": 0}, "mass": "1.5"},
+            {"assignment": {"A": 0}, "mass": bad},
+            {"assignment": {"A": 1}, "mass": "0.5"},
+        ],
+    }
+    with pytest.raises(ValueError, match="^point 2 .*finite and nonnegative"):
+        measure_from_dict(d)
+
+
 def test_hdp_spec_round_trip(path_graph, uniform_ij, copy_jk):
     d = hdp_spec_to_dict(path_graph, 4.0, [uniform_ij, copy_jk])
     graph, nu, bases = hdp_spec_from_dict(json.loads(json.dumps(d)))
