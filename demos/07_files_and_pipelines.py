@@ -31,7 +31,6 @@ back = measure_from_dict(json.loads(json.dumps(payload)))
 print("bit-exact round trip:", back.mass == measure.mass)
 
 # The command line speaks the same schema.
-workdir = Path(tempfile.mkdtemp())
 spec = {
     "graph": {"vertices": ["I", "J", "K"], "edges": [["I", "J"], ["J", "K"]]},
     "nu": 4.0,
@@ -45,24 +44,25 @@ spec = {
         ),
     ],
 }
-spec_path = workdir / "spec.json"
-spec_path.write_text(json.dumps(spec), encoding="utf-8")
+with tempfile.TemporaryDirectory() as workdir:
+    spec_path = Path(workdir) / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
 
-out = subprocess.run(
-    [sys.executable, "-m", "hyperdp", "diagnose", "--spec", str(spec_path), "--samples", "3", "--seed", "1"],
-    capture_output=True, text=True, check=True,
-)
-report = json.loads(out.stdout)
-print("\ndiagnose says the spec is usable:", report["passed"])
-for check in report["checks"]:
-    print("  ", check["name"], "->", "ok" if check["passed"] else check["detail"])
+    out = subprocess.run(
+        [sys.executable, "-m", "hyperdp", "diagnose", "--spec", str(spec_path), "--samples", "3", "--seed", "1"],
+        capture_output=True, text=True, check=True,
+    )
+    report = json.loads(out.stdout)
+    print("\ndiagnose says the spec is usable:", report["passed"])
+    for check in report["checks"]:
+        print("  ", check["name"], "->", "ok" if check["passed"] else check["detail"])
 
-# Draws stream out as one JSON document per line, fully seeded.
-out = subprocess.run(
-    [sys.executable, "-m", "hyperdp", "sample-hdp", "--spec", str(spec_path), "--replicates", "2", "--seed", "9"],
-    capture_output=True, text=True, check=True,
-)
-for line in out.stdout.splitlines():
-    doc = json.loads(line)
-    print(f"replicate {doc['replicate']}: {len(doc['atoms'])} atoms,",
-          f"heaviest weight {max(doc['weights']):.3f}")
+    # Draws stream out as one JSON document per line, fully seeded.
+    out = subprocess.run(
+        [sys.executable, "-m", "hyperdp", "sample-hdp", "--spec", str(spec_path), "--replicates", "2", "--seed", "9"],
+        capture_output=True, text=True, check=True,
+    )
+    for line in out.stdout.splitlines():
+        doc = json.loads(line)
+        print(f"replicate {doc['replicate']}: {len(doc['atoms'])} atoms,",
+              f"heaviest weight {max(doc['weights']):.3f}")

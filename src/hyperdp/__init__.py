@@ -80,7 +80,6 @@ from .mixture import (
     UrnState,
     expected_clusters,
     gibbs_chain,
-    gibbs_reassign,
     identity_likelihood,
     sample_partition,
     urn_predictive,

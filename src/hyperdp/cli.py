@@ -29,12 +29,11 @@ from .hdp import (
 )
 from .measures import is_consistent, markov_combination
 from .mixture import gibbs_chain, identity_likelihood
-from .reconcile import ReconcileStrategy, reconcile, suggested_gamma
+from .reconcile import KINDS, ReconcileStrategy, reconcile, suggested_gamma
 from . import serialize as ser
 
-_STRATEGY_FLAGS = {
-    "rescale-min": "rescale-min",
-    "rescale-convex": "rescale-convex",
+# short aliases of the reconcile.KINDS names that differ from them
+_STRATEGY_ALIASES = {
     "condition-a": "condition-on-a",
     "condition-b": "condition-on-b",
     "average": "weighted-average",
@@ -176,7 +175,7 @@ def cmd_diagnose(args):
 def cmd_reconcile(args):
     mu = ser.measure_from_dict(ser.load_json(args.mu))
     lam = ser.measure_from_dict(ser.load_json(args.lam))
-    kind = _STRATEGY_FLAGS[args.strategy]
+    kind = _STRATEGY_ALIASES.get(args.strategy, args.strategy)
     gamma = args.gamma
     if kind == "weighted-average" and gamma is None:
         gamma = suggested_gamma(mu, lam)
@@ -352,13 +351,14 @@ def build_parser():
     p.add_argument("--mu", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument(
-        "--strategy", required=True, choices=sorted(_STRATEGY_FLAGS)
+        "--strategy", required=True, choices=sorted({*KINDS, *_STRATEGY_ALIASES})
     )
     p.add_argument(
         "--gamma",
         type=float,
         default=None,
-        help="mixing weight; for 'average' it defaults to the mass-proportional one",
+        help="mixing weight; for weighted-average (alias average) it defaults to the "
+        "mass-proportional one",
     )
     p.set_defaults(func=cmd_reconcile)
 

@@ -4,9 +4,10 @@ A prior here is a plain Dirichlet process whose base measure is the
 combination of per-clique bases along a perfect ordering.  ``audit_hdp``
 is the one place that checks what makes the clique marginals of a draw
 behave like coupled Dirichlet processes: a decomposable connected
-graph, pairwise consistency, factorization of the combined base, and
-degeneracy of every clique-given-separator conditional.  ``build_hdp``
-raises the audit's failure; ``hyperdp diagnose`` prints its report.
+graph, pairwise consistency, a fold that keeps the bases' mass,
+factorization of the combined base, and degeneracy of every
+clique-given-separator conditional.  ``build_hdp`` raises the audit's
+failure; ``hyperdp diagnose`` prints its report.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Optional
 
 from .dp import ContinuousBase, DPParams, _coerce_data, atoms_to_measure, dp_posterior, sample_dp
 from .errors import (
+    Inconsistent,
     NotConnected,
     NotDecomposable,
     NotMarkov,
@@ -60,24 +62,6 @@ class RefinementReport:
             if not c.passed:
                 return c.witness
         return None
-
-    def merged(self, other):
-        return RefinementReport(self.checks + other.checks)
-
-    def as_dict(self):
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "separator": list(c.separator),
-                    "clique": list(c.clique),
-                    "passed": c.passed,
-                    "witness": c.witness,
-                    "conditional": c.conditional,
-                }
-                for c in self.checks
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -156,10 +140,10 @@ class HDPAudit:
 
 def audit_hdp(graph, clique_bases, tol=CONSISTENCY_TOL, strict=False):
     """Check a spec stage by stage: the graph, every pair of clique bases
-    (a sequence in perfect order) for consistency, factorization of the
-    combined base, and degeneracy of each clique (and, when ``strict``,
-    each running-history block) given its separator.  A failed graph or
-    consistency stage ends the audit.
+    (a sequence in perfect order) for consistency, the mass of their
+    fold, factorization of the combined base, and degeneracy of each
+    clique (and, when ``strict``, each running-history block) given its
+    separator.  A failed graph, consistency or fold stage ends the audit.
 
     A malformed spec (wrong base count, a base that is not discrete, not
     on its clique, or not a probability measure) raises instead.
@@ -183,24 +167,38 @@ def audit_hdp(graph, clique_bases, tol=CONSISTENCY_TOL, strict=False):
         }
         for i, j, report in pairs
     ]
+    if combined is not None and (failure is not None or not combined.is_probability()):
+        # every pair passed, but the fold dropped their gaps' mass
+        detail = (
+            f"folding the clique bases lost {1.0 - combined.total:.3e} of mass, "
+            "although every pair of them is consistent"
+        )
+        checks.append(
+            {"name": "fold of the clique bases keeps their mass", "passed": False, "detail": detail}
+        )
+        failure = Inconsistent(detail, failure.report if failure else None)
     if failure is not None:
         return HDPAudit(tuple(checks), decomp, failure=failure)
     factorizes = is_markov(combined, decomp, tol)
     checks.append({"name": "combined base factorizes over the cliques", "passed": factorizes})
-    report = RefinementReport(())
-    for sep, clique, history in zip(decomp.separators, decomp.cliques[1:], decomp.histories):
-        for kind, block in (("clique", clique), ("history", history))[: 2 if strict else 1]:
-            step = check_refinement(combined, sep, block)
-            report = report.merged(step)
-            (c,) = step.checks
-            entry = {
-                "name": f"degenerate completion of {kind} {list(block)} given separator {list(sep)}",
-                "passed": c.passed,
-            }
-            if not c.passed:
-                entry["witness"] = c.witness
-                entry["conditional"] = c.conditional
-            checks.append(entry)
+    blocks = [
+        (kind, sep, block)
+        for sep, clique, history in zip(decomp.separators, decomp.cliques[1:], decomp.histories)
+        for kind, block in (("clique", clique), ("history", history))[: 2 if strict else 1]
+    ]
+    report = RefinementReport(
+        tuple(check_refinement(combined, sep, block).checks[0] for _, sep, block in blocks)
+    )
+    for (kind, _, _), c in zip(blocks, report.checks):
+        entry = {
+            "name": f"degenerate completion of {kind} {list(c.clique)} given separator "
+            f"{list(c.separator)}",
+            "passed": c.passed,
+        }
+        if not c.passed:
+            entry["witness"] = c.witness
+            entry["conditional"] = c.conditional
+        checks.append(entry)
     if not report.passed:
         w = report.first_witness()
         failure = RefinementViolated(

@@ -340,7 +340,10 @@ def combine_clique_bases(decomp, bases, tol=CONSISTENCY_TOL):
     clique.  Returns ``(pairs, combined, failure)``: ``pairs`` holds an
     ``(i, j, report)`` consistency triple for every pair of bases, in
     lexicographic order; ``failure`` is the ``Inconsistent`` error of the
-    first failing pair, in which case ``combined`` is None.
+    first failing pair, in which case ``combined`` is None.  Gaps each
+    pair keeps within ``tol`` can still add up along the fold; then
+    ``failure`` is the error ``markov_combination`` raised, and
+    ``combined`` is the fold up to that step.
     """
     if len(bases) != len(decomp.cliques):
         raise ValueError(
@@ -365,7 +368,10 @@ def combine_clique_bases(decomp, bases, tol=CONSISTENCY_TOL):
             return pairs, None, failure
     combined = bases[0]
     for base in bases[1:]:
-        combined = markov_combination(combined, base, tol)
+        try:
+            combined = markov_combination(combined, base, tol)
+        except Inconsistent as exc:
+            return pairs, combined, exc
     return pairs, combined, None
 
 

@@ -3,6 +3,10 @@
 The latent values are draws from a Dirichlet process, so a new
 observation either repeats an existing value or picks a fresh one from
 the base; classes are the equality classes of those values.
+
+``gibbs_chain`` is the one collapsed Pólya-urn sampler.  It keeps a
+running count per latent value, and each step weighs the candidates
+with ``_urn_weights`` and draws one with ``_draw_candidate``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,11 @@ from .measures import DiscreteMeasure
 from .rng import stream
 
 
+def _check_precision(a):
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError("precision a must be finite and positive")
+
+
 @dataclass(frozen=True)
 class UrnState:
     """Values drawn so far, the precision, and the base measure."""
@@ -25,8 +34,7 @@ class UrnState:
     base: object
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError("precision a must be finite and positive")
+        _check_precision(self.a)
         if isinstance(self.base, DiscreteMeasure):
             if not self.base.is_probability():
                 raise ValueError("a discrete base must be a probability measure")
@@ -50,8 +58,7 @@ def sample_partition(a, base, n, cfg, replicate=0):
     previous draws, otherwise a uniformly chosen earlier value; labels
     identify equality classes of the drawn values.
     """
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError("precision a must be finite and positive")
+    _check_precision(a)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
     rng = stream(cfg.seed, replicate)
@@ -68,8 +75,7 @@ def sample_partition(a, base, n, cfg, replicate=0):
 
 def expected_clusters(a, n):
     """Mean number of distinct values when the base never repeats atoms."""
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError("precision a must be finite and positive")
+    _check_precision(a)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
     return math.fsum(a / (a + i) for i in range(n))
@@ -115,28 +121,6 @@ def _draw_candidate(candidates, weights, rng):
     return candidates[-1]
 
 
-def _gibbs_weights(i, assignments, data, likelihood, a, base):
-    """Candidate values and their unnormalized reassignment weights."""
-    if not isinstance(base, DiscreteMeasure):
-        raise TypeError("collapsed reassignment requires a discrete base")
-    counts = {}
-    for j, p in enumerate(assignments):
-        if j != i:
-            key = base.space.as_tuple(p)
-            counts[key] = counts.get(key, 0.0) + 1.0
-    return _urn_weights(data[i], counts, likelihood, a, base)
-
-
-def gibbs_reassign(i, assignments, data, likelihood, a, base, rng):
-    """Redraw the latent value of observation ``i`` given all the others.
-
-    The urn predictive built from the remaining values is reweighted by
-    the likelihood of the observation under each candidate value.
-    """
-    candidates, weights = _gibbs_weights(i, assignments, data, likelihood, a, base)
-    return _draw_candidate(candidates, weights, rng)
-
-
 def gibbs_chain(data, likelihood, a, base, sweeps, cfg, replicate=0):
     """Run index-order sweeps from the all-in-one-class start.
 
@@ -148,8 +132,7 @@ def gibbs_chain(data, likelihood, a, base, sweeps, cfg, replicate=0):
     the candidates rather than a recount of the other n-1 values.
     Returns the final values and the per-sweep label lists.
     """
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError("precision a must be finite and positive")
+    _check_precision(a)
     if sweeps < 0:
         raise ValueError(f"sweeps must be nonnegative, got {sweeps!r}")
     if not isinstance(base, DiscreteMeasure):

@@ -17,7 +17,7 @@ from hyperdp import (
 )
 from hyperdp.dp import _discrete_sampler
 from hyperdp.measures import CONSISTENCY_TOL, _union_space, is_consistent
-from hyperdp.mixture import gibbs_reassign
+from hyperdp.mixture import _draw_candidate, _urn_weights
 from hyperdp.rng import stream
 
 
@@ -137,10 +137,35 @@ def dense_is_markov(theta, decomp, tol=CONSISTENCY_TOL):
     return True
 
 
+# The O(n) recount step that ``gibbs_chain`` replaced with running counts.
+
+
+def _gibbs_weights(i, assignments, data, likelihood, a, base):
+    """Candidate values and their unnormalized reassignment weights."""
+    if not isinstance(base, DiscreteMeasure):
+        raise TypeError("collapsed reassignment requires a discrete base")
+    counts = {}
+    for j, p in enumerate(assignments):
+        if j != i:
+            key = base.space.as_tuple(p)
+            counts[key] = counts.get(key, 0.0) + 1.0
+    return _urn_weights(data[i], counts, likelihood, a, base)
+
+
+def gibbs_reassign(i, assignments, data, likelihood, a, base, rng):
+    """Redraw the latent value of observation ``i`` given all the others.
+
+    The urn predictive built from the remaining values is reweighted by
+    the likelihood of the observation under each candidate value.
+    """
+    candidates, weights = _gibbs_weights(i, assignments, data, likelihood, a, base)
+    return _draw_candidate(candidates, weights, rng)
+
+
 def recount_gibbs_chain(data, likelihood, a, base, sweeps, cfg, replicate=0):
     """Oracle for ``gibbs_chain`` that recounts the other values at every step.
 
-    Each reassignment goes through the public ``gibbs_reassign``, which
+    Each reassignment goes through ``gibbs_reassign`` above, which
     rebuilds the urn counts of the other n-1 values from scratch, so one
     sweep costs O(n^2) validated lookups.
     """

@@ -304,6 +304,48 @@ def test_diagnose_malformed_spec_fails_like_build_hdp(tmp_path, bases):
     assert diagnosed.stdout == built.stdout
 
 
+def _path_spec(bases):
+    """A binary path graph with one base per edge, each given as its points."""
+    verts = [chr(ord("A") + i) for i in range(len(bases) + 1)]
+    return {
+        "graph": {"vertices": verts, "edges": [list(e) for e in zip(verts, verts[1:])]},
+        "nu": 1.0,
+        "clique_bases": [
+            measure_dict((a, b), {a: (0, 1), b: (0, 1)}, points)
+            for (a, b), points in zip(zip(verts, verts[1:]), bases)
+        ],
+    }
+
+
+# Every pair of bases passes the consistency check, but the fold along
+# the path drops the mass that each pair's gap hides: once at the end
+# (A-B-C), or at every step until the running fold fails the check
+# against the next base (a six-vertex path, 4e-10 dropped per step).
+DRIFT_SPECS = {
+    "lost-at-the-end": _path_spec(
+        [{(0, 0): 0.9999999999, (1, 1): 1e-10}, {(0, 0): 1.0}]
+    ),
+    "lost-step-by-step": _path_spec([{(0, 0): 1 - 4e-10, (0, 1): 4e-10}] * 5),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(DRIFT_SPECS))
+def test_fold_drift_fails_the_audit_as_inconsistent(tmp_path, spec):
+    path = write_json(tmp_path, "spec.json", DRIFT_SPECS[spec])
+    built = run_cli("build-hdp", "--spec", path)
+    diagnosed = run_cli("diagnose", "--spec", path)
+    assert built.returncode == diagnosed.returncode == 1
+    error = json.loads(built.stdout)
+    assert error["error"] == "Inconsistent"
+    assert "of mass" in error["detail"]
+    out = json.loads(diagnosed.stdout)
+    assert out["passed"] is False and out["error"] == "Inconsistent"
+    failing = [c for c in out["checks"] if not c["passed"]]
+    assert len(failing) == 1 and out["checks"][-1] is failing[0]
+    assert failing[0]["detail"] == error["detail"]
+    assert all(c["passed"] for c in out["checks"] if c["name"].startswith("consistency"))
+
+
 def test_diagnose_checks_each_pair_of_bases_once(good_spec, monkeypatch, capsys):
     calls = []
     original = measures.is_consistent

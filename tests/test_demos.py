@@ -1,4 +1,5 @@
-"""Every script in ``demos/`` runs to completion without writing to stderr."""
+"""Every script in ``demos/`` runs to completion without writing to stderr
+and leaves nothing behind in the temporary directory."""
 
 import os
 import subprocess
@@ -18,13 +19,16 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs_cleanly(demo, tmp_path):
     src = str(ROOT / "src")
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
-        "TMPDIR": str(tmp_path),
+        "TMPDIR": str(tmpdir),
     }
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    assert list(tmpdir.iterdir()) == []

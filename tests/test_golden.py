@@ -12,6 +12,9 @@ import sys
 
 import pytest
 
+from hyperdp.cli import _STRATEGY_ALIASES
+from hyperdp.reconcile import KINDS
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 # case -> CLI arguments; spec paths are relative to tests/golden/
@@ -102,9 +105,27 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_stdout_matches_golden_bytes(case):
-    argv = [str(GOLDEN / a) if a.startswith("specs/") else a for a in CASES[case]]
+def _check_golden(case, args):
+    argv = [str(GOLDEN / a) if a.startswith("specs/") else a for a in args]
     proc = subprocess.run([sys.executable, "-m", "hyperdp", *argv], capture_output=True)
     assert proc.returncode == (0 if case.endswith("_good") else 1), proc.stderr
     assert proc.stdout == (GOLDEN / f"{case}.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_matches_golden_bytes(case):
+    _check_golden(case, CASES[case])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_reconcile_strategy_names_match_their_aliases(kind):
+    # each reconcile case, rerun with the full name of its strategy
+    runs = 0
+    for case, args in sorted(CASES.items()):
+        if args[0] != "reconcile":
+            continue
+        at = args.index("--strategy") + 1
+        if _STRATEGY_ALIASES.get(args[at], args[at]) == kind:
+            _check_golden(case, args[:at] + (kind,) + args[at + 1:])
+            runs += 1
+    assert runs

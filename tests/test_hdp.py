@@ -17,6 +17,7 @@ from hyperdp import (
     NotDecomposable,
     ObservationViolatesSupport,
     ProductSpace,
+    RefinementReport,
     RefinementViolated,
     SamplerConfig,
     UnknownVariable,
@@ -97,16 +98,11 @@ def test_refinement_continuous_base():
 
 
 def test_refinement_report_plumbing(space_jk, copy_jk):
-    good = check_refinement(copy_jk, ("J",), ("J", "K"))
-    bad = check_refinement(uniform_measure(space_jk), ("J",), ("J", "K"))
-    merged = good.merged(bad)
-    assert not merged.passed
-    assert len(merged.checks) == 2
-    assert merged.first_witness() == {"J": 0}
-    d = merged.as_dict()
-    assert d["passed"] is False
-    assert d["checks"][0]["passed"] is True
-    assert d["checks"][1]["witness"] == {"J": 0}
+    (good,) = check_refinement(copy_jk, ("J",), ("J", "K")).checks
+    (bad,) = check_refinement(uniform_measure(space_jk), ("J",), ("J", "K")).checks
+    report = RefinementReport((good, bad))
+    assert not report.passed
+    assert report.first_witness() == bad.witness == {"J": 0}
 
 
 # ----------------------------------------------------------------- assembly
@@ -207,6 +203,27 @@ def test_audit_strict_adds_history_blocks(path_graph, uniform_ij, copy_jk):
     assert history["passed"] is False and history["witness"] == {"J": 0}
     assert isinstance(audit.failure, RefinementViolated)
     assert len(audit.failure.report.checks) == 2
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_audit_entries_carry_the_failure_report(path_graph, space_jk, uniform_ij, strict):
+    audit = audit_hdp(path_graph, [uniform_ij, uniform_measure(space_jk)], strict=strict)
+    entries = [(c["witness"], c["conditional"]) for c in audit.checks if not c["passed"]]
+    report = audit.failure.report
+    assert entries == [(c.witness, c.conditional) for c in report.checks if not c.passed]
+    assert len(entries) == (2 if strict else 1)
+
+
+def test_audit_reports_mass_lost_by_the_fold(space_ij, space_jk, path_graph):
+    # the pair gap of 1e-10 passes, but B=1 has no completion in base 2,
+    # so the fold keeps 1 - 1e-10 of the mass
+    first = DiscreteMeasure(space_ij, {(0, 0): 0.9999999999, (1, 1): 1e-10})
+    second = DiscreteMeasure(space_jk, {(0, 0): 1.0})
+    audit = audit_hdp(path_graph, [first, second])
+    assert [c["passed"] for c in audit.checks] == [True, True, False]
+    assert isinstance(audit.failure, Inconsistent)
+    assert "lost 1.000e-10 of mass" in str(audit.failure)
+    assert audit.checks[-1]["detail"] == str(audit.failure)
 
 
 def test_audit_raises_on_malformed_specs(path_graph, space_jk, uniform_ij, copy_jk):

@@ -21,14 +21,12 @@ from hyperdp import (
     ZeroMass,
     expected_clusters,
     gibbs_chain,
-    gibbs_reassign,
     identity_likelihood,
     sample_partition,
-    stream,
     uniform_measure,
     urn_predictive,
 )
-from hyperdp.mixture import _gibbs_weights
+from hyperdp.mixture import _urn_weights
 
 from conftest import exact_partition_law, recount_gibbs_chain
 
@@ -192,12 +190,10 @@ def test_sample_partition_matches_enumeration_with_atomic_base():
 
 def test_gibbs_weights_match_urn_predictive_under_flat_likelihood():
     base = one_var_base([0.25, 0.75])
-    assignments = [(0,), (1,), (1,), (0,)]
-    data = assignments
+    others = ((0,), (1,), (0,))
     a = 1.5
-    i = 2
-    candidates, weights = _gibbs_weights(i, assignments, data, lambda x, pi: 1.0, a, base)
-    others = tuple(p for j, p in enumerate(assignments) if j != i)
+    counts = {(0,): 2.0, (1,): 1.0}
+    candidates, weights = _urn_weights((1,), counts, lambda x, pi: 1.0, a, base)
     predictive = urn_predictive(UrnState(others, a, base))
     total = math.fsum(weights)
     for cand, w in zip(candidates, weights):
@@ -206,26 +202,15 @@ def test_gibbs_weights_match_urn_predictive_under_flat_likelihood():
 
 def test_gibbs_weights_include_off_base_values():
     base = one_var_base([1.0, 0.0])
-    candidates, weights = _gibbs_weights(
-        0, [(0,), (1,)], [(0,), (1,)], lambda x, pi: 1.0, 1.0, base
-    )
+    candidates, weights = _urn_weights((0,), {(1,): 1.0}, lambda x, pi: 1.0, 1.0, base)
     assert (1,) in candidates
     assert weights[candidates.index((1,))] == pytest.approx(1.0)
-
-
-def test_gibbs_reassign_point_likelihood_pins_value():
-    base = one_var_base([0.5, 0.5])
-    rng = stream(17)
-    data = [(1,), (0,)]
-    for _ in range(10):
-        got = gibbs_reassign(0, [(0,), (0,)], data, identity_likelihood, 1.0, base, rng)
-        assert got == (1,)
 
 
 def test_gibbs_reassign_zero_likelihood_raises():
     base = one_var_base([0.5, 0.5])
     with pytest.raises(ZeroMass):
-        gibbs_reassign(0, [(0,)], [(0,)], lambda x, pi: 0.0, 1.0, base, stream(1))
+        gibbs_chain([(0,)], lambda x, pi: 0.0, 1.0, base, 1, SamplerConfig(seed=1))
 
 
 @pytest.mark.parametrize(
@@ -240,20 +225,21 @@ def test_gibbs_reassign_rejects_bad_likelihood_values(bad, shown):
         return bad if pi == (1,) else 1.0
 
     with pytest.raises(ValueError, match=rf"value \(1,\) has weight {shown};"):
-        gibbs_reassign(0, [(0,)], [(0,)], likelihood, 1.0, base, stream(1))
-    with pytest.raises(ValueError, match=rf"weight {shown};"):
         gibbs_chain([(0,), (1,)], likelihood, 1.0, base, 1, SamplerConfig(seed=2))
 
 
 def test_gibbs_reassign_single_observation_samples_base():
+    # one observation and a flat likelihood: the redraw ignores the start
+    # value, so one sweep's value is a fresh draw from the base
     base = one_var_base([0.2, 0.8])
-    rng = stream(23)
+    cfg = SamplerConfig(seed=23)
+    reps = 2000
     draws = [
-        gibbs_reassign(0, [(0,)], [(0,)], lambda x, pi: 1.0, 1.0, base, rng)
-        for _ in range(2000)
+        gibbs_chain([(0,)], lambda x, pi: 1.0, 1.0, base, 1, cfg, replicate=r)[0][0]
+        for r in range(reps)
     ]
-    freq = sum(1 for d in draws if d == (1,)) / len(draws)
-    assert abs(freq - 0.8) < 3 * math.sqrt(0.8 * 0.2 / 2000)
+    freq = sum(1 for d in draws if d == (1,)) / reps
+    assert abs(freq - 0.8) < 3 * math.sqrt(0.8 * 0.2 / reps)
 
 
 def test_gibbs_chain_shapes_and_determinism():
