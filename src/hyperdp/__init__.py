@@ -93,7 +93,7 @@ from .reconcile import (
     suggested_gamma,
     weighted_average,
 )
-from .rng import beta_variate, stream
+from .rng import stream
 from .serialize import (
     atoms_to_json_line,
     data_from_csv_text,

@@ -55,7 +55,7 @@ def _sampler_config(args):
 
 def _replicate_line(params, cfg, seed, replicate):
     theta = sample_dp(params, cfg, replicate)
-    return ser.atoms_to_json_line(theta, seed, replicate)
+    return ser.atoms_to_json_line(theta, seed, replicate), theta.truncation_residual
 
 
 def _sample_lines(params, args):
@@ -68,11 +68,20 @@ def _sample_lines(params, args):
     if args.parallel > 1:
         workers = min(args.parallel, args.replicates, os.cpu_count() or 1)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            lines = list(
+            results = list(
                 pool.map(_replicate_line, *zip(*[(params, cfg, args.seed, r) for r in reps]))
             )
     else:
-        lines = [_replicate_line(params, cfg, args.seed, r) for r in reps]
+        results = [_replicate_line(params, cfg, args.seed, r) for r in reps]
+    lines, residuals = zip(*results)
+    # the loop stops with at least eps left over only when the budget stopped it
+    hits = [r for r in residuals if r >= cfg.eps]
+    if hits:
+        sys.stderr.write(
+            f"hyperdp: {len(hits)} of {len(residuals)} draws ran out of the "
+            f"{cfg.max_atoms}-atom budget (--max-atoms); the largest leftover folded "
+            f"into one atom was {max(hits)!r}\n"
+        )
     return "\n".join(lines)
 
 
@@ -239,9 +248,20 @@ def _parse_grid(text):
         raise ValueError("--t-grid needs finite LO and HI")
     if steps < 2 or hi <= lo:
         raise ValueError("--t-grid needs HI > LO and at least 2 steps")
-    import numpy as np  # loaded here so that only a --t-grid run pays for it
+    return _linspace(lo, hi, steps)
 
-    return [float(t) for t in np.linspace(lo, hi, steps)]
+
+def _linspace(lo, hi, steps):
+    """``numpy.linspace(lo, hi, steps)`` for ``steps >= 2``, bit for bit."""
+    div = steps - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:  # the step underflowed: scale before multiplying
+        points = [i / div * delta + lo for i in range(steps)]
+    else:
+        points = [i * step + lo for i in range(steps)]
+    points[-1] = hi
+    return points
 
 
 def cmd_cdf_estimate(args):

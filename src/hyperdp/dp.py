@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .errors import OutsideDomain
 from .measures import DiscreteMeasure, ProductSpace, marginalize
-from .rng import beta_variate, stream
+from .rng import stream
 
 
 @dataclass(frozen=True)
@@ -91,20 +91,27 @@ class WeightedAtoms:
             raise ValueError("weights must sum to one")
 
 
-def _atom_index(cum, u):
-    """Index of the first running sum in ``cum`` above ``u``, clamped to
-    the last atom."""
-    return min(bisect.bisect_right(cum, u), len(cum) - 1)
+def _weighted_draw(keys, weights):
+    """Sampler of ``keys`` with chances proportional to ``weights``.
+
+    ``draw(rng)`` returns the key of the first running sum above
+    ``rng.random()`` times the total, clamped to the last key: the last
+    key is listed twice, so a draw at or above the total lands on it.
+    """
+    keys = list(keys)
+    keys.append(keys[-1])
+    cum = list(itertools.accumulate(weights))
+    total = cum[-1]
+    bisect_right = bisect.bisect_right
+
+    def draw(rng):
+        return keys[bisect_right(cum, rng.random() * total)]
+
+    return draw
 
 
 def _discrete_sampler(measure):
-    support = list(measure.mass)
-    cum = list(itertools.accumulate(measure.mass.values()))
-
-    def draw(rng):
-        return support[_atom_index(cum, rng.random() * cum[-1])]
-
-    return draw
+    return _weighted_draw(measure.mass, measure.mass.values())
 
 
 def _base_sampler(base):
@@ -122,15 +129,25 @@ def sample_dp(params, cfg, replicate=0):
     """
     rng = stream(cfg.seed, replicate)
     draw, space = _base_sampler(params.base)
+    # Beta(1, nu) as x / (x + y) with x ~ Gamma(1) and y ~ Gamma(nu); numpy
+    # draws Gamma(1) as a standard exponential, so both calls take the same bits
+    exponential, gamma = rng.standard_exponential, rng.standard_gamma
+    nu, eps, slots = params.nu, cfg.eps, cfg.max_atoms - 1
     atoms, weights = [], []
-    remaining = 1.0
-    while len(atoms) < cfg.max_atoms - 1 and remaining >= cfg.eps:
-        p = beta_variate(rng, 1.0, params.nu)
-        w = p * remaining
+    add_atom, add_weight = atoms.append, weights.append
+    n, remaining = 0, 1.0
+    while n < slots and remaining >= eps:
+        x = exponential()
+        y = gamma(nu)
+        while not x + y > 0.0:  # both draws underflowed to zero
+            x = exponential()
+            y = gamma(nu)
+        w = x / (x + y) * remaining
         if w > 0.0:
-            atoms.append(draw(rng))
-            weights.append(w)
+            add_atom(draw(rng))
+            add_weight(w)
             remaining -= w
+            n += 1
     if remaining > 0.0:
         atoms.append(draw(rng))
         weights.append(remaining)
@@ -162,8 +179,8 @@ def marginal_atoms(theta, keep):
 
 def sample_from_atoms(theta, rng, size):
     """Independent draws from a sampled measure."""
-    cum = list(itertools.accumulate(theta.weights))
-    return [theta.atoms[_atom_index(cum, rng.random() * cum[-1])] for _ in range(size)]
+    draw = _weighted_draw(theta.atoms, theta.weights)
+    return [draw(rng) for _ in range(size)]
 
 
 def finite_partition_law(params, partition):

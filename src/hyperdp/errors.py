@@ -57,8 +57,8 @@ class Inconsistent(HyperDPError):
         self.report = report
 
 
-class RefinementViolated(HyperDPError):
-    """A separator value admits more than one clique completion."""
+class _WitnessedError(HyperDPError):
+    """An error carrying a degeneracy report; its payload names the witness."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -73,13 +73,13 @@ class RefinementViolated(HyperDPError):
         return out
 
 
+class RefinementViolated(_WitnessedError):
+    """A separator value admits more than one clique completion."""
+
+
 class NotMarkov(HyperDPError):
     """Internal check failed: a combined measure did not factorize."""
 
 
-class ObservationViolatesSupport(HyperDPError):
+class ObservationViolatesSupport(_WitnessedError):
     """Observed data contradicts the degeneracy structure of the base."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report

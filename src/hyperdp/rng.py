@@ -17,16 +17,3 @@ def stream(seed, replicate=0):
     key = (int(seed) & _MASK64) | ((int(replicate) & _MASK64) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def beta_variate(rng, a, b):
-    """Beta draw built from two gamma draws.
-
-    The ratio construction keeps the draw well defined for any positive
-    shape pair; the loop guards the measure-zero event of both gamma
-    draws underflowing to zero.
-    """
-    while True:
-        x = rng.standard_gamma(a)
-        y = rng.standard_gamma(b)
-        if x + y > 0.0:
-            return x / (x + y)

@@ -85,15 +85,23 @@ def hdp_spec_from_dict(obj):
 
 
 def atoms_to_json_line(theta, seed, replicate):
-    """One draw as a compact JSON line with reproducibility metadata."""
-    return json.dumps(
-        {
-            "atoms": theta.atoms,
-            "weights": theta.weights,
-            "residual": theta.truncation_residual,
-            "seed": seed,
-            "replicate": replicate,
-        }
+    """One draw as a compact JSON line with reproducibility metadata.
+
+    The same bytes as ``json.dumps`` of the whole record.  A discrete
+    draw repeats few distinct atom objects, so each is encoded once,
+    keyed by identity: ``(1,)``, ``(True,)`` and ``(1.0,)`` are equal but
+    print differently.
+    """
+    if theta.space is None:
+        atoms = json.dumps(theta.atoms)
+    else:
+        ids = list(map(id, theta.atoms))
+        text = {i: json.dumps(a) for i, a in dict(zip(ids, theta.atoms)).items()}
+        atoms = "[" + ", ".join(map(text.__getitem__, ids)) + "]"
+    return (
+        f'{{"atoms": {atoms}, "weights": {json.dumps(theta.weights)}, '
+        f'"residual": {json.dumps(theta.truncation_residual)}, '
+        f'"seed": {json.dumps(seed)}, "replicate": {json.dumps(replicate)}}}'
     )
 
 

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 
@@ -9,13 +10,13 @@ from hyperdp import (
     Inconsistent,
     ProductSpace,
     UnknownVariable,
+    WeightedAtoms,
     ZeroConditional,
     build_graph,
     marginalize,
     normalize,
     perfect_ordering,
 )
-from hyperdp.dp import _discrete_sampler
 from hyperdp.measures import CONSISTENCY_TOL, _union_space, is_consistent
 from hyperdp.mixture import _draw_candidate, _urn_weights
 from hyperdp.rng import stream
@@ -160,6 +161,65 @@ def gibbs_reassign(i, assignments, data, likelihood, a, base, rng):
     """
     candidates, weights = _gibbs_weights(i, assignments, data, likelihood, a, base)
     return _draw_candidate(candidates, weights, rng)
+
+
+def beta_variate(rng, a, b):
+    """Beta draw built from two gamma draws.
+
+    The ratio construction keeps the draw well defined for any positive
+    shape pair; the loop guards the measure-zero event of both gamma
+    draws underflowing to zero.
+    """
+    while True:
+        x = rng.standard_gamma(a)
+        y = rng.standard_gamma(b)
+        if x + y > 0.0:
+            return x / (x + y)
+
+
+def _atom_index(cum, u):
+    """Index of the first running sum in ``cum`` above ``u``, clamped to
+    the last atom."""
+    return min(bisect.bisect_right(cum, u), len(cum) - 1)
+
+
+def _discrete_sampler(measure):
+    support = list(measure.mass)
+    cum = list(itertools.accumulate(measure.mass.values()))
+
+    def draw(rng):
+        return support[_atom_index(cum, rng.random() * cum[-1])]
+
+    return draw
+
+
+def looped_sample_dp(params, cfg, replicate=0):
+    """Oracle for ``sample_dp``: one ``beta_variate`` call per stick.
+
+    Each fraction comes from two ``standard_gamma`` calls and each
+    discrete atom from ``_discrete_sampler`` above.
+    """
+    rng = stream(cfg.seed, replicate)
+    if isinstance(params.base, DiscreteMeasure):
+        draw, space = _discrete_sampler(params.base), params.base.space
+    else:
+        draw, space = params.base.sampler, None
+    atoms, weights = [], []
+    remaining = 1.0
+    while len(atoms) < cfg.max_atoms - 1 and remaining >= cfg.eps:
+        p = beta_variate(rng, 1.0, params.nu)
+        w = p * remaining
+        if w > 0.0:
+            atoms.append(draw(rng))
+            weights.append(w)
+            remaining -= w
+    if remaining > 0.0:
+        atoms.append(draw(rng))
+        weights.append(remaining)
+        residual = remaining
+    else:
+        residual = 0.0
+    return WeightedAtoms(tuple(atoms), tuple(weights), residual, space)
 
 
 def recount_gibbs_chain(data, likelihood, a, base, sweeps, cfg, replicate=0):

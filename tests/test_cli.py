@@ -7,10 +7,14 @@ on-disk formats.
 
 import json
 import pathlib
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperdp import cli, measures
 
@@ -193,6 +197,34 @@ def test_sample_rejects_zero_replicates(tmp_path):
     proc = run_cli("sample", "--base", base, "--nu", "1", "--replicates", "0", "--seed", "1")
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"] == "ValueError"
+
+
+def test_atom_budget_hits_are_reported_on_stderr():
+    golden = pathlib.Path(__file__).parent / "golden"
+    argv = ("sample", "--base", golden / "specs" / "mixture_base.json", "--nu", "2000",
+            "--max-atoms", "40", "--replicates", "3", "--seed", "3")
+    expected = (golden / "sample_budget_hit_good.stdout").read_text(encoding="utf-8")
+    largest = max(json.loads(line)["residual"] for line in expected.splitlines())
+    serial, parallel = run_cli(*argv), run_cli(*argv, "--parallel", "2")
+    for proc in (serial, parallel):
+        assert proc.returncode == 0
+        assert proc.stdout == expected
+        assert proc.stderr == (
+            "hyperdp: 3 of 3 draws ran out of the 40-atom budget (--max-atoms); "
+            f"the largest leftover folded into one atom was {largest!r}\n"
+        )
+    coarse = (*argv[:3], "--nu", "2", "--eps", "0.01", "--replicates", "5", "--seed", "3")
+    # draws that stop at eps report nothing
+    quiet = run_cli(*coarse)
+    assert quiet.returncode == 0 and quiet.stderr == ""
+    # with 11 slots, two draws fill the budget but reach eps with their last
+    # stick; only the fifth stops with 0.026 left over
+    mixed = run_cli(*coarse, "--max-atoms", "11")
+    assert mixed.returncode == 0
+    assert mixed.stderr == (
+        "hyperdp: 1 of 5 draws ran out of the 11-atom budget (--max-atoms); "
+        "the largest leftover folded into one atom was 0.026239705677819962\n"
+    )
 
 
 def test_posterior(tmp_path):
@@ -535,6 +567,29 @@ def test_cdf_estimate_requires_threshold(tmp_path):
     assert json.loads(proc.stdout)["error"] == "ValueError"
 
 
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    lo=st.floats(allow_nan=False, allow_infinity=False),
+    hi=st.floats(allow_nan=False, allow_infinity=False),
+    steps=st.integers(2, 60),
+)
+@example(lo=0.0, hi=5e-324, steps=3)  # the step underflows to zero
+@example(lo=-5e-324, hi=1e-323, steps=7)  # subnormal step
+@example(lo=1.0, hi=1.0000000000000002, steps=9)  # a one-ulp span
+@example(lo=-1.7e308, hi=1.7e308, steps=5)  # the span overflows
+@example(lo=-1e300, hi=1e300, steps=60)  # huge but finite span
+def test_t_grid_matches_numpy_linspace_bit_for_bit(lo, hi, steps):
+    with np.errstate(all="ignore"):  # an overflowing span is part of the contract
+        expected = _bits(np.linspace(lo, hi, steps).tolist())
+    assert _bits(cli._linspace(lo, hi, steps)) == expected
+    if hi > lo:
+        assert _bits(cli._parse_grid(f"{lo!r}:{hi!r}:{steps}")) == expected
+
+
 @pytest.mark.parametrize(
     "rows, flags",
     [
@@ -651,8 +706,14 @@ def test_failed_run_writes_no_plot_file(tmp_path):
     assert not plot.exists()
 
 
-def test_commands_without_random_draws_never_import_numpy():
+def test_commands_without_random_draws_never_import_numpy(tmp_path):
     specs = pathlib.Path(__file__).parent / "golden" / "specs"
+    base = write_json(
+        tmp_path, "base.json",
+        measure_dict(("X",), {"X": (0, 1, 2)}, {(0,): 0.2, (1,): 0.3, (2,): 0.5}),
+    )
+    data = tmp_path / "data.csv"
+    data.write_text("X\n0\n2\n2\n", encoding="utf-8")
     script = f"""
 import contextlib, io, sys
 import hyperdp.cli
@@ -662,6 +723,8 @@ runs = [
      "--lambda", {str(specs / "reconcile_lambda_disagree.json")!r}, "--strategy", "average"],
     ["posterior-hdp", "--spec", {str(specs / "good.json")!r},
      "--data", {str(specs / "good_data.csv")!r}],
+    ["cdf-estimate", "--base", {str(base)!r}, "--nu", "2.0", "--data", {str(data)!r},
+     "--t-grid=-0.5:2.5:7"],
 ]
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -671,4 +734,4 @@ print(loaded)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False, False]"
+    assert proc.stdout.strip() == "[False, False, False, False]"

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperdp import (
@@ -23,7 +23,6 @@ from hyperdp import (
     WeightedAtoms,
     atoms_to_measure,
     bayes_cdf,
-    beta_variate,
     dp_marginal,
     dp_posterior,
     finite_partition_law,
@@ -33,7 +32,9 @@ from hyperdp import (
     stream,
     uniform_measure,
 )
-from hyperdp.dp import _atom_index
+from hyperdp.dp import _weighted_draw
+
+from conftest import beta_variate, looped_sample_dp
 
 
 def one_var_base(masses):
@@ -59,12 +60,40 @@ def test_stream_replicates_are_independent_keys():
 
 
 def test_beta_variate_range_and_mean():
+    # the conftest oracle that pins sample_dp's stick fractions
     rng = stream(9)
     draws = [beta_variate(rng, 1.0, 4.0) for _ in range(4000)]
     assert all(0.0 < d < 1.0 for d in draws)
     # Beta(1, 4): mean 0.2, variance 4/150
     se = math.sqrt(4 / 150 / 4000)
     assert abs(np.mean(draws) - 0.2) < 3 * se
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    ops=st.lists(
+        st.one_of(
+            st.just(("exponential", None)),
+            st.just(("random", None)),
+            st.floats(0.01, 500.0).map(lambda nu: ("gamma", nu)),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+)
+def test_standard_exponential_takes_the_bits_of_unit_gamma(seed, ops):
+    # sample_dp draws the Gamma(1) half of each Beta(1, nu) fraction with
+    # standard_exponential; both streams must stay in step call for call
+    fast, slow = stream(seed, 3), stream(seed, 3)
+    for kind, nu in ops:
+        if kind == "exponential":
+            a, b = fast.standard_exponential(), slow.standard_gamma(1.0)
+        elif kind == "random":
+            a, b = fast.random(), slow.random()
+        else:
+            a, b = fast.standard_gamma(nu), slow.standard_gamma(nu)
+        assert a.hex() == b.hex()
 
 
 # --------------------------------------------------------------- parameters
@@ -176,6 +205,51 @@ def test_continuous_base_draws():
         marginal_atoms(theta, ("X",))
 
 
+MIXED_SPACE = ProductSpace.from_domains(
+    ("X", "Y"), {"X": (0, "a", 2.5, True), "Y": ("b\n\"", 7, -0.0)}
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cells=st.lists(
+        st.sampled_from(tuple(MIXED_SPACE.assignments())), min_size=1, max_size=6, unique=True
+    ),
+    masses=st.lists(st.floats(0.01, 10.0), min_size=6, max_size=6),
+    continuous=st.booleans(),
+    nu=st.sampled_from((0.01, 1.0, 10.0, 500.0)),
+    eps=st.floats(1e-12, 0.5),
+    max_atoms=st.sampled_from((1, 2, 3, 10_000)),
+    seed=st.integers(0, 2**64 - 1),
+    replicate=st.integers(0, 5),
+)
+@example(  # the budget stops it: about 13,800 sticks to reach eps
+    cells=list(MIXED_SPACE.assignments())[:6], masses=[1.0] * 6, continuous=False,
+    nu=500.0, eps=1e-12, max_atoms=10_000, seed=5, replicate=1,
+)
+@example(  # eps stops it after a few hundred sticks of a continuous base
+    cells=[(0, 7)], masses=[1.0] * 6, continuous=True,
+    nu=10.0, eps=1e-12, max_atoms=10_000, seed=2**64 - 1, replicate=0,
+)
+def test_sample_dp_matches_the_looped_oracle(
+    cells, masses, continuous, nu, eps, max_atoms, seed, replicate
+):
+    if continuous:
+        base = ContinuousBase(sampler=lambda rng: rng.normal())
+    else:
+        total = math.fsum(masses[: len(cells)])
+        base = DiscreteMeasure(MIXED_SPACE, {x: m / total for x, m in zip(cells, masses)})
+    params = DPParams(nu, base)
+    cfg = SamplerConfig(seed=seed, eps=eps, max_atoms=max_atoms)
+    fused = sample_dp(params, cfg, replicate)
+    looped = looped_sample_dp(params, cfg, replicate)
+    # repr tells (True,) from (1,) and -0.0 from 0.0; hex pins every weight bit
+    assert repr(fused.atoms) == repr(looped.atoms)
+    assert [w.hex() for w in fused.weights] == [w.hex() for w in looped.weights]
+    assert fused.truncation_residual.hex() == looped.truncation_residual.hex()
+    assert fused.space == looped.space
+
+
 # ------------------------------------------------------- derived quantities
 
 
@@ -226,14 +300,20 @@ def test_atom_index_matches_searchsorted(weights, pick):
     dense = np.cumsum(np.array(weights, dtype=float))
     assert cum == dense.tolist()
     kind, value = pick
-    u = {
-        "boundary": lambda: cum[value % len(cum)],
-        "total": lambda: cum[-1],
+    fraction = {
+        "boundary": lambda: cum[value % len(cum)] / cum[-1],
+        "total": lambda: 1.0,
         "zero": lambda: 0.0,
-        "fraction": lambda: value * cum[-1],
+        "fraction": lambda: value,
     }[kind]()
+
+    class Fixed:
+        def random(self):
+            return fraction
+
+    u = fraction * cum[-1]
     expected = min(int(np.searchsorted(dense, u, side="right")), len(cum) - 1)
-    assert _atom_index(cum, u) == expected
+    assert _weighted_draw(range(len(weights)), weights)(Fixed()) == expected
 
 
 def test_sample_from_atoms_frequencies():

@@ -54,6 +54,16 @@ CASES = {
         "sample", "--base", "specs/mixture_base.json", "--nu", "2", "--replicates", "5",
         "--seed", "3",
     ),
+    # every draw runs out of the 40-atom budget and folds a large leftover
+    "sample_budget_hit_good": (
+        "sample", "--base", "specs/mixture_base.json", "--nu", "2000", "--max-atoms", "40",
+        "--replicates", "3", "--seed", "3",
+    ),
+    # draws stop at the coarse leftover-mass cutoff
+    "sample_coarse_eps_good": (
+        "sample", "--base", "specs/mixture_base.json", "--nu", "2", "--eps", "0.01",
+        "--replicates", "5", "--seed", "3",
+    ),
     # mu on (A, B, C), lambda on (C, B, D): the two-variable overlap is listed
     # in a different order on each side; the *_bcd lambdas list it as mu does
     "reconcile_rescale_min_good": (

@@ -390,6 +390,7 @@ def test_posterior_rejects_unsupported_observation(path_spec):
     with pytest.raises(ObservationViolatesSupport) as err:
         hdp_posterior(path_spec, [(0, 0, 1)])
     assert err.value.report.first_witness() == {"J": 0}
+    assert err.value.payload()["witness"] == {"J": 0}
 
 
 def test_posterior_batches(path_spec):

@@ -118,6 +118,31 @@ def test_atoms_json_line_scalar_atoms():
     assert obj["atoms"] == [0.125, 0.875]
 
 
+def _dumped_record(theta, seed, replicate):
+    return json.dumps(
+        {
+            "atoms": theta.atoms,
+            "weights": theta.weights,
+            "residual": theta.truncation_residual,
+            "seed": seed,
+            "replicate": replicate,
+        }
+    )
+
+
+def test_atoms_json_line_equals_json_dumps_of_the_record():
+    texts = ("é\n", 'say "hi"\\', "\u2028\x00")
+    sp = ProductSpace.from_domains(("X",), {"X": (1, *texts)})
+    one, true, real = (1,), (True,), (1.0,)
+    assert one == true == real  # equal keys, three different texts
+    atoms = (one, true, real, one, (texts[0],), (texts[1],), (texts[0],), (texts[2],))
+    weights = (0.25, 0.125, 0.125, 0.0625, 0.0625, 0.1, 0.2, 0.075)
+    theta = WeightedAtoms(atoms, weights, 0.075, sp)
+    assert atoms_to_json_line(theta, 2**64 - 1, 12) == _dumped_record(theta, 2**64 - 1, 12)
+    continuous = WeightedAtoms((0.5, -0.0, 1e300), (0.5, 0.25, 0.25), 0.0, None)
+    assert atoms_to_json_line(continuous, 0, 0) == _dumped_record(continuous, 0, 0)
+
+
 def test_load_json(tmp_path):
     path = tmp_path / "payload.json"
     path.write_text('{"nu": 2.5}', encoding="utf-8")
