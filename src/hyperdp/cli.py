@@ -10,7 +10,6 @@ symbolic error name appears in the JSON output), 2 I/O errors.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
@@ -53,6 +52,18 @@ def _sampler_config(args):
     return SamplerConfig(seed=args.seed, eps=args.eps, max_atoms=args.max_atoms)
 
 
+def _report_budget_hits(residuals, cfg):
+    """Tell stderr how many draws the atom budget cut short, if any."""
+    # the loop stops with at least eps left over only when the budget stopped it
+    hits = [r for r in residuals if r >= cfg.eps]
+    if hits:
+        sys.stderr.write(
+            f"hyperdp: {len(hits)} of {len(residuals)} draws ran out of the "
+            f"{cfg.max_atoms}-atom budget (--max-atoms); the largest leftover folded "
+            f"into one atom was {max(hits)!r}\n"
+        )
+
+
 def _replicate_line(params, cfg, seed, replicate):
     theta = sample_dp(params, cfg, replicate)
     return ser.atoms_to_json_line(theta, seed, replicate), theta.truncation_residual
@@ -66,6 +77,8 @@ def _sample_lines(params, args):
     cfg = _sampler_config(args)
     reps = range(args.replicates)
     if args.parallel > 1:
+        import concurrent.futures  # loaded here so that serial runs skip it
+
         workers = min(args.parallel, args.replicates, os.cpu_count() or 1)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
@@ -74,14 +87,7 @@ def _sample_lines(params, args):
     else:
         results = [_replicate_line(params, cfg, args.seed, r) for r in reps]
     lines, residuals = zip(*results)
-    # the loop stops with at least eps left over only when the budget stopped it
-    hits = [r for r in residuals if r >= cfg.eps]
-    if hits:
-        sys.stderr.write(
-            f"hyperdp: {len(hits)} of {len(residuals)} draws ran out of the "
-            f"{cfg.max_atoms}-atom budget (--max-atoms); the largest leftover folded "
-            f"into one atom was {max(hits)!r}\n"
-        )
+    _report_budget_hits(residuals, cfg)
     return "\n".join(lines)
 
 
@@ -160,6 +166,7 @@ def cmd_diagnose(args):
         decomp = audit.decomposition
         params, cfg = DPParams(nu, audit.combined), _sampler_config(args)
         draws = [sample_dp(params, cfg, r) for r in range(args.samples)]
+        _report_budget_hits([t.truncation_residual for t in draws], cfg)
         blocks = list(zip(decomp.separators, decomp.cliques[1:]))
         passing = {
             "sampled measures factorize": sum(verify_sample_markov(t, decomp) for t in draws),

@@ -50,11 +50,24 @@ class OutsideDomain(HyperDPError):
 
 
 class Inconsistent(HyperDPError):
-    """Two measures fail the consistency conditions for combination."""
+    """Two measures fail the consistency conditions for combination.
 
-    def __init__(self, message, report=None):
+    ``pair`` holds the 1-based positions of the two measures when they
+    come from a list, such as the clique bases of a spec.
+    """
+
+    def __init__(self, message, report=None, pair=None):
         super().__init__(message)
         self.report = report
+        self.pair = pair
+
+    def payload(self):
+        out = super().payload()
+        if self.pair is not None:
+            out["pair"] = list(self.pair)
+        if self.report is not None:
+            out["report"] = self.report.as_dict()
+        return out
 
 
 class _WitnessedError(HyperDPError):

@@ -254,13 +254,14 @@ class ConsistencyReport:
         return self.proportional_marginals and self.equal_total_mass
 
     def as_dict(self):
+        """The report as JSON values; a gap that is not finite becomes None."""
+        gaps = {"marginal_gap": self.marginal_gap, "mass_gap": self.mass_gap}
         return {
             "overlap": list(self.overlap),
             "proportional_marginals": self.proportional_marginals,
             "equal_total_mass": self.equal_total_mass,
             "consistent": self.consistent,
-            "marginal_gap": self.marginal_gap,
-            "mass_gap": self.mass_gap,
+            **{name: gap if math.isfinite(gap) else None for name, gap in gaps.items()},
         }
 
 
@@ -363,7 +364,7 @@ def combine_clique_bases(decomp, bases, tol=CONSISTENCY_TOL):
     for i, j, report in pairs:
         if not report.consistent:
             failure = Inconsistent(
-                f"clique bases {i + 1} and {j + 1} are not consistent", report
+                f"clique bases {i + 1} and {j + 1} are not consistent", report, (i + 1, j + 1)
             )
             return pairs, None, failure
     combined = bases[0]

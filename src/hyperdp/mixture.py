@@ -6,7 +6,12 @@ the base; classes are the equality classes of those values.
 
 ``gibbs_chain`` is the one collapsed Pólya-urn sampler.  It keeps a
 running count per latent value, and each step weighs the candidates
-with ``_urn_weights`` and draws one with ``_draw_candidate``.
+with ``_urn_weights`` and draws one with ``_draw_candidate``.  It needs
+only uniform draws, so it takes them from ``rng.uniforms``, the
+plain-Python copy of the Philox stream: the chain's draws are those of
+``rng.stream`` bit for bit, and the ``mixture`` command never imports
+numpy.  ``sample_partition`` also needs integer draws and keeps
+``rng.stream``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from .dp import ContinuousBase, DPParams, _base_sampler, _discrete_sampler, dp_posterior
 from .errors import ZeroMass
 from .measures import DiscreteMeasure
-from .rng import stream
+from .rng import stream, uniforms
 
 
 def _check_precision(a):
@@ -137,7 +142,7 @@ def gibbs_chain(data, likelihood, a, base, sweeps, cfg, replicate=0):
         raise ValueError(f"sweeps must be nonnegative, got {sweeps!r}")
     if not isinstance(base, DiscreteMeasure):
         raise TypeError("collapsed reassignment requires a discrete base")
-    rng = stream(cfg.seed, replicate)
+    rng = uniforms(cfg.seed, replicate)
     start = _discrete_sampler(base)(rng)
     assignments = [start] * len(data)
     counts = {start: float(len(data))} if len(data) else {}

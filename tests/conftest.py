@@ -227,7 +227,9 @@ def recount_gibbs_chain(data, likelihood, a, base, sweeps, cfg, replicate=0):
 
     Each reassignment goes through ``gibbs_reassign`` above, which
     rebuilds the urn counts of the other n-1 values from scratch, so one
-    sweep costs O(n^2) validated lookups.
+    sweep costs O(n^2) validated lookups.  It draws from numpy's Philox
+    (``rng.stream``), so it also checks the plain-Python ``rng.uniforms``
+    stream that ``gibbs_chain`` draws from.
     """
     rng = stream(cfg.seed, replicate)
     assignments = [_discrete_sampler(base)(rng)] * len(data)

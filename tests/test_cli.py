@@ -5,6 +5,7 @@ than through the library's serializers, so these tests also pin the
 on-disk formats.
 """
 
+import concurrent.futures
 import json
 import pathlib
 import struct
@@ -122,6 +123,31 @@ def test_combine_inconsistent_fails(tmp_path):
     assert out["error"] == "Inconsistent"
 
 
+def _strict_json(text):
+    """``json.loads`` that refuses the non-JSON constants NaN and Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_zero_mass_reports_print_valid_json(tmp_path):
+    # one zero measure leaves the overlap marginals without a finite gap;
+    # the report says null where json.dumps would write Infinity
+    mu = write_json(tmp_path, "mu.json", COPY_JK)
+    zero = measure_dict(("J", "K"), {"J": (0, 1), "K": (0, 1)}, {(0, 0): 0.0, (1, 1): 0.0})
+    lam = write_json(tmp_path, "lam.json", zero)
+    combined = run_cli("combine", "--mu", mu, "--lambda", lam)
+    assert combined.returncode == 1
+    error = _strict_json(combined.stdout)
+    assert error["error"] == "Inconsistent" and "pair" not in error
+    assert error["report"]["marginal_gap"] is None and error["report"]["mass_gap"] == 1.0
+    checked = run_cli("check-consistency", "--mu", mu, "--lambda", lam)
+    assert checked.returncode == 0
+    assert {k: v for k, v in _strict_json(checked.stdout).items() if k != "tol"} == error["report"]
+
+
 def test_check_consistency(tmp_path):
     mu = write_json(tmp_path, "mu.json", UNIFORM_IJ)
     lam = write_json(tmp_path, "lam.json", COPY_JK)
@@ -186,10 +212,25 @@ def test_parallel_workers_are_capped(tmp_path, monkeypatch, capsys):
     argv = ["sample", "--base", str(base), "--nu", "3.0", "--replicates", "3", "--seed", "9"]
     assert cli.main(argv) == 0
     serial = capsys.readouterr().out
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     assert cli.main([*argv, "--parallel", str(10**6)]) == 0
     assert created == [min(3, cli.os.cpu_count() or 1)]
     assert capsys.readouterr().out == serial
+
+
+def test_diagnose_reports_atom_budget_hits_on_stderr():
+    golden = pathlib.Path(__file__).parent / "golden"
+    argv = ("diagnose", "--spec", golden / "specs" / "good.json", "--samples", "5", "--seed", "3")
+    plain, capped = run_cli(*argv), run_cli(*argv, "--max-atoms", "2")
+    assert plain.returncode == capped.returncode == 0
+    assert plain.stdout == (golden / "diagnose_good.stdout").read_text(encoding="utf-8")
+    assert plain.stderr == ""
+    prefix = (
+        "hyperdp: 5 of 5 draws ran out of the 2-atom budget (--max-atoms); "
+        "the largest leftover folded into one atom was "
+    )
+    assert capped.stderr.startswith(prefix) and capped.stderr.endswith("\n")
+    assert 0.0 < float(capped.stderr[len(prefix):]) < 1.0
 
 
 def test_sample_rejects_zero_replicates(tmp_path):
@@ -706,6 +747,28 @@ def test_failed_run_writes_no_plot_file(tmp_path):
     assert not plot.exists()
 
 
+def _loaded_modules(runs, names):
+    """Which of ``names`` are imported after ``import hyperdp.cli`` and after each run.
+
+    The runs go through ``cli.main`` one after another in one fresh
+    interpreter; each must exit 0.
+    """
+    script = f"""
+import contextlib, io, json, sys
+import hyperdp.cli
+names = {list(names)!r}
+loaded = [[n for n in names if n in sys.modules]]
+for argv in {[[str(a) for a in argv] for argv in runs]!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert hyperdp.cli.main(argv) == 0, argv
+    loaded.append([n for n in names if n in sys.modules])
+print(json.dumps(loaded))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_commands_without_random_draws_never_import_numpy(tmp_path):
     specs = pathlib.Path(__file__).parent / "golden" / "specs"
     base = write_json(
@@ -714,24 +777,20 @@ def test_commands_without_random_draws_never_import_numpy(tmp_path):
     )
     data = tmp_path / "data.csv"
     data.write_text("X\n0\n2\n2\n", encoding="utf-8")
-    script = f"""
-import contextlib, io, sys
-import hyperdp.cli
-loaded = ["numpy" in sys.modules]
-runs = [
-    ["reconcile", "--mu", {str(specs / "reconcile_mu.json")!r},
-     "--lambda", {str(specs / "reconcile_lambda_disagree.json")!r}, "--strategy", "average"],
-    ["posterior-hdp", "--spec", {str(specs / "good.json")!r},
-     "--data", {str(specs / "good_data.csv")!r}],
-    ["cdf-estimate", "--base", {str(base)!r}, "--nu", "2.0", "--data", {str(data)!r},
-     "--t-grid=-0.5:2.5:7"],
-]
-for argv in runs:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert hyperdp.cli.main(argv) == 0, argv
-    loaded.append("numpy" in sys.modules)
-print(loaded)
-"""
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False, False, False]"
+    runs = [
+        ["reconcile", "--mu", specs / "reconcile_mu.json",
+         "--lambda", specs / "reconcile_lambda_disagree.json", "--strategy", "average"],
+        ["posterior-hdp", "--spec", specs / "good.json", "--data", specs / "good_data.csv"],
+        ["cdf-estimate", "--base", base, "--nu", "2.0", "--data", data, "--t-grid=-0.5:2.5:7"],
+    ]
+    assert _loaded_modules(runs, ["numpy"]) == [[], [], [], []]
+
+
+def test_mixture_draws_without_numpy_or_a_process_pool():
+    # the Gibbs chain needs only uniforms, which rng.uniforms computes in
+    # plain Python; only --parallel N>1 imports concurrent.futures
+    specs = pathlib.Path(__file__).parent / "golden" / "specs"
+    mixture = ["mixture", "--data", specs / "mixture_data.csv",
+               "--base", specs / "mixture_base.json", "--a", "1.5", "--sweeps", "3", "--seed", "5"]
+    runs = [mixture, [*mixture, "--likelihood", specs / "mixture_likelihood.json"]]
+    assert _loaded_modules(runs, ["numpy", "concurrent.futures"]) == [[], [], []]

@@ -33,6 +33,7 @@ from hyperdp import (
     uniform_measure,
 )
 from hyperdp.dp import _weighted_draw
+from hyperdp.rng import _LANES, _blocks, _round_keys, uniforms
 
 from conftest import beta_variate, looped_sample_dp
 
@@ -57,6 +58,32 @@ def test_stream_replicates_are_independent_keys():
     again = stream(12345, 1).random(8)
     assert not np.array_equal(base, other)
     assert np.array_equal(other, again)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    replicate=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 40),
+)
+@example(seed=0, replicate=0, n=9)
+@example(seed=2**64 - 1, replicate=2**64 - 1, n=9)
+@example(seed=7, replicate=3, n=9 * _LANES)
+def test_uniforms_match_numpy_philox_draw_for_draw(seed, replicate, n):
+    # 1-40 draws cross the 4-word block boundaries at every offset; the
+    # last example crosses two batches of 4 * _LANES words
+    ours, numpy_rng = uniforms(seed, replicate), stream(seed, replicate)
+    assert [ours.random().hex() for _ in range(n)] == [numpy_rng.random().hex() for _ in range(n)]
+
+
+@pytest.mark.parametrize("counter", [2**64 - 1, 2**256 - 1])
+def test_philox_blocks_carry_and_wrap_like_numpy(counter):
+    # numpy bumps its counter before each block, carrying across words
+    # and wrapping 2**256 - 1 to 0
+    key = 0xFEDCBA9876543210 | (0x0123456789ABCDEF << 64)
+    raw = np.random.Philox(key=key, counter=counter).random_raw(4 * _LANES)
+    ours = _blocks((counter + 1) % 2**256, _round_keys(key))
+    assert [int(w) for w in raw] == [(ours >> (64 * i)) & (2**64 - 1) for i in range(4 * _LANES)]
 
 
 def test_beta_variate_range_and_mean():

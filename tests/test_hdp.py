@@ -154,8 +154,10 @@ def test_build_hdp_rejections(path_graph, space_ij, space_jk, uniform_ij, copy_j
     with pytest.raises(ValueError):
         build_hdp(path_graph, [uniform_ij, heavy], nu=1.0)
     skewed = DiscreteMeasure(space_jk, {(0, 0): 0.7, (1, 1): 0.3})
-    with pytest.raises(Inconsistent):
+    with pytest.raises(Inconsistent) as err:
         build_hdp(path_graph, [uniform_ij, skewed], nu=1.0)
+    payload = err.value.payload()
+    assert payload["pair"] == [1, 2] and payload["report"]["overlap"] == ["J"]
     with pytest.raises(ValueError):
         build_hdp(path_graph, [uniform_ij, copy_jk], nu=0.0)
 

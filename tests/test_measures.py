@@ -502,10 +502,12 @@ def test_combination_rejects_inconsistent_inputs(space_ij, space_jk, uniform_ij)
         markov_combination(uniform_ij, skewed)
     with pytest.raises(Inconsistent, match="condition 2"):
         markov_combination(uniform_ij, scale_measure(uniform_measure(space_jk), 2.0))
-    try:
+    with pytest.raises(Inconsistent) as err:
         markov_combination(uniform_ij, skewed)
-    except Inconsistent as err:
-        assert err.report.marginal_gap > 0.1
+    assert err.value.report.marginal_gap > 0.1
+    # two measures outside any list: the payload carries the report, no pair
+    payload = err.value.payload()
+    assert payload["report"] == err.value.report.as_dict() and "pair" not in payload
 
 
 @settings(max_examples=30, deadline=None)
