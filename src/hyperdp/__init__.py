@@ -101,12 +101,14 @@ from .serialize import (
     graph_from_dict,
     graph_to_dict,
     hdp_spec_from_dict,
+    hdp_spec_json,
     hdp_spec_to_dict,
     likelihood_from_dict,
     load_data_csv,
     load_json,
     mass_str,
     measure_from_dict,
+    measure_json,
     measure_to_dict,
 )
 

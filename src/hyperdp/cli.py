@@ -107,7 +107,7 @@ def cmd_check_graph(args):
 def cmd_combine(args):
     mu = ser.measure_from_dict(ser.load_json(args.mu))
     lam = ser.measure_from_dict(ser.load_json(args.lam))
-    return json.dumps(ser.measure_to_dict(markov_combination(mu, lam, args.tol)))
+    return ser.measure_json(markov_combination(mu, lam, args.tol))
 
 
 def cmd_check_consistency(args):
@@ -129,17 +129,17 @@ def cmd_posterior(args):
     params = DPParams(args.nu, base)
     data = ser.load_data_csv(args.data, base.space)
     post = dp_posterior(params, data)
-    return json.dumps({"nu": post.nu, "base": ser.measure_to_dict(post.base)})
+    return ser.object_json({"nu": json.dumps(post.nu), "base": ser.measure_json(post.base)})
 
 
 def cmd_build_hdp(args):
     graph, nu, bases = ser.hdp_spec_from_dict(ser.load_json(args.spec))
     spec = build_hdp(graph, bases, nu)
-    return json.dumps(
+    return ser.object_json(
         {
-            "nu": spec.nu,
-            "decomposition": ser.decomposition_to_dict(spec.decomposition),
-            "combined_base": ser.measure_to_dict(spec.combined.base),
+            "nu": json.dumps(spec.nu),
+            "decomposition": json.dumps(ser.decomposition_to_dict(spec.decomposition)),
+            "combined_base": ser.measure_json(spec.combined.base),
         }
     )
 
@@ -155,10 +155,12 @@ def cmd_posterior_hdp(args):
     spec = build_hdp(graph, bases, nu)
     data = ser.load_data_csv(args.data, spec.combined.base.space)
     post = hdp_posterior(spec, data)
-    return json.dumps(ser.hdp_spec_to_dict(post.graph, post.nu, post.clique_bases))
+    return ser.hdp_spec_json(post.graph, post.nu, post.clique_bases)
 
 
 def cmd_diagnose(args):
+    if args.samples < 0:
+        raise ValueError("--samples must be at least 0")
     graph, nu, bases = ser.hdp_spec_from_dict(ser.load_json(args.spec))
     audit = audit_hdp(graph, bases)
     checks = list(audit.checks)
@@ -196,17 +198,14 @@ def cmd_reconcile(args):
     if kind == "weighted-average" and gamma is None:
         gamma = suggested_gamma(mu, lam)
     result = reconcile(mu, lam, ReconcileStrategy(kind, gamma))
+    out = {"strategy": json.dumps(kind)}
     if isinstance(result, tuple):
-        out = {
-            "strategy": kind,
-            "mu": ser.measure_to_dict(result[0]),
-            "lambda": ser.measure_to_dict(result[1]),
-        }
+        out["mu"], out["lambda"] = map(ser.measure_json, result)
     else:
-        out = {"strategy": kind, "measure": ser.measure_to_dict(result)}
+        out["measure"] = ser.measure_json(result)
     if gamma is not None:
-        out["gamma"] = gamma
-    return json.dumps(out)
+        out["gamma"] = json.dumps(gamma)
+    return ser.object_json(out)
 
 
 def cmd_mixture(args):

@@ -5,6 +5,11 @@ Assignments are tuples aligned with the space's variable order, support
 iteration is sorted by per-variable category index, and summation uses
 ``math.fsum``, so identical inputs give bit-identical outputs.
 
+A measure is built in one columnar pass, ``_checked_cells``: keys,
+categories and masses are checked a column at a time, and the cells are
+sorted by category index.  The per-cell loop ``_coerced_cells`` runs
+only when that pass rejects a cell.
+
 Cells are grouped in one place, ``_grouped`` (split a measure's cells by
 their values on some variables), and glued in one place, ``_glue``
 (extend each cell of a trusted measure by another measure's conditional
@@ -38,8 +43,8 @@ class ProductSpace:
 
     Each domain also gets a ``{category: index}`` map, built once, so a
     membership test or an index lookup is one hash probe rather than a
-    scan of the domain.  The maps are plain attributes, not fields, so
-    equality, hashing and ``repr`` see only the two tuples.
+    scan of the domain.  The maps and their lookups are plain attributes,
+    not fields, so equality, hashing and ``repr`` see only the two tuples.
     """
 
     variables: tuple
@@ -59,6 +64,7 @@ class ProductSpace:
                 raise ValueError(f"variable {var!r} has duplicate categories")
             maps.append(index)
         object.__setattr__(self, "_category_index", tuple(maps))
+        object.__setattr__(self, "_category_rank", tuple(m.__getitem__ for m in maps))
 
     @classmethod
     def from_domains(cls, variables, domains):
@@ -127,16 +133,21 @@ class DiscreteMeasure:
     mass: dict
 
     def __post_init__(self):
-        cleaned = {}
-        for assignment, value in self.mass.items():
-            x = self.space.as_tuple(assignment)
-            v = float(value)
-            if v < 0.0 or not math.isfinite(v):
-                raise ValueError(f"mass at {x!r} must be finite and nonnegative")
-            if v > 0.0:
-                cleaned[x] = cleaned.get(x, 0.0) + v
-        ordered = {x: cleaned[x] for x in sorted(cleaned, key=self.space.sort_key)}
-        object.__setattr__(self, "mass", ordered)
+        cells = _checked_cells(self.space, self.mass)
+        if cells is None:
+            cells = _checked_cells(self.space, _coerced_cells(self.space, self.mass))
+        keys, values, ranks = cells
+        if 0.0 in values:
+            keep = list(map(bool, values))
+            keys = list(itertools.compress(keys, keep))
+            values = list(itertools.compress(values, keep))
+            ranks = [list(itertools.compress(r, keep)) for r in ranks]
+        if len(keys) > 1:
+            rank = ranks[0] if len(ranks) == 1 else list(zip(*ranks))
+            if rank != sorted(rank):
+                order = sorted(range(len(keys)), key=rank.__getitem__)
+                keys, values = map(keys.__getitem__, order), map(values.__getitem__, order)
+        object.__setattr__(self, "mass", dict(zip(keys, values)))
 
     @property
     def total(self):
@@ -147,6 +158,43 @@ class DiscreteMeasure:
 
     def mass_at(self, assignment):
         return self.mass.get(self.space.as_tuple(assignment), 0.0)
+
+
+def _checked_cells(space, mass):
+    """``(keys, values, ranks)`` of ``mass`` if every cell is valid, else None.
+
+    Every key must be a tuple of categories, one per variable (``ranks``
+    holds their indices, a list per variable), and every value a finite,
+    nonnegative float.
+    """
+    keys = list(mass)
+    if not set(map(type, keys)) <= {tuple} or not set(map(len, keys)) <= {len(space.variables)}:
+        return None
+    try:
+        values = list(map(float, mass.values()))
+        ranks = list(map(list, map(map, space._category_rank, zip(*keys))))
+    except (TypeError, ValueError, ArithmeticError, KeyError):
+        return None
+    if not all(map(math.isfinite, values)) or (values and min(values) < 0.0):
+        return None
+    return keys, values, ranks
+
+
+def _coerced_cells(space, mass):
+    """``mass`` checked cell by cell, so that an error names the first bad cell.
+
+    Keys that are not tuples come back as tuples, merged in first-seen
+    order, with zeros dropped.
+    """
+    cleaned = {}
+    for assignment, value in mass.items():
+        x = space.as_tuple(assignment)
+        v = float(value)
+        if v < 0.0 or not math.isfinite(v):
+            raise ValueError(f"mass at {x!r} must be finite and nonnegative")
+        if v > 0.0:
+            cleaned[x] = cleaned.get(x, 0.0) + v
+    return cleaned
 
 
 def uniform_measure(space):
@@ -287,7 +335,10 @@ def is_consistent(mu, lam, tol=CONSISTENCY_TOL):
 
     The first condition compares the normalized overlap marginals in sup
     norm; the second compares total masses relative to the larger one.
+    ``tol`` must be finite and nonnegative.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     lam_vars = set(lam.space.variables)
     overlap = tuple(v for v in mu.space.variables if v in lam_vars)
     for v in overlap:

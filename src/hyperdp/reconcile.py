@@ -157,10 +157,8 @@ def weighted_average(mu, lam, gamma):
     layout = _union_layout(mu, lam)
     via_a = _completion_cells(mu, lam, layout, "A")
     via_b = _completion_cells(mu, lam, layout, "B")
-    out = {
-        k: gamma * via_a.get(k, 0.0) + (1.0 - gamma) * via_b.get(k, 0.0)
-        for k in via_a.keys() | via_b.keys()
-    }
+    out = {k: gamma * a + (1.0 - gamma) * via_b.get(k, 0.0) for k, a in via_a.items()}
+    out.update((k, gamma * 0.0 + (1.0 - gamma) * b) for k, b in via_b.items() if k not in via_a)
     return DiscreteMeasure(layout.space, out)
 
 

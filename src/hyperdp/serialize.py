@@ -4,6 +4,9 @@ Masses travel as decimal strings produced by ``repr`` on the float, so
 a serialize/parse round trip is bit exact on any platform.  All emitted
 key orders are fixed by construction, which keeps byte-level output
 deterministic.
+
+``measure_json`` writes every measure the command line prints;
+``measure_to_dict`` is the dict form for library callers.
 """
 
 from __future__ import annotations
@@ -55,6 +58,46 @@ def measure_to_dict(m):
     }
 
 
+def _key_text(key):
+    """The text ``json.dumps`` writes for ``key`` as a dict key."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    return json.dumps({key: None})[1:-len(": null}")]
+
+
+def _texts_by_identity(values):
+    """``json.dumps`` of each value, once per distinct object.
+
+    Keyed by identity: ``1``, ``True`` and ``1.0`` are equal but print
+    differently.
+    """
+    ids = list(map(id, values))
+    text = {i: json.dumps(v) for i, v in dict(zip(ids, values)).items()}
+    return map(text.__getitem__, ids)
+
+
+def object_json(fields):
+    """``json.dumps`` of a dict with string keys, given each value's JSON text."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {text}" for k, text in fields.items()) + "}"
+
+
+def measure_json(m):
+    """``json.dumps(measure_to_dict(m))``, written a column at a time."""
+    variables = m.space.variables
+    head = json.dumps(
+        {
+            "variables": list(variables),
+            "domains": {v: list(d) for v, d in zip(variables, m.space.domains)},
+        }
+    )
+    # one %s per variable's category text, then the mass's float.__repr__
+    fields = ", ".join(_key_text(v).replace("%", "%%") + ": %s" for v in variables)
+    point = '{"assignment": {' + fields + '}, "mass": "%r"}'
+    columns = [_texts_by_identity(c) for c in zip(*m.mass)]
+    points = ", ".join(map(point.__mod__, zip(*columns, m.mass.values())))
+    return f'{head[:-1]}, "points": [{points}]}}'
+
+
 def measure_from_dict(obj):
     space = ProductSpace.from_domains(obj["variables"], obj["domains"])
     mass = {}
@@ -76,6 +119,17 @@ def hdp_spec_to_dict(graph, nu, clique_bases):
     }
 
 
+def hdp_spec_json(graph, nu, clique_bases):
+    """``json.dumps(hdp_spec_to_dict(graph, nu, clique_bases))``."""
+    return object_json(
+        {
+            "graph": json.dumps(graph_to_dict(graph)),
+            "nu": json.dumps(float(nu)),
+            "clique_bases": "[" + ", ".join(map(measure_json, clique_bases)) + "]",
+        }
+    )
+
+
 def hdp_spec_from_dict(obj):
     """Parse the raw pieces; validation happens when they are assembled."""
     graph = graph_from_dict(obj["graph"])
@@ -88,16 +142,12 @@ def atoms_to_json_line(theta, seed, replicate):
     """One draw as a compact JSON line with reproducibility metadata.
 
     The same bytes as ``json.dumps`` of the whole record.  A discrete
-    draw repeats few distinct atom objects, so each is encoded once,
-    keyed by identity: ``(1,)``, ``(True,)`` and ``(1.0,)`` are equal but
-    print differently.
+    draw repeats few distinct atom objects, so each is encoded once.
     """
     if theta.space is None:
         atoms = json.dumps(theta.atoms)
     else:
-        ids = list(map(id, theta.atoms))
-        text = {i: json.dumps(a) for i, a in dict(zip(ids, theta.atoms)).items()}
-        atoms = "[" + ", ".join(map(text.__getitem__, ids)) + "]"
+        atoms = "[" + ", ".join(_texts_by_identity(theta.atoms)) + "]"
     return (
         f'{{"atoms": {atoms}, "weights": {json.dumps(theta.weights)}, '
         f'"residual": {json.dumps(theta.truncation_residual)}, '

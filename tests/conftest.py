@@ -242,6 +242,37 @@ def recount_gibbs_chain(data, likelihood, a, base, sweeps, cfg, replicate=0):
     return assignments, history
 
 
+def looped_measure_mass(space, mass):
+    """Oracle for ``DiscreteMeasure`` construction: the per-cell loop it replaced.
+
+    Each cell goes through ``as_tuple`` and ``float`` in turn, so an error
+    names the first bad cell; the cleaned cells are then sorted with one
+    ``sort_key`` call each.
+    """
+    cleaned = {}
+    for assignment, value in mass.items():
+        x = space.as_tuple(assignment)
+        v = float(value)
+        if v < 0.0 or not math.isfinite(v):
+            raise ValueError(f"mass at {x!r} must be finite and nonnegative")
+        if v > 0.0:
+            cleaned[x] = cleaned.get(x, 0.0) + v
+    return {x: cleaned[x] for x in sorted(cleaned, key=space.sort_key)}
+
+
+def equal_twin(c):
+    """A value equal to category ``c`` but of another type, if there is one.
+
+    ``1``, ``True`` and ``1.0`` find the same category but print
+    differently.
+    """
+    if isinstance(c, bool) or (isinstance(c, float) and c.is_integer()):
+        return int(c)
+    if isinstance(c, int):
+        return float(c) if c not in (0, 1) else bool(c)
+    return c
+
+
 def scan_as_tuple(space, assignment):
     """Oracle for ``ProductSpace.as_tuple`` that scans each domain tuple."""
     if isinstance(assignment, dict):

@@ -159,6 +159,28 @@ def test_check_consistency(tmp_path):
     assert out["tol"] == 1e-9
 
 
+@pytest.mark.parametrize("command", ["combine", "check-consistency"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-09"])
+def test_bad_tolerance_is_refused(tmp_path, command, tol):
+    # a NaN tol printed "tol": NaN and called equal measures inconsistent;
+    # an infinite one accepted anything
+    mu = write_json(tmp_path, "mu.json", UNIFORM_IJ)
+    lam = write_json(tmp_path, "lam.json", COPY_JK)
+    proc = run_cli(command, "--mu", mu, "--lambda", lam, f"--tol={tol}")
+    assert proc.returncode == 1
+    out = _strict_json(proc.stdout)
+    assert out["error"] == "ValueError"
+    assert out["detail"].startswith("tol must be finite and nonnegative")
+
+
+@pytest.mark.parametrize("command", ["combine", "check-consistency"])
+def test_zero_tolerance_is_legal(tmp_path, command):
+    mu = write_json(tmp_path, "mu.json", UNIFORM_IJ)
+    lam = write_json(tmp_path, "lam.json", COPY_JK)
+    proc = run_cli(command, "--mu", mu, "--lambda", lam, "--tol", "0")
+    assert proc.returncode == 0, proc.stdout
+
+
 def test_sample_lines_and_determinism(tmp_path):
     base = write_json(tmp_path, "base.json", UNIFORM_IJ)
     argv = ("sample", "--base", base, "--nu", "2.0", "--replicates", "3", "--seed", "11")
@@ -344,6 +366,17 @@ def test_diagnose_good_spec(good_spec):
     sampled = [c for c in out["checks"] if "passing" in c]
     assert len(sampled) == 2
     assert all(c["passing"] == 5 for c in sampled)
+
+
+def test_diagnose_refuses_a_negative_sample_count(good_spec):
+    # it used to pass silently, skipping the sampled checks
+    proc = run_cli("diagnose", "--spec", good_spec, "--samples", "-4")
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)
+    assert out == {"error": "ValueError", "detail": "--samples must be at least 0"}
+    zero = run_cli("diagnose", "--spec", good_spec, "--samples", "0")
+    assert zero.returncode == 0
+    assert not [c for c in json.loads(zero.stdout)["checks"] if "passing" in c]
 
 
 def test_diagnose_bad_spec(bad_spec):

@@ -112,6 +112,34 @@ CASES = {
         "combine", "--mu", "specs/reconcile_mu.json",
         "--lambda", "specs/reconcile_lambda_consistent_bcd.json",
     ),
+    "posterior_good": (
+        "posterior", "--base", "specs/mixture_base.json", "--nu", "2",
+        "--data", "specs/mixture_data.csv",
+    ),
+    # a report is printed with exit code 0 whatever its verdict
+    "check_consistency_disagree_good": (
+        "check-consistency", "--mu", "specs/reconcile_mu.json",
+        "--lambda", "specs/reconcile_lambda_disagree.json",
+    ),
+    "check_consistency_scaled_good": (
+        "check-consistency", "--mu", "specs/reconcile_mu.json",
+        "--lambda", "specs/reconcile_lambda_scaled.json",
+    ),
+    "check_consistency_consistent_good": (
+        "check-consistency", "--mu", "specs/reconcile_mu.json",
+        "--lambda", "specs/reconcile_lambda_consistent.json",
+    ),
+    # edge_* specs: non-ASCII labels and categories, true/null and float
+    # categories, and assignment values that equal a category of another type
+    # (true, false and 1.0 against the domain [0, 1]), which print as given
+    "combine_edge_good": (
+        "combine", "--mu", "specs/edge_mu.json",
+        "--lambda", "specs/edge_lambda_consistent.json",
+    ),
+    "reconcile_average_edge_good": (
+        "reconcile", "--mu", "specs/edge_mu.json",
+        "--lambda", "specs/edge_lambda_disagree.json", "--strategy", "average",
+    ),
 }
 
 

@@ -4,6 +4,7 @@ Oracles live at the top and recompute everything by direct summation
 over full assignment grids, independent of the library's sparse paths.
 """
 
+import collections
 import itertools
 import math
 
@@ -37,7 +38,9 @@ from hyperdp import (
 
 from conftest import (
     dense_is_markov,
+    equal_twin,
     looped_condition,
+    looped_measure_mass,
     outcome,
     random_joint,
     scan_as_tuple,
@@ -222,6 +225,103 @@ def test_measure_construction_never_scans_a_domain():
     assert [x[0].key for x in m.mass] == list(range(n))
 
 
+# ------------------------------------------------- columnar construction
+
+
+def _built(build):
+    """The cells ``build()`` returns, with their values' types, or its error."""
+    try:
+        cells = build()
+    except Exception as exc:  # compared by class and message below
+        return type(exc), str(exc)
+    return [(x, tuple(map(type, x)), v) for x, v in cells.items()]
+
+
+BAD_MASSES = st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -1.0, -5e-324, -0.0, 0.0, 10**400, "0.5", "x", None]
+)
+
+
+@st.composite
+def spaces_and_masses(draw):
+    """A space of up to three variables and a nonempty dict of cells for it.
+
+    Good keys are tuples of categories, some replaced by an equal value
+    of another type.  Bad keys are tuples with strangers, tuples of any
+    length, strings (coerced per character) and namedtuples (coerced to
+    tuples).  Bad masses are NaN, infinities, negatives, zeros, huge
+    ints and strings.  A case mixes in bad keys, bad masses, both or
+    neither.
+    """
+    n = draw(st.sampled_from([0, 1, 2, 2, 3]))
+    domains = [draw(st.lists(MIXED_CATEGORIES, min_size=1, max_size=4, unique=True)) for _ in range(n)]
+    sp = ProductSpace(tuple(f"V{i}" for i in range(n)), tuple(map(tuple, domains)))
+    category = [st.sampled_from(d).flatmap(lambda c: st.sampled_from((c, equal_twin(c)))) for d in domains]
+    inside = st.tuples(*category)
+    value = st.one_of(*category, MIXED_CATEGORIES)
+    cell = collections.namedtuple("Cell", [f"v{i}" for i in range(n)])
+    bad_key = st.one_of(
+        st.tuples(*(st.one_of(c, value) for c in category)),
+        st.lists(value, max_size=4).map(tuple),
+        st.text(alphabet="ab1", max_size=3),
+        inside.map(lambda t: cell(*t)),
+    )
+    good_mass = st.one_of(st.floats(1e-300, 10.0), st.floats(0.0, 10.0), st.integers(0, 3))
+    key = st.one_of(inside, bad_key) if draw(st.booleans()) else inside
+    mass = st.one_of(good_mass, BAD_MASSES) if draw(st.booleans()) else good_mass
+    return sp, draw(st.dictionaries(key, mass, min_size=1, max_size=8))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=spaces_and_masses())
+def test_columnar_construction_matches_the_per_cell_loop(case):
+    sp, mass = case
+    before = list(mass.items())
+    want = _built(lambda: looped_measure_mass(sp, mass))
+    assert _built(lambda: DiscreteMeasure(sp, mass).mass) == want
+    assert list(mass.items()) == before
+
+
+def test_construction_names_the_first_bad_cell():
+    sp = ProductSpace.from_domains(("A", "B"), {"A": ("a", "b"), "B": (0, 1)})
+    cases = [
+        ({("a", 0): 0.5, ("a", 7): 0.25, ("b", 1): -1.0}, "value 7 is not in the domain of 'B'"),
+        ({("a", 0): float("nan"), ("a", 7): 0.25}, "mass at ('a', 0) must be finite and nonnegative"),
+        ({("a", 1): 0.5, ("b",): 0.25}, "assignment length does not match the variable count"),
+        ({("a", 1): 0.5, ("b", 0): float("-inf")}, "mass at ('b', 0) must be finite and nonnegative"),
+    ]
+    for mass, message in cases:
+        with pytest.raises(ValueError) as caught:
+            DiscreteMeasure(sp, mass)
+        assert str(caught.value) == message
+    # keys that are not tuples are coerced, then merged in first-seen order
+    chars = ProductSpace.from_domains(("A", "B"), {"A": ("a", "b"), "B": ("0", "1")})
+    merged = DiscreteMeasure(chars, {"a1": 0.25, ("a", "1"): 0.5, "b0": -0.0})
+    assert merged.mass == {("a", "1"): 0.75} and type(next(iter(merged.mass))) is tuple
+
+
+def test_construction_without_variables():
+    sp = ProductSpace((), ())
+    assert DiscreteMeasure(sp, {(): 0.5}).mass == {(): 0.5}
+    assert DiscreteMeasure(sp, {(): 0.0}).mass == {}
+    with pytest.raises(ValueError, match="assignment length"):
+        DiscreteMeasure(sp, {(0,): 0.5})
+
+
+def test_construction_calls_no_per_cell_helper(monkeypatch):
+    sp = ProductSpace.from_domains(("A", "B"), {"A": tuple(range(30)), "B": tuple(range(30))})
+    calls = []
+    for name in ("as_tuple", "sort_key"):
+        method = getattr(ProductSpace, name)
+        monkeypatch.setattr(
+            ProductSpace, name, lambda self, x, _m=method, _n=name: calls.append(_n) or _m(self, x)
+        )
+    cells = {(a, b): 1.0 + a for a in reversed(range(30)) for b in range(30)}
+    m = DiscreteMeasure(sp, cells)
+    assert calls == []
+    assert list(m.mass) == sorted(cells)
+
+
 # --------------------------------------------------------------- measures
 
 
@@ -404,6 +504,14 @@ def test_consistency_zero_measures(space_ij, space_jk, uniform_ij):
     report = is_consistent(zero_ij, uniform_measure(space_jk))
     assert not report.consistent
     assert not report.proportional_marginals
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_consistency_refuses_a_bad_tolerance(space_jk, uniform_ij, tol):
+    with pytest.raises(ValueError, match="^tol must be finite and nonnegative"):
+        is_consistent(uniform_ij, uniform_measure(space_jk), tol)
+    with pytest.raises(ValueError, match="^tol must be finite and nonnegative"):
+        markov_combination(uniform_ij, uniform_measure(space_jk), tol)
 
 
 def test_consistency_domain_mismatch(space_ij):

@@ -1,8 +1,11 @@
 """Interchange formats: bit-exact mass strings, JSON dicts, CSV data."""
 
 import json
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdp import (
     DiscreteMeasure,
@@ -15,15 +18,20 @@ from hyperdp import (
     graph_from_dict,
     graph_to_dict,
     hdp_spec_from_dict,
+    hdp_spec_json,
     hdp_spec_to_dict,
     likelihood_from_dict,
     load_data_csv,
     load_json,
     mass_str,
     measure_from_dict,
+    measure_json,
     measure_to_dict,
     perfect_ordering,
 )
+from hyperdp.serialize import object_json
+
+from conftest import equal_twin
 
 
 AWKWARD = [0.1, 1 / 3, 0.30000000000000004, 1e-300, 2e17, 5e-324]
@@ -90,6 +98,29 @@ def test_measure_from_dict_rejects_a_bad_mass_before_merging(bad):
         measure_from_dict(d)
 
 
+@pytest.mark.parametrize("bad", [{"X": 0}, {"X": 0, "Z": 1}, {"X": 7}])
+def test_loading_a_measure_validates_each_point_once(tmp_path, monkeypatch, bad):
+    points = [{"assignment": {"X": x, "Y": y}, "mass": "0.125"} for x in (0, 1) for y in "ab"]
+    points.append(dict(points[0]))  # a duplicate is validated again, as its own point
+    d = {"variables": ["X", "Y"], "domains": {"X": [0, 1], "Y": ["a", "b"]}, "points": points}
+    calls = []
+    as_tuple = ProductSpace.as_tuple
+    monkeypatch.setattr(
+        ProductSpace, "as_tuple", lambda self, a: calls.append(a) or as_tuple(self, a)
+    )
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    m = measure_from_dict(load_json(path))
+    assert len(calls) == len(points) == 5
+    assert m.mass[(0, "a")] == 0.25
+    # a bad point is still named by the one validation it gets
+    calls.clear()
+    d["points"][2] = {"assignment": bad, "mass": "0.125"}
+    with pytest.raises(ValueError):
+        measure_from_dict(d)
+    assert len(calls) == 3
+
+
 def test_hdp_spec_round_trip(path_graph, uniform_ij, copy_jk):
     d = hdp_spec_to_dict(path_graph, 4.0, [uniform_ij, copy_jk])
     graph, nu, bases = hdp_spec_from_dict(json.loads(json.dumps(d)))
@@ -141,6 +172,56 @@ def test_atoms_json_line_equals_json_dumps_of_the_record():
     assert atoms_to_json_line(theta, 2**64 - 1, 12) == _dumped_record(theta, 2**64 - 1, 12)
     continuous = WeightedAtoms((0.5, -0.0, 1e300), (0.5, 0.25, 0.25), 0.0, None)
     assert atoms_to_json_line(continuous, 0, 0) == _dumped_record(continuous, 0, 0)
+
+
+# Labels and categories that print in ways easy to get wrong: non-ASCII and
+# escaped text, a '%', null, booleans, floats (NaN among the categories),
+# and ints, floats and booleans that are equal but print differently.
+TEXT = st.text(
+    alphabet=st.sampled_from(["a", "%", "é", "日", '"', "\\", "\n", "\u2028", "\x00", "\ud800"]),
+    max_size=3,
+)
+LABELS = st.one_of(TEXT, st.integers(-3, 3), st.floats(-2.0, 2.0), st.none(), st.booleans())
+CATEGORIES = st.one_of(
+    TEXT, st.integers(-3, 300), st.floats(), st.just(float("nan")), st.none(), st.booleans()
+)
+
+
+@st.composite
+def measures(draw):
+    variables = draw(st.lists(LABELS, max_size=3, unique=True))
+    domains = [draw(st.lists(CATEGORIES, min_size=1, max_size=4, unique=True)) for _ in variables]
+    sp = ProductSpace(tuple(variables), tuple(map(tuple, domains)))
+    category = [st.sampled_from(d).flatmap(lambda c: st.sampled_from((c, equal_twin(c)))) for d in domains]
+    mass = st.one_of(st.floats(0.0, 1e308), st.floats(0.0, 1.0), st.sampled_from([5e-324, 0.1, 1 / 3]))
+    return DiscreteMeasure(sp, draw(st.dictionaries(st.tuples(*category), mass, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=measures())
+def test_measure_json_equals_json_dumps_of_the_dict(m):
+    assert measure_json(m) == json.dumps(measure_to_dict(m))
+
+
+GOLDEN_SPECS = pathlib.Path(__file__).parent / "golden" / "specs"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_SPECS.glob("*.json")))
+def test_measure_json_on_the_golden_specs(name):
+    obj = load_json(GOLDEN_SPECS / name)
+    if "points" in obj:
+        m = measure_from_dict(obj)
+        assert measure_json(m) == json.dumps(measure_to_dict(m))
+    elif "clique_bases" in obj:
+        graph, nu, bases = hdp_spec_from_dict(obj)
+        assert hdp_spec_json(graph, nu, bases) == json.dumps(hdp_spec_to_dict(graph, nu, bases))
+
+
+def test_hdp_spec_json_and_object_json(path_graph, uniform_ij, copy_jk):
+    want = json.dumps(hdp_spec_to_dict(path_graph, 4, [uniform_ij, copy_jk]))
+    assert hdp_spec_json(path_graph, 4, [uniform_ij, copy_jk]) == want
+    fields = {"é": 1, "nu": 2.5, "none": None, "list": [1, "x"]}
+    assert object_json({k: json.dumps(v) for k, v in fields.items()}) == json.dumps(fields)
 
 
 def test_load_json(tmp_path):
