@@ -185,7 +185,8 @@ def cmd_diagnose(args):
     if not passed:
         if audit.failure is not None:
             payload = audit.failure.payload()
-            out.update((key, payload[key]) for key in ("error", "witness") if key in payload)
+            keys = ("error", "witness", "pair", "report")
+            out.update((key, payload[key]) for key in keys if key in payload)
         raise _Failure(json.dumps(out))
     return json.dumps(out)
 

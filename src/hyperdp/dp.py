@@ -10,15 +10,15 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections.abc import Callable
 
+from ._record import record
 from .errors import OutsideDomain
 from .measures import DiscreteMeasure, ProductSpace, marginalize
 from .rng import stream
 
 
-@dataclass(frozen=True)
+@record
 class ContinuousBase:
     """Opaque atom sampler for a nonatomic base measure.
 
@@ -29,12 +29,12 @@ class ContinuousBase:
     """
 
     sampler: Callable
-    cdf: Optional[Callable] = None
+    cdf: Callable | None = None
     atoms_distinct: bool = True
     label: str = "continuous"
 
 
-@dataclass(frozen=True)
+@record
 class DPParams:
     """Precision and base measure of one Dirichlet process prior."""
 
@@ -52,7 +52,7 @@ class DPParams:
             raise TypeError("base must be a DiscreteMeasure or a ContinuousBase")
 
 
-@dataclass(frozen=True)
+@record
 class SamplerConfig:
     """Seed and truncation policy for stick-breaking draws."""
 
@@ -67,7 +67,7 @@ class SamplerConfig:
             raise ValueError("max_atoms must be at least 1")
 
 
-@dataclass(frozen=True)
+@record
 class WeightedAtoms:
     """One sampled measure: atoms, their weights, and the folded residual.
 
@@ -78,7 +78,7 @@ class WeightedAtoms:
     atoms: tuple
     weights: tuple
     truncation_residual: float
-    space: Optional[ProductSpace] = None
+    space: ProductSpace | None = None
 
     def __post_init__(self):
         if len(self.atoms) != len(self.weights):

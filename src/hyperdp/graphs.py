@@ -8,12 +8,12 @@ functions of the input.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import DuplicateVertex, NotConnected, NotDecomposable, UnknownVertex
 
 
-@dataclass(frozen=True)
+@record
 class Graph:
     """Loop-free undirected graph; edges stored as index-ordered pairs."""
 
@@ -43,7 +43,7 @@ class Graph:
         return sorted(self.edges, key=lambda e: (self.index(e[0]), self.index(e[1])))
 
 
-@dataclass(frozen=True)
+@record
 class CliqueDecomposition:
     """A perfect ordering of the maximal cliques with its derived sets.
 

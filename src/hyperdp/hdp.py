@@ -12,9 +12,7 @@ failure; ``hyperdp diagnose`` prints its report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
+from ._record import record
 from .dp import ContinuousBase, DPParams, _coerce_data, atoms_to_measure, dp_posterior, sample_dp
 from .errors import (
     Inconsistent,
@@ -27,6 +25,7 @@ from .errors import (
 from .graphs import perfect_ordering
 from .measures import (
     CONSISTENCY_TOL,
+    _check_tol,
     _grouped,
     combine_clique_bases,
     is_markov,
@@ -36,18 +35,18 @@ from .measures import (
 DEGENERACY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class SeparatorCheck:
     """Degeneracy verdict for one (separator, clique) pair."""
 
     separator: tuple
     clique: tuple
     passed: bool
-    witness: Optional[dict] = None
-    conditional: Optional[dict] = None
+    witness: dict | None = None
+    conditional: dict | None = None
 
 
-@dataclass(frozen=True)
+@record
 class RefinementReport:
     """Per-separator verdicts; failing entries carry a witness value."""
 
@@ -64,7 +63,7 @@ class RefinementReport:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class HDPSpec:
     """A validated prior: graph, ordering, clique bases, precision.
 
@@ -87,6 +86,7 @@ def check_refinement(base, separator, clique, tol=DEGENERACY_TOL):
     point.  A declared continuous base with almost-surely distinct atoms
     passes outright, since equal separator draws then never happen.
     """
+    _check_tol(tol)
     separator = tuple(separator)
     clique = tuple(clique)
     if isinstance(base, ContinuousBase):
@@ -123,7 +123,7 @@ def check_refinement(base, separator, clique, tol=DEGENERACY_TOL):
     )
 
 
-@dataclass(frozen=True)
+@record
 class HDPAudit:
     """Verdicts of every check ``build_hdp`` makes, in the order made.
 
@@ -135,7 +135,7 @@ class HDPAudit:
     checks: tuple
     decomposition: object = None
     combined: object = None
-    failure: Optional[Exception] = None
+    failure: Exception | None = None
 
 
 def audit_hdp(graph, clique_bases, tol=CONSISTENCY_TOL, strict=False):
@@ -148,6 +148,7 @@ def audit_hdp(graph, clique_bases, tol=CONSISTENCY_TOL, strict=False):
     A malformed spec (wrong base count, a base that is not discrete, not
     on its clique, or not a probability measure) raises instead.
     """
+    _check_tol(tol)
     try:
         decomp = perfect_ordering(graph)
     except (NotDecomposable, NotConnected) as exc:
@@ -278,6 +279,7 @@ def hdp_posterior(spec, data, tol=CONSISTENCY_TOL):
     is then revalidated and cross-checked against the plain posterior of
     the combined base, which it must reproduce within 1e-12.
     """
+    _check_tol(tol)
     space = spec.combined.base.space
     obs = _coerce_data(space, data)
     if not obs:

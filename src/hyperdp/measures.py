@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import (
     DomainMismatch,
     Inconsistent,
@@ -37,7 +37,7 @@ CONSISTENCY_TOL = 1e-9     # default overlap-marginal / total-mass agreement
 PROBABILITY_TOL = 1e-12    # |total - 1| threshold for probability measures
 
 
-@dataclass(frozen=True)
+@record
 class ProductSpace:
     """Finite product of per-variable category tuples.
 
@@ -125,7 +125,7 @@ class ProductSpace:
         return assignment
 
 
-@dataclass(frozen=True, eq=True)
+@record
 class DiscreteMeasure:
     """Sparse finite measure; construction validates and drops zeros."""
 
@@ -287,7 +287,7 @@ def condition(m, given):
     return normalize(DiscreteMeasure(sub, dict(cells)))
 
 
-@dataclass(frozen=True)
+@record
 class ConsistencyReport:
     """Outcome of the two agreement conditions between two measures."""
 
@@ -330,6 +330,12 @@ def _sup_gap(a, b):
     return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys), default=0.0)
 
 
+def _check_tol(tol):
+    """Reject a tolerance that would make a check pass or fail regardless."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def is_consistent(mu, lam, tol=CONSISTENCY_TOL):
     """Check proportional overlap marginals and equal total masses.
 
@@ -337,8 +343,7 @@ def is_consistent(mu, lam, tol=CONSISTENCY_TOL):
     norm; the second compares total masses relative to the larger one.
     ``tol`` must be finite and nonnegative.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    _check_tol(tol)
     lam_vars = set(lam.space.variables)
     overlap = tuple(v for v in mu.space.variables if v in lam_vars)
     for v in overlap:
@@ -450,6 +455,7 @@ def is_markov(theta, decomp, tol=CONSISTENCY_TOL):
     The cost is thus bounded by the joined supports, not the product
     space, and the verdict is the one of the full walk.
     """
+    _check_tol(tol)
     if set(theta.space.variables) != set(decomp.vertices):
         raise DomainMismatch(
             "measure variables do not match the decomposition's vertex set"

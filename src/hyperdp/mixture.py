@@ -17,8 +17,8 @@ numpy.  ``sample_partition`` also needs integer draws and keeps
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .dp import ContinuousBase, DPParams, _base_sampler, _discrete_sampler, dp_posterior
 from .errors import ZeroMass
 from .measures import DiscreteMeasure
@@ -30,7 +30,7 @@ def _check_precision(a):
         raise ValueError("precision a must be finite and positive")
 
 
-@dataclass(frozen=True)
+@record
 class UrnState:
     """Values drawn so far, the precision, and the base measure."""
 

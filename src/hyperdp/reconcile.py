@@ -10,9 +10,8 @@ the very loop ``markov_combination`` runs.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Optional
 
+from ._record import record
 from .errors import Inconsistent, ZeroConditional
 from .measures import (
     CONSISTENCY_TOL,
@@ -36,12 +35,12 @@ KINDS = (
 _NEEDS_GAMMA = {"rescale-convex", "weighted-average"}
 
 
-@dataclass(frozen=True)
+@record
 class ReconcileStrategy:
     """A named merge rule, with a mixing weight where the rule needs one."""
 
     kind: str
-    gamma: Optional[float] = None
+    gamma: float | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -80,7 +79,7 @@ def rescale(mu, lam, strategy, tol=CONSISTENCY_TOL):
     return scale_measure(mu, target / tm), scale_measure(lam, target / tl)
 
 
-@dataclass(frozen=True)
+@record
 class _UnionLayout:
     """The union space of two measures and how its cells are put together.
 

@@ -452,6 +452,19 @@ def test_fold_drift_fails_the_audit_as_inconsistent(tmp_path, spec):
     assert all(c["passed"] for c in out["checks"] if c["name"].startswith("consistency"))
 
 
+@pytest.mark.parametrize("spec", ["inconsistent", *sorted(DRIFT_SPECS)])
+def test_diagnose_inconsistent_carries_the_build_hdp_report(tmp_path, spec):
+    if spec in DRIFT_SPECS:
+        path = write_json(tmp_path, "spec.json", DRIFT_SPECS[spec])
+    else:
+        path = pathlib.Path(__file__).parent / "golden" / "specs" / f"{spec}.json"
+    error = json.loads(run_cli("build-hdp", "--spec", path).stdout)
+    out = json.loads(run_cli("diagnose", "--spec", path).stdout)
+    assert error["error"] == out["error"] == "Inconsistent"
+    for key in ("pair", "report"):
+        assert out.get(key) == error.get(key)
+
+
 def test_diagnose_checks_each_pair_of_bases_once(good_spec, monkeypatch, capsys):
     calls = []
     original = measures.is_consistent

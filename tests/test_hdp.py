@@ -1,6 +1,8 @@
 """Graph-structured priors: degeneracy checks, assembly, posteriors."""
 
 import itertools
+import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -238,6 +240,44 @@ def test_audit_raises_on_malformed_specs(path_graph, space_jk, uniform_ij, copy_
     heavy = DiscreteMeasure(space_jk, {(0, 0): 1.0, (1, 1): 1.0})
     with pytest.raises(ValueError, match="clique base 2 is not a probability measure"):
         audit_hdp(path_graph, [uniform_ij, heavy])
+
+
+# ---------------------------------------------------------------- tolerance
+
+# on the I-J-K path this couples I and K given J, so it does not factorize
+COUPLED_IJK = {(0, 0, 0): 0.5, (1, 0, 1): 0.5}
+
+TOL_ENTRIES = {
+    "is_markov": lambda f: is_markov(
+        DiscreteMeasure(f["space_ijk"], COUPLED_IJK), f["path_decomp"], f["tol"]
+    ),
+    "verify_sample_markov": lambda f: verify_sample_markov(
+        WeightedAtoms(tuple(COUPLED_IJK), (0.5, 0.5), 0.0, f["space_ijk"]),
+        f["path_decomp"],
+        f["tol"],
+    ),
+    "audit_hdp": lambda f: audit_hdp(f["path_graph"], [f["uniform_ij"], f["copy_jk"]], f["tol"]),
+    # one clique: no pair ever reaches the check in is_consistent
+    "build_hdp": lambda f: build_hdp(
+        build_graph(("I", "J"), [("I", "J")]), [f["uniform_ij"]], 2.0, tol=f["tol"]
+    ),
+    # no observations: the spec would come back unchanged
+    "hdp_posterior": lambda f: hdp_posterior(
+        build_hdp(f["path_graph"], [f["uniform_ij"], f["copy_jk"]], 4.0), [], f["tol"]
+    ),
+    "check_refinement": lambda f: check_refinement(f["copy_jk"], ("J",), ("J", "K"), f["tol"]),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0], ids=repr)
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRIES))
+def test_every_entry_taking_tol_refuses_a_bad_one(
+    entry, tol, space_ijk, path_graph, path_decomp, uniform_ij, copy_jk
+):
+    fixtures = dict(locals())
+    message = f"tol must be finite and nonnegative, got {tol!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TOL_ENTRIES[entry](fixtures)
 
 
 @st.composite
