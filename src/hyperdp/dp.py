@@ -85,7 +85,7 @@ class WeightedAtoms:
             raise ValueError("atoms and weights must have equal length")
         if not self.atoms:
             raise ValueError("a sampled measure needs at least one atom")
-        if any(w <= 0.0 for w in self.weights):
+        if not all(w > 0.0 for w in self.weights):
             raise ValueError("weights must be strictly positive")
         if abs(math.fsum(self.weights) - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")

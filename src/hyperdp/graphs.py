@@ -1,13 +1,11 @@
 """Undirected graphs, chordality, and perfect clique orderings.
 
-Vertices keep their declaration order and every tie-break below uses
-the lowest declaration index, so all outputs are deterministic
-functions of the input.
+One maximum cardinality search decides chordality and lists a chordal
+graph's maximal cliques.  Every tie-break uses the lowest declaration
+index, so all outputs are deterministic functions of the input.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from ._record import record
 from .errors import DuplicateVertex, NotConnected, NotDecomposable, UnknownVertex
@@ -93,23 +91,26 @@ def mcs_order(g):
     return order
 
 
-def is_decomposable(g):
-    """True iff every cycle of four or more vertices has a chord.
-
-    Uses the classic search-order characterization: the graph is chordal
-    exactly when each vertex's already-visited neighbors form a clique
-    along the maximum cardinality search order.  Disconnected graphs are
-    answered component by component by the same sweep.
+def _visited_cliques(g):
+    """Each vertex with its visited neighbors, in search order, or None at
+    the first such set that is not a clique, for then the graph is not
+    chordal (Tarjan & Yannakakis 1984).  Components are swept in turn.
     """
     adj = g.neighbors()
-    order = mcs_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        earlier = [u for u in adj[v] if pos[u] < i]
-        for a, b in itertools.combinations(earlier, 2):
-            if b not in adj[a]:
-                return False
-    return True
+    visited = set()
+    sets = []
+    for v in mcs_order(g):
+        earlier = adj[v] & visited
+        if any(not earlier <= adj[u] | {u} for u in earlier):
+            return None
+        sets.append(earlier | {v})
+        visited.add(v)
+    return sets
+
+
+def is_decomposable(g):
+    """True iff every cycle of four or more vertices has a chord."""
+    return _visited_cliques(g) is not None
 
 
 def is_connected(g):
@@ -128,21 +129,16 @@ def is_connected(g):
 
 
 def maximal_cliques(g):
-    """All maximal cliques as index-sorted tuples, in lexicographic order."""
-    adj = g.neighbors()
-    out = []
-
-    def expand(grown, candidates, excluded):
-        if not candidates and not excluded:
-            out.append(tuple(sorted(grown, key=g.index)))
-            return
-        for v in sorted(candidates, key=g.index):
-            expand(grown | {v}, candidates & adj[v], excluded & adj[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
-
-    expand(set(), set(g.vertices), set())
-    return sorted(out, key=lambda c: tuple(g.index(v) for v in c))
+    """Maximal cliques of a chordal graph as index-sorted tuples, in
+    lexicographic order (``[()]`` for no vertices).  A visited set is
+    maximal unless the next one is larger (Blair & Peyton 1993).
+    """
+    sets = _visited_cliques(g)
+    if sets is None:
+        raise NotDecomposable("graph has a chordless cycle of length four or more")
+    maximal = [c for c, nxt in zip(sets, sets[1:] + [()]) if len(nxt) <= len(c)]
+    out = [tuple(sorted(c, key=g.index)) for c in maximal]
+    return sorted(out, key=lambda c: tuple(g.index(v) for v in c)) or [()]
 
 
 def _junction_order(g, cliques):
@@ -166,9 +162,9 @@ def _junction_order(g, cliques):
 def ordering_from_cliques(g, cliques):
     """Decomposition built from an explicit clique order.
 
-    The cliques must be exactly the graph's maximal cliques and the order
-    must be perfect: each clique's intersection with the history of
-    earlier cliques has to sit inside one single earlier clique.
+    The graph must be chordal, the cliques exactly its maximal cliques,
+    and the order perfect: each clique's intersection with the history
+    of earlier cliques has to sit inside one single earlier clique.
     """
     given = [tuple(sorted(c, key=g.index)) for c in cliques]
     expected = set(maximal_cliques(g))
@@ -206,11 +202,10 @@ def perfect_ordering(g):
     """Perfect ordering of the maximal cliques of a connected chordal graph."""
     if not g.vertices:
         raise NotConnected("graph has no vertices")
-    if not is_decomposable(g):
-        raise NotDecomposable("graph has a chordless cycle of length four or more")
+    cliques = maximal_cliques(g)
     if not is_connected(g):
         raise NotConnected("graph is not connected")
-    return ordering_from_cliques(g, _junction_order(g, maximal_cliques(g)))
+    return ordering_from_cliques(g, _junction_order(g, cliques))
 
 
 def separates(g, a, b, c):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 
 from ._record import record
-from .errors import Inconsistent, ZeroConditional
+from .errors import Inconsistent, ZeroConditional, ZeroMass
 from .measures import (
     CONSISTENCY_TOL,
     DiscreteMeasure,
@@ -60,7 +60,7 @@ def rescale(mu, lam, strategy, tol=CONSISTENCY_TOL):
     Requires the shapes to already agree on the overlap (condition 1);
     rescaling can only repair a total-mass disagreement.  The target is
     the smaller total for ``rescale-min`` and the gamma-blend of the two
-    totals for ``rescale-convex``.
+    totals for ``rescale-convex``.  Raises ZeroMass for two zero measures.
     """
     if strategy.kind not in ("rescale-min", "rescale-convex"):
         raise ValueError(f"{strategy.kind!r} is not a rescaling strategy")
@@ -72,6 +72,9 @@ def rescale(mu, lam, strategy, tol=CONSISTENCY_TOL):
             report,
         )
     tm, tl = mu.total, lam.total
+    if tm == 0.0:
+        # condition 1 holds, so the other measure is zero too
+        raise ZeroMass("cannot rescale measures with zero total mass")
     if strategy.kind == "rescale-min":
         target = min(tm, tl)
     else:
@@ -164,6 +167,8 @@ def weighted_average(mu, lam, gamma):
 def suggested_gamma(mu, lam):
     """Mass-proportional mixing weight for the weighted average."""
     tm, tl = mu.total, lam.total
+    if tm + tl == 0.0:
+        raise ZeroMass("cannot suggest a mixing weight for two measures with zero total mass")
     return tm / (tm + tl)
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import strategies as st
 
 from hyperdp import (
     DiscreteMeasure,
@@ -77,6 +78,48 @@ def all_graphs(n):
     for bits in itertools.product((False, True), repeat=len(pairs)):
         edges = [p for p, b in zip(pairs, bits) if b]
         yield build_graph(verts, edges)
+
+
+def bron_kerbosch_cliques(g):
+    """Oracle for ``graphs.maximal_cliques``: the unpivoted Bron-Kerbosch
+    recursion, exponential on one big clique but valid on any graph."""
+    adj = g.neighbors()
+    out = []
+
+    def expand(grown, candidates, excluded):
+        if not candidates and not excluded:
+            out.append(tuple(sorted(grown, key=g.index)))
+            return
+        for v in sorted(candidates, key=g.index):
+            expand(grown | {v}, candidates & adj[v], excluded & adj[v])
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+
+    expand(set(), set(g.vertices), set())
+    return sorted(out, key=lambda c: tuple(g.index(v) for v in c))
+
+
+@st.composite
+def chordal_graphs(draw, max_vertices=30, max_clique=10):
+    """Random chordal graphs, disconnected ones included.
+
+    Each new vertex joins a random subset (of at most ``max_clique - 1``
+    vertices) of the clique that one earlier vertex formed with its
+    earlier neighbors, or of none; read backwards, the insertion order
+    is a perfect elimination ordering.  The labels and the declaration
+    order are permuted.
+    """
+    n = draw(st.integers(1, max_vertices))
+    cliques, edges = [], []
+    for v in range(n):
+        base = draw(st.sampled_from([()] + cliques))
+        bits = draw(st.lists(st.booleans(), min_size=len(base), max_size=len(base)))
+        joined = tuple(u for u, b in zip(base, bits) if b)[: max_clique - 1]
+        edges += [(u, v) for u in joined]
+        cliques.append(joined + (v,))
+    label = draw(st.permutations(range(n)))
+    declared = draw(st.permutations(label))
+    return build_graph(declared, [(label[u], label[v]) for u, v in edges])
 
 
 def exact_partition_law(data, likelihood, a, base):

@@ -427,11 +427,21 @@ def _path_spec(bases):
 # the path drops the mass that each pair's gap hides: once at the end
 # (A-B-C), or at every step until the running fold fails the check
 # against the next base (a six-vertex path, 4e-10 dropped per step).
+# Or it keeps the mass but adds up the pairs' overlap gaps of 9e-10
+# (A-B-C-D), until the fold's law of C is 1.8e-9 from the last base's.
 DRIFT_SPECS = {
     "lost-at-the-end": _path_spec(
         [{(0, 0): 0.9999999999, (1, 1): 1e-10}, {(0, 0): 1.0}]
     ),
     "lost-step-by-step": _path_spec([{(0, 0): 1 - 4e-10, (0, 1): 4e-10}] * 5),
+    "drifted": _path_spec(
+        [{(0, 0): 0.5 + d, (1, 1): 0.5 - d} for d in (9e-10, 0.0, -9e-10)]
+    ),
+}
+DRIFT_DETAILS = {
+    "lost-at-the-end": "lost 1.000e-10 of mass",
+    "lost-step-by-step": "lost 1.200e-09 of mass",
+    "drifted": "drifted their overlap marginals 1.800e-09 apart",
 }
 
 
@@ -443,7 +453,7 @@ def test_fold_drift_fails_the_audit_as_inconsistent(tmp_path, spec):
     assert built.returncode == diagnosed.returncode == 1
     error = json.loads(built.stdout)
     assert error["error"] == "Inconsistent"
-    assert "of mass" in error["detail"]
+    assert DRIFT_DETAILS[spec] in error["detail"]
     out = json.loads(diagnosed.stdout)
     assert out["passed"] is False and out["error"] == "Inconsistent"
     failing = [c for c in out["checks"] if not c["passed"]]
@@ -508,6 +518,29 @@ def test_reconcile_rescale(tmp_path):
     missing = run_cli("reconcile", "--mu", mu, "--lambda", lam, "--strategy", "rescale-convex")
     assert missing.returncode == 1
     assert json.loads(missing.stdout)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "args, detail",
+    [
+        (("--strategy", "rescale-min"), "cannot rescale measures with zero total mass"),
+        (
+            ("--strategy", "rescale-convex", "--gamma", "0.5"),
+            "cannot rescale measures with zero total mass",
+        ),
+        (
+            ("--strategy", "average"),
+            "cannot suggest a mixing weight for two measures with zero total mass",
+        ),
+        (("--strategy", "kl"), "cannot normalize a measure with zero total mass"),
+    ],
+)
+def test_reconcile_of_zero_measures_exits_with_zero_mass(tmp_path, args, detail):
+    mu = write_json(tmp_path, "mu.json", {**UNIFORM_IJ, "points": []})
+    lam = write_json(tmp_path, "lam.json", {**UNIFORM_JK, "points": []})
+    proc = run_cli("reconcile", "--mu", mu, "--lambda", lam, *args)
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {"error": "ZeroMass", "detail": detail}
 
 
 def test_reconcile_condition_a(tmp_path):

@@ -159,6 +159,9 @@ def test_weighted_atoms_validation():
         WeightedAtoms(((0,), (1,)), (1.0, 0.0), 0.0)
     with pytest.raises(ValueError):
         WeightedAtoms(((0,), (1,)), (0.6, 0.6), 0.0)
+    # a NaN weight makes the sum NaN too, which no sum check can catch
+    with pytest.raises(ValueError, match="strictly positive"):
+        WeightedAtoms(((0,), (1,)), (math.nan, 1.0), 0.0)
 
 
 # ------------------------------------------------------------ stick breaking

@@ -28,6 +28,9 @@ CASES = {
     "build_hdp_refinement_violated": ("build-hdp", "--spec", "specs/refinement_violated.json"),
     "build_hdp_inconsistent": ("build-hdp", "--spec", "specs/inconsistent.json"),
     "build_hdp_non_decomposable": ("build-hdp", "--spec", "specs/non_decomposable.json"),
+    # one clique of 12 binary variables, with vertices, edges and base
+    # variables each listed in another order
+    "build_hdp_one_clique_good": ("build-hdp", "--spec", "specs/one_clique.json"),
     "posterior_hdp_good": (
         "posterior-hdp", "--spec", "specs/good.json", "--data", "specs/good_data.csv",
     ),

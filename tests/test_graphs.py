@@ -19,8 +19,9 @@ from hyperdp import (
     perfect_ordering,
     separates,
 )
+from hyperdp.graphs import _junction_order
 
-from conftest import all_graphs
+from conftest import all_graphs, bron_kerbosch_cliques, chordal_graphs
 
 
 # ---------------------------------------------------------------- oracles
@@ -237,6 +238,39 @@ def test_ordering_from_explicit_cliques_chain():
         ordering_from_cliques(g, (cliques[0], cliques[2], cliques[1]))
     with pytest.raises(ValueError):
         ordering_from_cliques(g, (cliques[0], cliques[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chordal_graphs())
+def test_clique_sweep_matches_bron_kerbosch(g):
+    oracle = bron_kerbosch_cliques(g)
+    assert is_decomposable(g)
+    assert maximal_cliques(g) == oracle
+    if is_connected(g):
+        got = perfect_ordering(g)
+        want = ordering_from_cliques(g, _junction_order(g, oracle))
+        for field in ("vertices", "cliques", "separators", "histories", "residuals"):
+            assert getattr(got, field) == getattr(want, field)
+
+
+def test_forty_vertex_complete_graph_is_one_clique():
+    verts = tuple(range(40))[::-1]
+    d = perfect_ordering(build_graph(verts, itertools.combinations(verts, 2)))
+    assert d.cliques == d.histories == (verts,)
+    assert d.separators == d.residuals == ()
+
+
+def test_graph_without_vertices_has_one_empty_clique():
+    assert maximal_cliques(build_graph((), [])) == [()]
+
+
+def test_cliques_of_a_chordless_square_are_refused():
+    square = build_graph((1, 2, 3, 4), [(1, 2), (2, 3), (3, 4), (4, 1)])
+    message = "^graph has a chordless cycle of length four or more$"
+    with pytest.raises(NotDecomposable, match=message):
+        maximal_cliques(square)
+    with pytest.raises(NotDecomposable, match=message):
+        ordering_from_cliques(square, [(1, 2), (2, 3), (3, 4), (1, 4)])
 
 
 def test_mcs_breaks_ties_by_declaration_order():

@@ -39,6 +39,10 @@ from hyperdp import (
     verify_sample_markov,
     verify_sample_refinement,
 )
+from hyperdp import measures
+from hyperdp.measures import CONSISTENCY_TOL
+
+from conftest import assembled_markov_combination
 
 
 @pytest.fixture
@@ -227,7 +231,66 @@ def test_audit_reports_mass_lost_by_the_fold(space_ij, space_jk, path_graph):
     assert [c["passed"] for c in audit.checks] == [True, True, False]
     assert isinstance(audit.failure, Inconsistent)
     assert "lost 1.000e-10 of mass" in str(audit.failure)
+    assert audit.checks[-1]["name"] == "fold of the clique bases keeps their mass"
     assert audit.checks[-1]["detail"] == str(audit.failure)
+
+
+# each pair of this binary chain is 9e-10 apart on its overlap, within
+# the default tol of 1e-9, and no point loses mass; but the fold of the
+# first two hands the third the first one's law of C, 1.8e-9 from its own
+DRIFT = 9e-10
+DRIFTING_CHAIN = (
+    build_graph("ABCD", [("A", "B"), ("B", "C"), ("C", "D")]),
+    [
+        DiscreteMeasure(
+            ProductSpace.from_domains((a, b), {a: (0, 1), b: (0, 1)}),
+            {(0, 0): 0.5 + shift, (1, 1): 0.5 - shift},
+        )
+        for (a, b), shift in zip(("AB", "BC", "CD"), (DRIFT, 0.0, -DRIFT))
+    ],
+)
+
+
+def test_audit_names_overlap_drift_in_the_fold():
+    audit = audit_hdp(*DRIFTING_CHAIN)
+    assert [c["passed"] for c in audit.checks] == [True, True, True, True, False]
+    assert max(c["marginal_gap"] for c in audit.checks[1:4]) == pytest.approx(DRIFT)
+    assert audit.checks[-1]["name"] == (
+        "fold of the clique bases keeps their overlap marginals proportional"
+    )
+    assert audit.checks[-1]["detail"] == str(audit.failure) == (
+        "folding the clique bases drifted their overlap marginals 1.800e-09 apart, "
+        "although every pair of them is consistent"
+    )
+    assert isinstance(audit.failure, Inconsistent)
+    report = audit.failure.report
+    assert not report.proportional_marginals and report.equal_total_mass
+    assert report.marginal_gap == pytest.approx(2 * DRIFT) and report.mass_gap == 0.0
+
+
+def test_the_fold_recheck_alone_catches_overlap_drift(monkeypatch):
+    # the fold keeps all the mass, so without the re-check inside
+    # markov_combination the drifting chain would build
+    monkeypatch.setattr(
+        measures,
+        "markov_combination",
+        lambda mu, lam, tol: assembled_markov_combination(mu, lam, tol=1.0),
+    )
+    spec = build_hdp(*DRIFTING_CHAIN, nu=1.0)
+    base_cd = marginalize(spec.combined.base, ("C", "D")).mass
+    assert max(abs(base_cd[k] - w) for k, w in DRIFTING_CHAIN[1][2].mass.items()) > (
+        CONSISTENCY_TOL
+    )
+
+
+def test_one_clique_spec_on_forty_variables_builds():
+    names = tuple(f"X{i}" for i in range(40))
+    space = ProductSpace.from_domains(names, {v: (0, 1) for v in names})
+    points = {tuple(k >> (i % 2) & 1 for i in range(40)): 0.25 for k in range(4)}
+    base = DiscreteMeasure(space, points)
+    spec = build_hdp(build_graph(names[::-1], itertools.combinations(names, 2)), [base], 3.0)
+    assert spec.decomposition.cliques == (names[::-1],)
+    assert spec.combined.base == base
 
 
 def test_audit_raises_on_malformed_specs(path_graph, space_jk, uniform_ij, copy_jk):

@@ -21,6 +21,7 @@ from hyperdp import (
     ProductSpace,
     ReconcileStrategy,
     ZeroConditional,
+    ZeroMass,
     complete_via,
     is_consistent,
     kl_compromise,
@@ -102,6 +103,21 @@ def test_rescale_convex(space_ij, space_jk):
     mu2, lam2 = rescale(mu, lam, ReconcileStrategy("rescale-convex", gamma=0.25))
     assert mu2.total == pytest.approx(2.75)
     assert lam2.total == pytest.approx(2.75)
+
+
+@pytest.mark.parametrize(
+    "strategy", [ReconcileStrategy("rescale-min"), ReconcileStrategy("rescale-convex", gamma=0.5)]
+)
+def test_zero_measures_have_no_mass_to_rescale_or_mix(space_ij, space_jk, strategy):
+    mu, lam = DiscreteMeasure(space_ij, {}), DiscreteMeasure(space_jk, {})
+    with pytest.raises(ZeroMass, match="^cannot rescale measures with zero total mass$"):
+        rescale(mu, lam, strategy)
+    with pytest.raises(ZeroMass, match="^cannot suggest a mixing weight"):
+        suggested_gamma(mu, lam)
+    # one zero measure is not proportional to a positive one
+    with pytest.raises(Inconsistent, match="condition 1"):
+        rescale(mu, uniform_measure(space_jk), strategy)
+    assert suggested_gamma(mu, uniform_measure(space_jk)) == 0.0
 
 
 def test_rescale_rejects_shape_disagreement(mu_skew, lam_flat):
