@@ -26,7 +26,7 @@ from .hdp import (
     verify_sample_markov,
     verify_sample_refinement,
 )
-from .measures import is_consistent, markov_combination
+from .measures import CONSISTENCY_TOL, is_consistent, markov_combination
 from .mixture import gibbs_chain, identity_likelihood
 from .reconcile import KINDS, ReconcileStrategy, reconcile, suggested_gamma
 from . import serialize as ser
@@ -297,8 +297,8 @@ def cmd_cdf_estimate(args):
 def _add_sampling_flags(p):
     p.add_argument("--replicates", type=int, default=1, help="number of draws")
     p.add_argument("--seed", type=int, required=True, help="64-bit stream seed")
-    p.add_argument("--eps", type=float, default=1e-10, help="leftover-mass cutoff")
-    p.add_argument("--max-atoms", type=int, default=10_000, help="atom budget per draw")
+    p.add_argument("--eps", type=float, default=SamplerConfig.eps, help="leftover-mass cutoff")
+    p.add_argument("--max-atoms", type=int, default=SamplerConfig.max_atoms, help="atoms per draw")
     p.add_argument(
         "--parallel",
         type=int,
@@ -323,13 +323,13 @@ def build_parser():
     p = sub.add_parser("combine", help="fuse two consistent measures")
     p.add_argument("--mu", required=True, help="first measure JSON")
     p.add_argument("--lambda", dest="lam", required=True, help="second measure JSON")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=CONSISTENCY_TOL)
     p.set_defaults(func=cmd_combine)
 
     p = sub.add_parser("check-consistency", help="agreement report for two measures")
     p.add_argument("--mu", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=CONSISTENCY_TOL)
     p.set_defaults(func=cmd_check_consistency)
 
     p = sub.add_parser(
@@ -370,8 +370,8 @@ def build_parser():
     p.add_argument("--spec", required=True)
     p.add_argument("--samples", type=int, default=0, help="extra sampled-draw checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--max-atoms", type=int, default=10_000)
+    p.add_argument("--eps", type=float, default=SamplerConfig.eps)
+    p.add_argument("--max-atoms", type=int, default=SamplerConfig.max_atoms)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("reconcile", help="merge two disagreeing measures")

@@ -18,10 +18,15 @@ class Graph:
     vertices: tuple
     edges: frozenset
 
+    def __post_init__(self):
+        # not a field; reversed so that, as in tuple.index, the first equal label wins
+        index = {v: i for i, v in reversed(tuple(enumerate(self.vertices)))}
+        object.__setattr__(self, "_vertex_index", index)
+
     def index(self, v):
         try:
-            return self.vertices.index(v)
-        except ValueError:
+            return self._vertex_index[v]
+        except (KeyError, TypeError):
             raise UnknownVertex(f"unknown vertex {v!r}") from None
 
     def has_edge(self, u, v):
@@ -65,10 +70,9 @@ def build_graph(vertices, edges):
     idx = {v: i for i, v in enumerate(verts)}
     norm = set()
     for u, v in edges:
-        if u not in idx:
-            raise UnknownVertex(f"edge endpoint {u!r} is not a declared vertex")
-        if v not in idx:
-            raise UnknownVertex(f"edge endpoint {v!r} is not a declared vertex")
+        for w in (u, v):
+            if w not in idx:
+                raise UnknownVertex(f"edge endpoint {w!r} is not a declared vertex")
         if u == v:
             continue
         norm.add((u, v) if idx[u] < idx[v] else (v, u))
@@ -78,15 +82,14 @@ def build_graph(vertices, edges):
 def mcs_order(g):
     """Maximum cardinality search visit order (ties: lowest declaration index)."""
     adj = g.neighbors()
-    weight = {v: 0 for v in g.vertices}
-    remaining = set(g.vertices)
+    weight = dict.fromkeys(g.vertices, 0)  # declaration order: max keeps the first of equals
     order = []
-    while remaining:
-        z = max(remaining, key=lambda v: (weight[v], -g.index(v)))
-        remaining.discard(z)
+    while weight:
+        z = max(weight, key=weight.__getitem__)
+        del weight[z]
         order.append(z)
         for u in adj[z]:
-            if u in remaining:
+            if u in weight:
                 weight[u] += 1
     return order
 
@@ -94,17 +97,19 @@ def mcs_order(g):
 def _visited_cliques(g):
     """Each vertex with its visited neighbors, in search order, or None at
     the first such set that is not a clique, for then the graph is not
-    chordal (Tarjan & Yannakakis 1984).  Components are swept in turn.
+    chordal.  Each set is tested against its last-visited member only
+    (Tarjan & Yannakakis 1984).  Components are swept in turn.
     """
     adj = g.neighbors()
-    visited = set()
+    visited = {}  # vertex -> visit position
     sets = []
     for v in mcs_order(g):
-        earlier = adj[v] & visited
-        if any(not earlier <= adj[u] | {u} for u in earlier):
+        earlier = adj[v] & visited.keys()
+        last = max(earlier, key=visited.__getitem__, default=v)
+        if not earlier - {last} <= adj[last]:
             return None
         sets.append(earlier | {v})
-        visited.add(v)
+        visited[v] = len(visited)
     return sets
 
 
@@ -113,19 +118,18 @@ def is_decomposable(g):
     return _visited_cliques(g) is not None
 
 
-def is_connected(g):
-    if not g.vertices:
-        return False
+def _reachable(g, start, blocked):
+    """``start`` and every vertex a path from it reaches outside ``blocked``."""
     adj = g.neighbors()
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(g.vertices)
+    seen = frontier = set(start)
+    while frontier:
+        frontier = {u for v in frontier for u in adj[v]} - seen - blocked
+        seen |= frontier
+    return seen
+
+
+def is_connected(g):
+    return bool(g.vertices) and len(_reachable(g, g.vertices[:1], set())) == len(g.vertices)
 
 
 def maximal_cliques(g):
@@ -141,22 +145,22 @@ def maximal_cliques(g):
     return sorted(out, key=lambda c: tuple(g.index(v) for v in c)) or [()]
 
 
-def _junction_order(g, cliques):
-    # Greedy maximum-weight attachment (weights are overlap sizes) builds a
-    # junction tree for a connected chordal graph; the attachment order is
-    # then a perfect ordering.  Ties fall to the lexicographically
-    # smallest clique so the result is reproducible.
-    chosen = [cliques[0]]
-    rest = list(cliques[1:])
-    while rest:
-        def rank(c):
-            w = max(len(set(c) & set(t)) for t in chosen)
-            return (-w, tuple(g.index(v) for v in c))
-
-        nxt = min(rest, key=rank)
-        rest.remove(nxt)
-        chosen.append(nxt)
-    return chosen
+def _junction_order(cliques):
+    # Prim's maximum-weight spanning tree over overlap sizes is a junction tree of
+    # a connected chordal graph, attached in perfect order.  ``best`` maps each
+    # unplaced clique to its largest overlap with a placed one, in the given
+    # lexicographic order, so ties fall to the smallest clique.
+    sets = [set(c) for c in cliques]
+    best = dict.fromkeys(range(1, len(cliques)), 0)
+    order = [0]
+    while best:
+        last = sets[order[-1]]
+        for j in best:
+            best[j] = max(best[j], len(sets[j] & last))
+        nxt = max(best, key=best.__getitem__)
+        del best[nxt]
+        order.append(nxt)
+    return [cliques[j] for j in order]
 
 
 def ordering_from_cliques(g, cliques):
@@ -170,31 +174,30 @@ def ordering_from_cliques(g, cliques):
     expected = set(maximal_cliques(g))
     if len(given) != len(expected) or set(given) != expected:
         raise ValueError("cliques must be exactly the graph's maximal cliques")
+    return _decomposition(g, given)
+
+
+def _decomposition(g, given):
+    """Decomposition of the index-sorted maximal cliques in a perfect order."""
 
     def key(vs):
         return tuple(sorted(vs, key=g.index))
 
+    sets = [set(c) for c in given]
     history = set(given[0])
-    cliques_out = [given[0]]
     histories = [key(history)]
-    separators = []
-    residuals = []
-    for k, c in enumerate(given[1:], start=2):
-        cset = set(c)
+    separators, residuals = [], []
+    for k, cset in enumerate(sets[1:], start=2):
         sep = cset & history
-        if not any(sep <= set(prev) for prev in given[: k - 1]):
+        if not any(sep <= prev for prev in sets[: k - 1]):
             raise ValueError(f"ordering is not perfect at clique {k}")
         residuals.append(key(cset - history))
         separators.append(key(sep))
         history |= cset
-        cliques_out.append(c)
         histories.append(key(history))
+    vertices = tuple(v for v in g.vertices if v in history)
     return CliqueDecomposition(
-        vertices=tuple(v for v in g.vertices if v in history),
-        cliques=tuple(cliques_out),
-        separators=tuple(separators),
-        histories=tuple(histories),
-        residuals=tuple(residuals),
+        vertices, tuple(given), tuple(separators), tuple(histories), tuple(residuals)
     )
 
 
@@ -205,7 +208,7 @@ def perfect_ordering(g):
     cliques = maximal_cliques(g)
     if not is_connected(g):
         raise NotConnected("graph is not connected")
-    return ordering_from_cliques(g, _junction_order(g, cliques))
+    return _decomposition(g, _junction_order(cliques))
 
 
 def separates(g, a, b, c):
@@ -217,15 +220,4 @@ def separates(g, a, b, c):
         raise ValueError("both endpoint sets must be nonempty")
     if aset & cset or bset & cset:
         raise ValueError("endpoint sets must be disjoint from the separating set")
-    adj = g.neighbors()
-    seen = set(aset)
-    stack = list(aset)
-    while stack:
-        v = stack.pop()
-        if v in bset:
-            return False
-        for u in adj[v]:
-            if u not in seen and u not in cset:
-                seen.add(u)
-                stack.append(u)
-    return True
+    return not _reachable(g, aset, cset) & bset

@@ -155,9 +155,16 @@ def atoms_to_json_line(theta, seed, replicate):
     )
 
 
+class _Fields(dict):
+    """A JSON object of an input file: a key it lacks is a ValueError."""
+
+    def __missing__(self, key):
+        raise ValueError(f"input has no {key!r} key")
+
+
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_Fields)
 
 
 def _category_parser(domain, var):

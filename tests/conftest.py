@@ -99,6 +99,84 @@ def bron_kerbosch_cliques(g):
     return sorted(out, key=lambda c: tuple(g.index(v) for v in c))
 
 
+def scan_mcs_order(g):
+    """Oracle for ``graphs.mcs_order``: each step scans every remaining
+    vertex and ranks it by ``(weight, -declaration index)``."""
+    adj = g.neighbors()
+    weight = {v: 0 for v in g.vertices}
+    remaining = set(g.vertices)
+    order = []
+    while remaining:
+        z = max(remaining, key=lambda v: (weight[v], -g.index(v)))
+        remaining.discard(z)
+        order.append(z)
+        for u in adj[z]:
+            if u in remaining:
+                weight[u] += 1
+    return order
+
+
+def ranked_junction_order(g, cliques):
+    """Oracle for ``graphs._junction_order``: each step ranks every
+    remaining clique against every chosen one."""
+    # Greedy maximum-weight attachment (weights are overlap sizes) builds a
+    # junction tree for a connected chordal graph; the attachment order is
+    # then a perfect ordering.  Ties fall to the lexicographically
+    # smallest clique so the result is reproducible.
+    chosen = [cliques[0]]
+    rest = list(cliques[1:])
+    while rest:
+        def rank(c):
+            w = max(len(set(c) & set(t)) for t in chosen)
+            return (-w, tuple(g.index(v) for v in c))
+
+        nxt = min(rest, key=rank)
+        rest.remove(nxt)
+        chosen.append(nxt)
+    return chosen
+
+
+def walk_is_connected(g):
+    """Oracle for ``graphs.is_connected``: a depth-first walk from the
+    first declared vertex."""
+    if not g.vertices:
+        return False
+    adj = g.neighbors()
+    seen = {g.vertices[0]}
+    stack = [g.vertices[0]]
+    while stack:
+        v = stack.pop()
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(g.vertices)
+
+
+def walk_separates(g, a, b, c):
+    """Oracle for ``graphs.separates``: a depth-first walk from ``a`` that
+    stops at the first vertex of ``b``."""
+    aset, bset, cset = set(a), set(b), set(c)
+    for v in aset | bset | cset:
+        g.index(v)
+    if not aset or not bset:
+        raise ValueError("both endpoint sets must be nonempty")
+    if aset & cset or bset & cset:
+        raise ValueError("endpoint sets must be disjoint from the separating set")
+    adj = g.neighbors()
+    seen = set(aset)
+    stack = list(aset)
+    while stack:
+        v = stack.pop()
+        if v in bset:
+            return False
+        for u in adj[v]:
+            if u not in seen and u not in cset:
+                seen.add(u)
+                stack.append(u)
+    return True
+
+
 @st.composite
 def chordal_graphs(draw, max_vertices=30, max_clique=10):
     """Random chordal graphs, disconnected ones included.

@@ -810,6 +810,43 @@ def test_malformed_json_exits_2(tmp_path):
     assert json.loads(proc.stdout)["error"] == "IOError"
 
 
+BASE_X = measure_dict(("X",), {"X": (0, 1)}, {(0,): 0.5, (1,): 0.5})
+NO_MASS_X = {**BASE_X, "points": [{"assignment": {"X": 0}}]}
+
+
+@pytest.mark.parametrize(
+    "kind, obj, key",
+    [
+        ("graph", {"vertices": ["I"]}, "edges"),
+        ("spec", {}, "graph"),
+        ("measure", {k: v for k, v in BASE_X.items() if k != "points"}, "points"),
+        ("measure", {**BASE_X, "domains": {}}, "X"),
+        ("point", NO_MASS_X, "mass"),
+        ("likelihood", {"entries": [{"x": {"X": 0}, "pi": {"X": 0}}]}, "prob"),
+    ],
+    ids=["graph", "spec", "measure", "domains", "point", "likelihood"],
+)
+def test_a_missing_key_is_a_named_error(tmp_path, kind, obj, key):
+    path = write_json(tmp_path, "input.json", obj)
+    base = write_json(tmp_path, "base.json", BASE_X)
+    data = tmp_path / "data.csv"
+    data.write_text("X\n0\n", encoding="utf-8")
+    argv = {
+        "graph": ("check-graph", path),
+        "spec": ("build-hdp", "--spec", path),
+        "measure": ("sample", "--base", path, "--nu", "1", "--seed", "1"),
+        "point": ("sample", "--base", path, "--nu", "1", "--seed", "1"),
+        "likelihood": (
+            "mixture", "--data", data, "--base", base, "--a", "1", "--sweeps", "1",
+            "--seed", "1", "--likelihood", path,
+        ),
+    }[kind]
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {"error": "ValueError", "detail": f"input has no {key!r} key"}
+    assert "Traceback" not in proc.stderr
+
+
 def test_failed_run_writes_no_plot_file(tmp_path):
     base = write_json(
         tmp_path, "base.json",

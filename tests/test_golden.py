@@ -24,6 +24,15 @@ CASES = {
     "diagnose_inconsistent": ("diagnose", "--spec", "specs/inconsistent.json"),
     "diagnose_non_decomposable": ("diagnose", "--spec", "specs/non_decomposable.json"),
     "diagnose_disconnected": ("diagnose", "--spec", "specs/disconnected.json"),
+    # check-graph prints its verdicts with exit code 0 whatever they are.
+    # A clique tree of triangles on a hub, so many overlaps tie, with
+    # vertices and edge endpoints declared in a scrambled order:
+    "check_graph_clique_tree_good": ("check-graph", "specs/graph_clique_tree.json"),
+    # a connected random chordal graph on 120 vertices, labels and
+    # declaration order permuted
+    "check_graph_chordal_120_good": ("check-graph", "specs/graph_chordal_120.json"),
+    "check_graph_square_good": ("check-graph", "specs/graph_square.json"),
+    "check_graph_disconnected_good": ("check-graph", "specs/graph_disconnected.json"),
     "build_hdp_good": ("build-hdp", "--spec", "specs/good.json"),
     "build_hdp_refinement_violated": ("build-hdp", "--spec", "specs/refinement_violated.json"),
     "build_hdp_inconsistent": ("build-hdp", "--spec", "specs/inconsistent.json"),

@@ -19,9 +19,17 @@ from hyperdp import (
     perfect_ordering,
     separates,
 )
-from hyperdp.graphs import _junction_order
+from hyperdp import graphs
 
-from conftest import all_graphs, bron_kerbosch_cliques, chordal_graphs
+from conftest import (
+    all_graphs,
+    bron_kerbosch_cliques,
+    chordal_graphs,
+    ranked_junction_order,
+    scan_mcs_order,
+    walk_is_connected,
+    walk_separates,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -118,6 +126,18 @@ def test_build_graph_normalizes_edges():
     assert not g.has_edge("a", "c")
 
 
+def test_index_behaves_like_tuple_index():
+    g = build_graph((0, 1, "a", None), [(0, 1), (1, "a")])
+    for label in (0, 1, "a", None, 1.0, True, False, 0.0):
+        assert g.index(label) == g.vertices.index(label)
+    for label in ("b", 2, "1", [1], {"a": 1}):  # unknown, then unhashable
+        with pytest.raises(UnknownVertex, match="^unknown vertex "):
+            g.index(label)
+    # a graph built without build_graph may repeat a label: the first index wins
+    twice = graphs.Graph((1, 2, 1.0), frozenset())
+    assert twice.index(1.0) == twice.index(1) == twice.vertices.index(1.0) == 0
+
+
 def test_build_graph_rejects_duplicates_and_strays():
     with pytest.raises(DuplicateVertex):
         build_graph(("a", "a"), [])
@@ -156,6 +176,14 @@ def test_decomposability_answers_for_disconnected_inputs():
 def test_exhaustive_four_vertex_against_oracle():
     for g in all_graphs(4):
         assert is_decomposable(g) == oracle_chordal(g)
+
+
+def test_exhaustive_five_vertex_against_oracle():
+    # the search tests each visited set against its last-visited member only
+    for g in all_graphs(5):
+        chordal = oracle_chordal(g)
+        assert is_decomposable(g) == chordal
+        assert is_decomposable(build_graph(g.vertices[::-1], g.edges)) == chordal
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,16 +269,38 @@ def test_ordering_from_explicit_cliques_chain():
 
 
 @settings(max_examples=300, deadline=None)
-@given(chordal_graphs())
-def test_clique_sweep_matches_bron_kerbosch(g):
+@given(chordal_graphs(), st.data())
+def test_clique_sweep_matches_bron_kerbosch(g, data):
+    """The graph layer against the oracles it replaced, on chordal graphs
+    whose declaration order is permuted."""
+    assert mcs_order(g) == scan_mcs_order(g)
     oracle = bron_kerbosch_cliques(g)
     assert is_decomposable(g)
     assert maximal_cliques(g) == oracle
+    assert is_connected(g) == walk_is_connected(g)
     if is_connected(g):
         got = perfect_ordering(g)
-        want = ordering_from_cliques(g, _junction_order(g, oracle))
+        want = ordering_from_cliques(g, ranked_junction_order(g, oracle))
         for field in ("vertices", "cliques", "separators", "histories", "residuals"):
             assert getattr(got, field) == getattr(want, field)
+    # each vertex goes to a, b, c or none of them
+    n = len(g.vertices)
+    roles = data.draw(st.lists(st.sampled_from("abc-"), min_size=n, max_size=n))
+    a, b, c = ({v for v, r in zip(g.vertices, roles) if r == role} for role in "abc")
+    if a and b:
+        assert separates(g, a, b, c) == walk_separates(g, a, b, c)
+
+
+def test_perfect_ordering_runs_one_search(monkeypatch):
+    calls = []
+    search = graphs.mcs_order
+    monkeypatch.setattr(graphs, "mcs_order", lambda g: calls.append(g) or search(g))
+    g = build_graph(
+        tuple("abcdef"),
+        [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("e", "f"), ("d", "e")],
+    )
+    perfect_ordering(g)
+    assert calls == [g]
 
 
 def test_forty_vertex_complete_graph_is_one_clique():
