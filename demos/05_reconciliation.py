@@ -15,10 +15,10 @@ from hyperdp import (
     is_consistent,
     marginalize,
     markov_combination,
-    reconcile,
     suggested_gamma,
 )
 from hyperdp.errors import Inconsistent
+from hyperdp.reconcile import reconcile
 
 sp_ij = ProductSpace.from_domains(("I", "J"), {"I": (0, 1), "J": (0, 1)})
 sp_jk = ProductSpace.from_domains(("J", "K"), {"J": (0, 1), "K": (0, 1)})

@@ -88,7 +88,6 @@ from .reconcile import (
     ReconcileStrategy,
     complete_via,
     kl_compromise,
-    reconcile,
     rescale,
     suggested_gamma,
     weighted_average,

@@ -15,7 +15,8 @@ their values on some variables), and glued in one place, ``_glue``
 (extend each cell of a trusted measure by another measure's conditional
 law given the overlap).  Marginals, conditionals, the Markov
 combination, the one-sided completions of ``reconcile`` and the
-degeneracy check of ``hdp`` are all built from these two loops.
+degeneracy check of ``hdp`` are all built from these two loops; overlap
+laws and the tables of ``is_markov`` are read from ``_grouped`` directly.
 """
 
 from __future__ import annotations
@@ -316,13 +317,14 @@ class ConsistencyReport:
 def _overlap_law(m, overlap):
     """Normalized marginal of ``m`` on ``overlap``, keyed in ``overlap``'s order.
 
-    ``marginalize`` keys cells in the measure's own variable order, so
-    two measures that list the shared variables differently are only
-    comparable after this reordering.
+    Keys come in the order in which ``m``'s support first reaches them.
+    Each value sums ``normalize``'s per-cell quotients, bit for bit.
     """
-    marginal = marginalize(normalize(m), overlap)
-    order = tuple(marginal.space.index(v) for v in overlap)
-    return {tuple(c[i] for i in order): w for c, w in marginal.mass.items()}
+    total = m.total
+    if total <= 0.0:
+        raise ZeroMass("cannot normalize a measure with zero total mass")
+    groups, _ = _grouped(m, overlap, ())
+    return {c: math.fsum(w / total for _, w in g) for c, g in groups.items()}
 
 
 def _sup_gap(a, b):
@@ -463,18 +465,15 @@ def is_markov(theta, decomp, tol=CONSISTENCY_TOL):
     if not theta.is_probability():
         raise ValueError("a probability measure is required")
 
-    def projector(vars_):
-        keep = set(vars_)
-        return tuple(i for i, v in enumerate(theta.space.variables) if v in keep)
-
-    clique_idx = [projector(c) for c in decomp.cliques]
-    sep_idx = [projector(s) for s in decomp.separators]
-    clique_mass = [marginalize(theta, c).mass for c in decomp.cliques]
-    sep_mass = [marginalize(theta, s).mass for s in decomp.separators]
+    # tables and positions follow the decomposition's own variable order
+    clique_idx = [tuple(map(theta.space.index, c)) for c in decomp.cliques]
+    sep_idx = [tuple(map(theta.space.index, s)) for s in decomp.separators]
+    clique_mass = [_grouped(theta, c, ())[1] for c in decomp.cliques]
+    sep_mass = [_grouped(theta, s, ())[1] for s in decomp.separators]
     # rows hold values of the positions in ``order``, the history so far
     order = list(clique_idx[0])
     rows = list(clique_mass[0])
-    res_idx = [projector(r) for r in decomp.residuals]
+    res_idx = [tuple(map(theta.space.index, r)) for r in decomp.residuals]
     for sep, res, idx, mass in zip(sep_idx, res_idx, clique_idx[1:], clique_mass[1:]):
         sep_in_key = [idx.index(i) for i in sep]
         res_in_key = [idx.index(i) for i in res]

@@ -180,15 +180,15 @@ def kl_compromise(mu, lam):
     probability vectors is their equal-weight mixture.  Both conditional
     laws are then hung off that marginal, giving a probability measure
     on the union space.  Raises ZeroConditional if either side lacks a
-    conditional somewhere the compromise puts mass; the first measure's
-    overlap values are checked first, in its order.
+    conditional somewhere the compromise puts mass, naming the first such
+    overlap value in the order in which the first measure's support, then
+    the second's, reaches them.
     """
     layout = _union_layout(mu, lam)
     overlap = layout.overlap
     mu_c = _overlap_law(mu, overlap)
     lam_c = _overlap_law(lam, overlap)
-    keys = list(mu_c) + [c for c in lam_c if c not in mu_c]
-    compromise = {c: 0.5 * (mu_c.get(c, 0.0) + lam_c.get(c, 0.0)) for c in keys}
+    compromise = {c: 0.5 * (mu_c.get(c, 0.0) + lam_c.get(c, 0.0)) for c in {**mu_c, **lam_c}}
     mu_groups, mu_totals = _grouped(mu, overlap, layout.mu_only)
     lam_groups, lam_totals = _grouped(lam, overlap, layout.extra)
     arrange = layout.arrange

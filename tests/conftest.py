@@ -546,6 +546,18 @@ def assembled_kl_compromise(mu, lam):
     return DiscreteMeasure(union, out)
 
 
+def rekeyed_overlap_law(m, overlap):
+    """Oracle for ``measures._overlap_law``: normalize, marginalize, re-key.
+
+    ``marginalize`` keys cells in the measure's own variable order, so
+    two measures that list the shared variables differently are only
+    comparable after this reordering.
+    """
+    marginal = marginalize(normalize(m), overlap)
+    order = tuple(marginal.space.index(v) for v in overlap)
+    return {tuple(c[i] for i in order): w for c, w in marginal.mass.items()}
+
+
 def outcome(fn, *args):
     """A measure-valued call's result as (space, cells), or its error as (class, message)."""
     try:

@@ -24,6 +24,9 @@ CASES = {
     "diagnose_inconsistent": ("diagnose", "--spec", "specs/inconsistent.json"),
     "diagnose_non_decomposable": ("diagnose", "--spec", "specs/non_decomposable.json"),
     "diagnose_disconnected": ("diagnose", "--spec", "specs/disconnected.json"),
+    # a five-vertex chain whose bases list the shared variable in another
+    # order and whose decimal masses leave a nonzero but tolerated gap
+    "diagnose_chain_gaps_good": ("diagnose", "--spec", "specs/chain_gaps.json"),
     # check-graph prints its verdicts with exit code 0 whatever they are.
     # A clique tree of triangles on a hub, so many overlaps tie, with
     # vertices and edge endpoints declared in a scrambled order:

@@ -1,7 +1,9 @@
 """Graph-structured priors: degeneracy checks, assembly, posteriors."""
 
+import importlib
 import itertools
 import math
+import pkgutil
 import re
 
 import pytest
@@ -403,6 +405,15 @@ def test_star_import_exposes_the_public_names():
     public = {name for name in vars(hyperdp) if not name.startswith("_")}
     assert {"audit_hdp", "HDPAudit", "build_hdp"} <= public
     assert public <= set(namespace)
+
+
+def test_every_submodule_is_the_package_attribute_of_its_name():
+    # a root-level name bound to anything else would shadow the submodule
+    for info in pkgutil.iter_modules(hyperdp.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the command line
+        module = importlib.import_module(f"hyperdp.{info.name}")
+        assert getattr(hyperdp, info.name) is module, info.name
 
 
 # ------------------------------------------------------------------ scaling

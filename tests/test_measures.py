@@ -7,6 +7,7 @@ over full assignment grids, independent of the library's sparse paths.
 import collections
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from hyperdp import (
     scale_measure,
     uniform_measure,
 )
+from hyperdp import measures
 
 from conftest import (
     dense_is_markov,
@@ -43,6 +45,7 @@ from conftest import (
     looped_measure_mass,
     outcome,
     random_joint,
+    rekeyed_overlap_law,
     scan_as_tuple,
     scan_sort_key,
 )
@@ -545,6 +548,88 @@ def test_report_as_dict(space_ij, space_jk):
         "marginal_gap",
         "mass_gap",
     }
+
+
+# ------------------------------------------------------------- overlap law
+
+# categories that are pairwise unequal, so any part of a pool is a domain
+CATEGORY_POOLS = ((0, 1, 2), (False, True, "t"), ("a", "b", "c"), (0.5, 1.0, 2.5), (1, "a", 2.5))
+LAW_WEIGHTS = (0.0, 0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 3.0)
+
+
+@st.composite
+def overlap_law_cases(draw):
+    """Two sparse measures sharing 0-3 variables, and the overlap in a third order.
+
+    Each measure lists the shared variables in its own order.  Cells are
+    left out, given zero weight, or keyed by values equal to the
+    categories but of another type (``True`` for ``1``, ``2.0`` for ``2``).
+    """
+    overlap = [f"O{i}" for i in range(draw(st.integers(0, 3)))]
+    mu_vars = draw(st.permutations(overlap + [f"U{i}" for i in range(draw(st.integers(0, 2)))]))
+    lam_vars = draw(st.permutations(overlap + [f"E{i}" for i in range(draw(st.integers(0, 2)))]))
+    domains = {}
+    for v in sorted(set(mu_vars) | set(lam_vars)):
+        pool = draw(st.permutations(draw(st.sampled_from(CATEGORY_POOLS))))
+        domains[v] = tuple(pool[: draw(st.integers(1, 3))])
+
+    def measure(variables):
+        space = ProductSpace.from_domains(variables, domains)
+        cells = {}
+        for x in space.assignments():
+            if draw(st.booleans()):
+                x = tuple(equal_twin(c) if draw(st.booleans()) else c for c in x)
+                cells[x] = draw(st.sampled_from(LAW_WEIGHTS))
+        return DiscreteMeasure(space, cells)
+
+    return measure(mu_vars), measure(lam_vars), tuple(draw(st.permutations(overlap)))
+
+
+def _law_bits(law, m, overlap):
+    """Each key's ``repr`` with its value's ``float.hex``, or the error raised."""
+    try:
+        return {repr(c): w.hex() for c, w in law(m, overlap).items()}
+    except ZeroMass as exc:
+        return ZeroMass, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(overlap_law_cases())
+def test_overlap_law_matches_the_rekeyed_marginal(case):
+    mu, lam, overlap = case
+    for m in (mu, lam):
+        assert _law_bits(measures._overlap_law, m, overlap) == _law_bits(
+            rekeyed_overlap_law, m, overlap
+        )
+    with mock.patch.object(measures, "_overlap_law", rekeyed_overlap_law):
+        want = is_consistent(mu, lam)
+    got = is_consistent(mu, lam)
+    assert got == want
+    assert got.marginal_gap.hex() == want.marginal_gap.hex()
+
+
+def test_consistency_and_factorization_checks_build_no_measure(
+    monkeypatch, path_decomp, space_ij, space_jk, space_ijk
+):
+    mu = DiscreteMeasure(space_ij, {(0, 0): 0.1, (1, 0): 0.2, (1, 1): 0.7})
+    lam = DiscreteMeasure(space_jk, {(0, 0): 0.3, (1, 1): 0.7})
+    flat = uniform_measure(space_jk)
+    combined = markov_combination(mu, lam)
+    coupled = DiscreteMeasure(space_ijk, {(0, 0, 0): 0.5, (1, 0, 1): 0.5})
+    builds = collections.Counter()
+    for cls in (DiscreteMeasure, ProductSpace):
+        original = vars(cls)["__post_init__"]
+
+        def counted(self, original=original):
+            builds[type(self).__name__] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    assert is_consistent(mu, lam).consistent
+    assert not is_consistent(mu, flat).consistent
+    assert is_markov(combined, path_decomp)
+    assert not is_markov(coupled, path_decomp)
+    assert not builds
 
 
 # ------------------------------------------------------------- combination

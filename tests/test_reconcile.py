@@ -28,13 +28,13 @@ from hyperdp import (
     marginalize,
     markov_combination,
     normalize,
-    reconcile,
     rescale,
     scale_measure,
     suggested_gamma,
     uniform_measure,
     weighted_average,
 )
+from hyperdp.reconcile import reconcile
 
 from conftest import (
     assembled_complete_via,
@@ -250,6 +250,26 @@ def test_kl_compromise_zero_conditional(mu_skew, space_jk, space_ij, lam_flat):
     mu_gap = DiscreteMeasure(space_ij, {(0, 1): 0.5, (1, 1): 0.5})
     with pytest.raises(ZeroConditional, match="first"):
         kl_compromise(mu_gap, lam_flat)
+
+
+def test_kl_compromise_names_the_value_the_support_reaches_first():
+    # mu's support reaches (B, C) = (1, 1) before (0, 0); lam has neither
+    doms = {v: (0, 1) for v in ("A", "B", "C", "D")}
+    mu = DiscreteMeasure(
+        ProductSpace.from_domains(("A", "B", "C"), doms), {(0, 1, 1): 0.5, (1, 0, 0): 0.5}
+    )
+    lam = DiscreteMeasure(ProductSpace.from_domains(("B", "C", "D"), doms), {(0, 1, 0): 1.0})
+    text = "the second measure has no conditional at overlap value (1, 1)"
+    with pytest.raises(ZeroConditional, match=f"^{re.escape(text)}$"):
+        kl_compromise(mu, lam)
+
+
+def test_kl_compromise_of_a_zero_measure_raises_zero_mass(mu_skew, lam_flat, space_ij, space_jk):
+    zero_ij = DiscreteMeasure(space_ij, {})
+    zero_jk = DiscreteMeasure(space_jk, {(0, 1): 0.0})
+    for mu, lam in ((zero_ij, lam_flat), (mu_skew, zero_jk), (zero_ij, zero_jk)):
+        with pytest.raises(ZeroMass, match="^cannot normalize a measure with zero total mass$"):
+            kl_compromise(mu, lam)
 
 
 # -------------------------------------------- degradation and dispatching
