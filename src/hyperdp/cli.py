@@ -3,22 +3,25 @@
 Every randomized command takes ``--seed`` and produces byte-identical
 output for identical inputs and flags.  Output is assembled in full
 before anything is written, so a failing run never emits a partial
-artifact.  Exit codes: 0 success, 1 validation or model errors (the
-symbolic error name appears in the JSON output), 2 I/O errors.
+artifact.  The exceptions are ``sample`` and ``sample-hdp``: once their
+inputs pass every check, they write each draw as soon as it is made.
+Exit codes: 0 success, 1 validation or model errors (the symbolic error
+name appears in the JSON output), 2 I/O errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
 
 from .dp import DPParams, SamplerConfig, bayes_cdf, dp_posterior, sample_dp
-from .errors import HyperDPError
-from .graphs import is_connected, is_decomposable, perfect_ordering
+from .errors import HyperDPError, NotConnected, NotDecomposable
+from .graphs import is_connected, perfect_ordering
 from .hdp import (
     audit_hdp,
     build_hdp,
@@ -69,26 +72,32 @@ def _replicate_line(params, cfg, seed, replicate):
     return ser.atoms_to_json_line(theta, seed, replicate), theta.truncation_residual
 
 
+def _write_lines(results, cfg):
+    """Write each ``(line, residual)`` as it comes, then report budget hits."""
+    residuals = []
+    for line, residual in results:
+        sys.stdout.write(line + "\n")
+        residuals.append(residual)
+    _report_budget_hits(residuals, cfg)
+
+
 def _sample_lines(params, args):
+    """Write one JSON line per replicate to stdout as soon as it is drawn."""
     if args.replicates < 1:
         raise ValueError("--replicates must be at least 1")
     if args.parallel < 1:
         raise ValueError("--parallel must be at least 1")
     cfg = _sampler_config(args)
+    replicate_line = functools.partial(_replicate_line, params, cfg, args.seed)
     reps = range(args.replicates)
     if args.parallel > 1:
         import concurrent.futures  # loaded here so that serial runs skip it
 
         workers = min(args.parallel, args.replicates, os.cpu_count() or 1)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(_replicate_line, *zip(*[(params, cfg, args.seed, r) for r in reps]))
-            )
+            _write_lines(pool.map(replicate_line, reps), cfg)  # map yields in order
     else:
-        results = [_replicate_line(params, cfg, args.seed, r) for r in reps]
-    lines, residuals = zip(*results)
-    _report_budget_hits(residuals, cfg)
-    return "\n".join(lines)
+        _write_lines(map(replicate_line, reps), cfg)
 
 
 def _write_text(path, text):
@@ -98,9 +107,16 @@ def _write_text(path, text):
 
 def cmd_check_graph(args):
     g = ser.graph_from_dict(ser.load_json(args.graph))
-    out = {"decomposable": is_decomposable(g), "connected": is_connected(g)}
-    if out["decomposable"] and out["connected"]:
-        out.update(ser.decomposition_to_dict(perfect_ordering(g)))
+    # perfect_ordering sweeps once, then walks once if the graph is chordal;
+    # only a graph that is not chordal needs a walk of its own
+    try:
+        decomp = perfect_ordering(g)
+    except NotConnected:  # also the graph with no vertices
+        out = {"decomposable": True, "connected": False}
+    except NotDecomposable:
+        out = {"decomposable": False, "connected": is_connected(g)}
+    else:
+        out = {"decomposable": True, "connected": True, **ser.decomposition_to_dict(decomp)}
     return json.dumps(out)
 
 
@@ -121,7 +137,7 @@ def cmd_check_consistency(args):
 
 def cmd_sample(args):
     base = ser.measure_from_dict(ser.load_json(args.base))
-    return _sample_lines(DPParams(args.nu, base), args)
+    _sample_lines(DPParams(args.nu, base), args)
 
 
 def cmd_posterior(args):
@@ -147,7 +163,7 @@ def cmd_build_hdp(args):
 def cmd_sample_hdp(args):
     graph, nu, bases = ser.hdp_spec_from_dict(ser.load_json(args.spec))
     spec = build_hdp(graph, bases, nu)
-    return _sample_lines(spec.combined, args)
+    _sample_lines(spec.combined, args)
 
 
 def cmd_posterior_hdp(args):
@@ -442,7 +458,8 @@ def main(argv=None):
     except (ValueError, TypeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         return 1
-    print(text)
+    if text is not None:
+        print(text)
     return 0
 
 

@@ -8,6 +8,7 @@ only.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -123,26 +124,34 @@ def _base_sampler(base):
 def sample_dp(params, cfg, replicate=0):
     """One stick-breaking draw, truncated by leftover mass or atom budget.
 
-    Sticks are broken with Beta(1, nu) fractions; when the leftover
-    drops below ``cfg.eps`` (or one slot remains), the whole leftover is
-    folded into a final fresh atom so weights always sum to one.
+    Sticks are broken with Beta(1, nu) fractions x / (x + y), x ~ Gamma(1)
+    and y ~ Gamma(nu); a fraction that leaves no weight is drawn again.
+    When the leftover drops below ``cfg.eps`` (or one slot remains), the
+    whole leftover is folded into a final fresh atom so weights always
+    sum to one.  For nu > 1 numpy's ``beta(1, nu)`` makes each fraction
+    in one call from the same two gamma draws (its Gamma(1) is a standard
+    exponential), so it takes the same bits as the two calls that nu <= 1
+    still needs, for there numpy's ``beta`` uses another algorithm.
     """
     rng = stream(cfg.seed, replicate)
     draw, space = _base_sampler(params.base)
-    # Beta(1, nu) as x / (x + y) with x ~ Gamma(1) and y ~ Gamma(nu); numpy
-    # draws Gamma(1) as a standard exponential, so both calls take the same bits
-    exponential, gamma = rng.standard_exponential, rng.standard_gamma
     nu, eps, slots = params.nu, cfg.eps, cfg.max_atoms - 1
+    if nu > 1.0:
+        fraction = functools.partial(rng.beta, 1.0, nu)
+    else:
+        exponential, gamma = rng.standard_exponential, rng.standard_gamma
+
+        def fraction():
+            x, y = exponential(), gamma(nu)
+            return x / (x + y) if x else 0.0  # x = 0 gives 0; the test spares a 0/0
+
     atoms, weights = [], []
     add_atom, add_weight = atoms.append, weights.append
     n, remaining = 0, 1.0
     while n < slots and remaining >= eps:
-        x = exponential()
-        y = gamma(nu)
-        while not x + y > 0.0:  # both draws underflowed to zero
-            x = exponential()
-            y = gamma(nu)
-        w = x / (x + y) * remaining
+        # a zero fraction, or numpy's 0/0 = NaN when both gamma draws are
+        # zero, fails the test below and the loop draws again
+        w = fraction() * remaining
         if w > 0.0:
             add_atom(draw(rng))
             add_weight(w)

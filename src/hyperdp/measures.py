@@ -314,13 +314,13 @@ class ConsistencyReport:
         }
 
 
-def _overlap_law(m, overlap):
+def _overlap_law(m, overlap, total):
     """Normalized marginal of ``m`` on ``overlap``, keyed in ``overlap``'s order.
 
-    Keys come in the order in which ``m``'s support first reaches them.
-    Each value sums ``normalize``'s per-cell quotients, bit for bit.
+    ``total`` is ``m.total``, which the caller has at hand.  Keys come in
+    the order in which ``m``'s support first reaches them.  Each value
+    sums ``normalize``'s per-cell quotients, bit for bit.
     """
-    total = m.total
     if total <= 0.0:
         raise ZeroMass("cannot normalize a measure with zero total mass")
     groups, _ = _grouped(m, overlap, ())
@@ -355,7 +355,7 @@ def is_consistent(mu, lam, tol=CONSISTENCY_TOL):
     mass_gap = abs(tm - tl)
     equal_mass = mass_gap <= tol * max(tm, tl)
     if tm > 0.0 and tl > 0.0:
-        marginal_gap = _sup_gap(_overlap_law(mu, overlap), _overlap_law(lam, overlap))
+        marginal_gap = _sup_gap(_overlap_law(mu, overlap, tm), _overlap_law(lam, overlap, tl))
         proportional = marginal_gap <= tol
     else:
         # a zero measure is proportional only to another zero measure

@@ -186,8 +186,8 @@ def kl_compromise(mu, lam):
     """
     layout = _union_layout(mu, lam)
     overlap = layout.overlap
-    mu_c = _overlap_law(mu, overlap)
-    lam_c = _overlap_law(lam, overlap)
+    mu_c = _overlap_law(mu, overlap, mu.total)
+    lam_c = _overlap_law(lam, overlap, lam.total)
     compromise = {c: 0.5 * (mu_c.get(c, 0.0) + lam_c.get(c, 0.0)) for c in {**mu_c, **lam_c}}
     mu_groups, mu_totals = _grouped(mu, overlap, layout.mu_only)
     lam_groups, lam_totals = _grouped(lam, overlap, layout.extra)

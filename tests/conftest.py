@@ -546,12 +546,13 @@ def assembled_kl_compromise(mu, lam):
     return DiscreteMeasure(union, out)
 
 
-def rekeyed_overlap_law(m, overlap):
+def rekeyed_overlap_law(m, overlap, total):
     """Oracle for ``measures._overlap_law``: normalize, marginalize, re-key.
 
     ``marginalize`` keys cells in the measure's own variable order, so
     two measures that list the shared variables differently are only
-    comparable after this reordering.
+    comparable after this reordering.  ``total`` is ignored: ``normalize``
+    sums the masses itself, so a wrong total passed in shows as a mismatch.
     """
     marginal = marginalize(normalize(m), overlap)
     order = tuple(marginal.space.index(v) for v in overlap)

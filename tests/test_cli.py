@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperdp import cli, measures
+from hyperdp import cli, graphs, measures
 
 
 def run_cli(*argv):
@@ -98,6 +98,50 @@ def test_check_graph_negative_is_still_a_report(tmp_path):
     out = json.loads(proc.stdout)
     assert out["decomposable"] is False
     assert "cliques" not in out
+
+
+_SEARCH_AND_WALK = ["_reachable", "mcs_order"]
+
+
+@pytest.mark.parametrize(
+    "graph, verdict, calls",
+    [
+        ("graph_chordal_120.json", None, _SEARCH_AND_WALK),
+        ("graph_clique_tree.json", None, _SEARCH_AND_WALK),
+        ("graph_disconnected.json", {"decomposable": True, "connected": False}, _SEARCH_AND_WALK),
+        ("graph_square.json", {"decomposable": False, "connected": True}, _SEARCH_AND_WALK),
+        pytest.param(
+            {"vertices": [1, 2, 3, 4, 5], "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]},
+            {"decomposable": False, "connected": False},
+            _SEARCH_AND_WALK,
+            id="square_and_lone_vertex",
+        ),
+        pytest.param(
+            {"vertices": [], "edges": []},
+            {"decomposable": True, "connected": False},
+            [],
+            id="no_vertices",
+        ),
+    ],
+)
+def test_check_graph_searches_once_and_walks_once(
+    tmp_path, monkeypatch, capsys, graph, verdict, calls
+):
+    if isinstance(graph, dict):
+        path = write_json(tmp_path, "graph.json", graph)
+    else:
+        path = pathlib.Path(__file__).parent / "golden" / "specs" / graph
+    seen = []
+    for name in _SEARCH_AND_WALK:
+        fn = getattr(graphs, name)
+        monkeypatch.setattr(graphs, name, lambda *a, fn=fn, name=name: seen.append(name) or fn(*a))
+    assert cli.main(["check-graph", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert sorted(seen) == calls
+    if verdict is None:
+        assert out["decomposable"] is out["connected"] is True and "cliques" in out
+    else:
+        assert out == verdict
 
 
 def test_combine(tmp_path):
@@ -203,6 +247,27 @@ def test_sample_parallel_bytes_match_serial(tmp_path):
     parallel = run_cli(*argv, "--parallel", "2")
     assert parallel.returncode == 0
     assert parallel.stdout == serial.stdout
+
+
+def test_sample_writes_each_draw_before_making_the_next(monkeypatch, capsys):
+    golden = pathlib.Path(__file__).parent / "golden"
+    argv = ["sample", "--base", str(golden / "specs" / "mixture_base.json"), "--nu", "2",
+            "--replicates", "5", "--seed", "3"]
+    written = []  # what stdout has received each time a draw starts
+    sample_dp = cli.sample_dp
+
+    def spy(params, cfg, replicate=0):
+        written.append(capsys.readouterr().out)
+        return sample_dp(params, cfg, replicate)
+
+    monkeypatch.setattr(cli, "sample_dp", spy)
+    assert cli.main(argv) == 0
+    written.append(capsys.readouterr().out)
+    assert written[0] == ""
+    for r, chunk in enumerate(written[1:]):
+        assert chunk.endswith("\n") and chunk.count("\n") == 1
+        assert json.loads(chunk)["replicate"] == r
+    assert "".join(written) == (golden / "sample_good.stdout").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

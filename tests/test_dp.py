@@ -123,6 +123,29 @@ def test_standard_exponential_takes_the_bits_of_unit_gamma(seed, ops):
         assert a.hex() == b.hex()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    ops=st.lists(
+        st.one_of(st.none(), st.floats(1.0, 500.0, exclude_min=True)), min_size=1, max_size=60
+    ),
+)
+@example(seed=0, ops=[math.nextafter(1.0, 2.0), None, 1.5, None])
+def test_unit_beta_takes_the_bits_of_the_two_call_fraction(seed, ops):
+    # for nu > 1 sample_dp draws each stick fraction with one beta(1, nu)
+    # call; it must stay in step with exponential / (exponential + gamma(nu)),
+    # with random() (an atom lookup) between fractions
+    fast, slow = stream(seed, 3), stream(seed, 3)
+    for nu in ops:
+        if nu is None:
+            a, b = fast.random(), slow.random()
+        else:
+            a = fast.beta(1.0, nu)
+            x = slow.standard_exponential()
+            b = x / (x + slow.standard_gamma(nu))
+        assert a.hex() == b.hex()
+
+
 # --------------------------------------------------------------- parameters
 
 
@@ -247,7 +270,9 @@ MIXED_SPACE = ProductSpace.from_domains(
     ),
     masses=st.lists(st.floats(0.01, 10.0), min_size=6, max_size=6),
     continuous=st.booleans(),
-    nu=st.sampled_from((0.01, 1.0, 10.0, 500.0)),
+    nu=st.sampled_from(
+        (0.01, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 1.5, 10.0, 500.0)
+    ),
     eps=st.floats(1e-12, 0.5),
     max_atoms=st.sampled_from((1, 2, 3, 10_000)),
     seed=st.integers(0, 2**64 - 1),
@@ -278,6 +303,56 @@ def test_sample_dp_matches_the_looped_oracle(
     assert [w.hex() for w in fused.weights] == [w.hex() for w in looped.weights]
     assert fused.truncation_residual.hex() == looped.truncation_residual.hex()
     assert fused.space == looped.space
+
+
+class _ScriptedStream:
+    """Stand-in for ``stream``'s generator: each method replays its script
+    and every call is logged by name."""
+
+    def __init__(self, **scripts):
+        self.scripts = {name: iter(draws) for name, draws in scripts.items()}
+        self.calls = []
+
+    def _next(self, name, *args):
+        self.calls.append((name, *args))
+        return next(self.scripts[name])
+
+    def beta(self, a, b):
+        return self._next("beta", a, b)
+
+    def standard_exponential(self):
+        return self._next("standard_exponential")
+
+    def standard_gamma(self, shape):
+        return self._next("standard_gamma", shape)
+
+    def random(self):
+        return self._next("random")
+
+
+def _scripted_draw(monkeypatch, nu, **scripts):
+    """Two-atom ``sample_dp`` draw on a scripted stream, and the stream."""
+    rng = _ScriptedStream(random=[0.1, 0.9], **scripts)
+    monkeypatch.setattr("hyperdp.dp.stream", lambda seed, replicate=0: rng)
+    theta = sample_dp(DPParams(nu, one_var_base([0.5, 0.5])), SamplerConfig(seed=1, max_atoms=2))
+    return theta, rng.calls
+
+
+def test_both_zero_gammas_redraw_the_beta_fraction(monkeypatch):
+    # numpy's beta gives 0/0 = NaN when both of its gamma draws are zero
+    theta, calls = _scripted_draw(monkeypatch, 2.0, beta=[math.nan, 0.25])
+    assert calls == [("beta", 1.0, 2.0)] * 2 + [("random",)] * 2
+    assert theta.atoms == ((0,), (1,)) and theta.weights == (0.25, 0.75)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0])
+def test_both_zero_gammas_redraw_the_two_call_fraction(monkeypatch, nu):
+    theta, calls = _scripted_draw(
+        monkeypatch, nu, standard_exponential=[0.0, 1.0], standard_gamma=[0.0, 3.0]
+    )
+    pair = [("standard_exponential",), ("standard_gamma", nu)]
+    assert calls == pair * 2 + [("random",)] * 2
+    assert theta.atoms == ((0,), (1,)) and theta.weights == (0.25, 0.75)
 
 
 # ------------------------------------------------------- derived quantities

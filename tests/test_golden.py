@@ -79,6 +79,16 @@ CASES = {
         "sample", "--base", "specs/mixture_base.json", "--nu", "2", "--eps", "0.01",
         "--replicates", "5", "--seed", "3",
     ),
+    # nu = 1 and nu < 1, where numpy's beta would switch to Johnk's
+    # algorithm, so each stick fraction is drawn in two calls
+    "sample_nu_one_good": (
+        "sample", "--base", "specs/mixture_base.json", "--nu", "1", "--replicates", "5",
+        "--seed", "3",
+    ),
+    "sample_nu_half_good": (
+        "sample", "--base", "specs/mixture_base.json", "--nu", "0.5", "--replicates", "5",
+        "--seed", "3",
+    ),
     # mu on (A, B, C), lambda on (C, B, D): the two-variable overlap is listed
     # in a different order on each side; the *_bcd lambdas list it as mu does
     "reconcile_rescale_min_good": (

@@ -410,8 +410,6 @@ def test_star_import_exposes_the_public_names():
 def test_every_submodule_is_the_package_attribute_of_its_name():
     # a root-level name bound to anything else would shadow the submodule
     for info in pkgutil.iter_modules(hyperdp.__path__):
-        if info.name == "__main__":
-            continue  # importing it runs the command line
         module = importlib.import_module(f"hyperdp.{info.name}")
         assert getattr(hyperdp, info.name) is module, info.name
 

@@ -588,7 +588,7 @@ def overlap_law_cases(draw):
 def _law_bits(law, m, overlap):
     """Each key's ``repr`` with its value's ``float.hex``, or the error raised."""
     try:
-        return {repr(c): w.hex() for c, w in law(m, overlap).items()}
+        return {repr(c): w.hex() for c, w in law(m, overlap, m.total).items()}
     except ZeroMass as exc:
         return ZeroMass, str(exc)
 
