@@ -249,7 +249,11 @@ def dp_posterior(params, data):
     """
     if not isinstance(params.base, DiscreteMeasure):
         raise TypeError("exact posterior updates require a discrete base")
-    obs = _coerce_data(params.base.space, data)
+    return _posterior(params, _coerce_data(params.base.space, data))
+
+
+def _posterior(params, obs):
+    """``dp_posterior`` of rows already checked against the base's space."""
     n = len(obs)
     if n == 0:
         return params

@@ -195,13 +195,13 @@ def data_from_csv_text(text, space):
         v: _category_parser(space.domain(v), v) for v in space.variables
     }
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         values = []
         for v in space.variables:
             cell = row[v]
             if cell not in parsers[v]:
                 raise ValueError(
-                    f"line {lineno}: value {cell!r} is not a category of {v!r}"
+                    f"line {reader.line_num}: value {cell!r} is not a category of {v!r}"
                 )
             values.append(parsers[v][cell])
         rows.append(tuple(values))

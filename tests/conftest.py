@@ -8,17 +8,24 @@ from hypothesis import strategies as st
 from hyperdp import (
     DiscreteMeasure,
     DomainMismatch,
+    DPParams,
     Inconsistent,
+    NotMarkov,
+    ObservationViolatesSupport,
     ProductSpace,
+    RefinementViolated,
     UnknownVariable,
     WeightedAtoms,
     ZeroConditional,
     build_graph,
+    build_hdp,
+    dp_posterior,
     marginalize,
     normalize,
     perfect_ordering,
 )
-from hyperdp.measures import CONSISTENCY_TOL, _union_space, is_consistent
+from hyperdp.dp import _coerce_data
+from hyperdp.measures import CONSISTENCY_TOL, _check_tol, _sup_gap, _union_space, is_consistent
 from hyperdp.mixture import _draw_candidate, _urn_weights
 from hyperdp.rng import stream
 
@@ -620,3 +627,39 @@ def assembled_markov_combination(mu, lam, tol=CONSISTENCY_TOL):
         for b, w in groups[c]:
             out[x + b] = v * (w / d)
     return DiscreteMeasure(union, out)
+
+
+def reaudited_hdp_posterior(spec, data, tol=CONSISTENCY_TOL):
+    """Oracle for ``hdp.hdp_posterior``, as it was written before it took
+    the conjugate update of the combined base directly.
+
+    Each clique base absorbs the observations' projections; the ensemble
+    is then revalidated and cross-checked against the plain posterior of
+    the combined base, which it must reproduce within 1e-12.
+    """
+    _check_tol(tol)
+    space = spec.combined.base.space
+    obs = _coerce_data(space, data)
+    if not obs:
+        return spec
+    new_bases = []
+    for clique, base in zip(spec.decomposition.cliques, spec.clique_bases):
+        idx = tuple(space.index(v) for v in base.space.variables)
+        projected = [tuple(x[i] for i in idx) for x in obs]
+        new_bases.append(dp_posterior(DPParams(spec.nu, base), projected).base)
+    try:
+        posterior = build_hdp(spec.graph, new_bases, spec.nu + len(obs), tol)
+    except RefinementViolated as exc:
+        raise ObservationViolatesSupport(
+            "observations contradict the degeneracy structure of the base "
+            f"({exc})",
+            exc.report,
+        ) from exc
+    direct = dp_posterior(spec.combined, obs).base
+    fused = posterior.combined.base
+    gap = _sup_gap(direct.mass, fused.mass)
+    if gap > 1e-12:
+        raise NotMarkov(
+            f"internal error: clique-wise posterior deviates from the direct one by {gap:.3e}"
+        )
+    return posterior

@@ -49,6 +49,15 @@ CASES = {
     "posterior_hdp_observation_violates_support": (
         "posterior-hdp", "--spec", "specs/good.json", "--data", "specs/violating_data.csv",
     ),
+    # clique bases keyed with true for the category 1: the update keeps
+    # their keys, and the witness of a failure names J as the bases hold it
+    "posterior_hdp_stand_in_good": (
+        "posterior-hdp", "--spec", "specs/stand_in.json", "--data", "specs/stand_in_data.csv",
+    ),
+    "posterior_hdp_stand_in_observation_violates_support": (
+        "posterior-hdp", "--spec", "specs/stand_in.json",
+        "--data", "specs/stand_in_violating_data.csv",
+    ),
     "sample_hdp_good": (
         "sample-hdp", "--spec", "specs/good.json", "--replicates", "5", "--seed", "3",
     ),

@@ -31,7 +31,9 @@ from hyperdp import (
     build_graph,
     build_hdp,
     check_refinement,
+    dp_posterior,
     hdp_posterior,
+    is_connected,
     is_consistent,
     is_markov,
     marginalize,
@@ -41,10 +43,10 @@ from hyperdp import (
     verify_sample_markov,
     verify_sample_refinement,
 )
-from hyperdp import measures
-from hyperdp.measures import CONSISTENCY_TOL
+from hyperdp import hdp, measures
+from hyperdp.measures import CONSISTENCY_TOL, _sup_gap
 
-from conftest import assembled_markov_combination
+from conftest import assembled_markov_combination, chordal_graphs, reaudited_hdp_posterior
 
 
 @pytest.fixture
@@ -326,10 +328,6 @@ TOL_ENTRIES = {
     "build_hdp": lambda f: build_hdp(
         build_graph(("I", "J"), [("I", "J")]), [f["uniform_ij"]], 2.0, tol=f["tol"]
     ),
-    # no observations: the spec would come back unchanged
-    "hdp_posterior": lambda f: hdp_posterior(
-        build_hdp(f["path_graph"], [f["uniform_ij"], f["copy_jk"]], 4.0), [], f["tol"]
-    ),
     "check_refinement": lambda f: check_refinement(f["copy_jk"], ("J",), ("J", "K"), f["tol"]),
 }
 
@@ -476,6 +474,11 @@ def test_verify_sample_refinement_validation(space_ijk):
     theta = WeightedAtoms(((0, 0, 0),), (1.0,), 0.0, space_ijk)
     with pytest.raises(ValueError):
         verify_sample_refinement(theta, ("I",), ("J", "K"))
+    # as in check_refinement, every variable must be one of the space's
+    with pytest.raises(UnknownVariable, match="'Kx'"):
+        verify_sample_refinement(theta, ("J",), ("J", "Kx"))
+    with pytest.raises(UnknownVariable, match="'Jx'"):
+        verify_sample_refinement(theta, ("Jx",), ("Jx", "K"))
 
 
 # ---------------------------------------------------------------- posterior
@@ -526,3 +529,149 @@ def test_posterior_draws_still_verify(path_spec):
         assert verify_sample_markov(theta, decomp)
         for sep, clique in zip(decomp.separators, decomp.cliques[1:]):
             assert verify_sample_refinement(theta, sep, clique)
+
+
+# values equal to 0 and 1 that print differently
+STAND_INS = {0: (0, False, 0.0), 1: (1, True, 1.0)}
+
+
+@st.composite
+def posterior_cases(draw, bad_rows=True):
+    """A spec that passes its audit, and rows for its update.
+
+    The graph is a path or a star on 2-4 vertices, or a connected
+    chordal graph on at most 5, with 2 or 3 values per vertex.  The
+    joint law weighs a few cells of the first clique, and every later
+    clique sets its residual vertices to a drawn function of its
+    separator value, so every separator pins its clique.  Rows repeat
+    support points, leave the support, are given as dicts, and take
+    False or 0.0 for a 0 and True or 1.0 for a 1; with ``bad_rows`` one
+    of them may be no row of the space.
+    """
+    shape = draw(st.sampled_from(["path", "star", "chordal"]))
+    if shape == "chordal":
+        graph = draw(chordal_graphs(max_vertices=5, max_clique=3).filter(is_connected))
+    else:
+        verts = tuple(f"V{i}" for i in range(draw(st.integers(2, 4))))
+        if shape == "path":
+            graph = build_graph(verts, list(zip(verts, verts[1:])))
+        else:
+            graph = build_graph(verts, [(verts[0], v) for v in verts[1:]])
+    decomp = perfect_ordering(graph)
+    domains = {v: tuple(range(draw(st.integers(2, 3)))) for v in graph.vertices}
+
+    def values(block):
+        return st.tuples(*(st.sampled_from(domains[v]) for v in block))
+
+    first = decomp.cliques[0]
+    cells = draw(st.lists(values(first), min_size=1, max_size=4, unique=True))
+    rows = [dict(zip(first, x)) for x in cells]
+    completion = {}
+    for k, (sep, res) in enumerate(zip(decomp.separators, decomp.residuals)):
+        for row in rows:
+            key = (k, tuple(row[v] for v in sep))
+            if key not in completion:
+                completion[key] = draw(values(res))
+            row.update(zip(res, completion[key]))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
+    vertices = ProductSpace.from_domains(graph.vertices, domains)
+    joint = DiscreteMeasure(
+        vertices, {vertices.as_tuple(r): w / sum(weights) for r, w in zip(rows, weights)}
+    )
+    nu = draw(st.one_of(st.sampled_from([0.5, 1.0, 3.0, 4.0, 123.0]), st.floats(0.5, 123.0)))
+    spec = build_hdp(graph, [marginalize(joint, c) for c in decomp.cliques], nu)
+    space = spec.combined.base.space
+    anywhere = st.tuples(*(st.sampled_from(d) for d in space.domains))
+    point = st.one_of(st.sampled_from(list(spec.combined.base.mass)), anywhere)
+    data = []
+    for x in draw(st.lists(point, min_size=1, max_size=12)):
+        x = tuple(draw(st.sampled_from(STAND_INS.get(c, (c,)))) for c in x)
+        data.append(dict(zip(space.variables, x)) if draw(st.booleans()) else x)
+    if bad_rows and draw(st.integers(0, 3)) == 0:
+        x = data[-1] if isinstance(data[-1], tuple) else tuple(data[-1].values())
+        bad = draw(
+            st.sampled_from(
+                [x + (0,), x[:-1] + (7,), x[:-1] + ("1",), x[:-1] + ([0],), {"zz": 0}]
+            )
+        )
+        data.insert(draw(st.integers(0, len(data))), bad)
+    return spec, data
+
+
+def _posterior_outcome(update, spec, data):
+    """The printed parts of an update, or its error's class and payload."""
+    try:
+        post = update(spec, data)
+    except HyperDPError as exc:
+        return type(exc), exc.payload()
+    return [repr(b) for b in post.clique_bases], post.nu, post.combined.nu, post.decomposition
+
+
+@settings(max_examples=300, deadline=None)
+@given(posterior_cases())
+def test_posterior_agrees_with_the_reaudited_update(case):
+    spec, data = case
+    assert _posterior_outcome(hdp_posterior, spec, data) == _posterior_outcome(
+        reaudited_hdp_posterior, spec, data
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(posterior_cases(bad_rows=False))
+def test_posterior_clique_bases_are_marginals_of_its_base(case):
+    # the paper's conjugacy, which the update relies on instead of a
+    # second audit
+    spec, data = case
+    try:
+        post = hdp_posterior(spec, data)
+    except ObservationViolatesSupport:
+        return
+    combined = post.combined.base
+    assert post.combined == dp_posterior(spec.combined, data)
+    for base in post.clique_bases:
+        marginal = marginalize(combined, base.space.variables)
+        idx = [marginal.space.index(v) for v in base.space.variables]
+        keyed = {tuple(x[i] for i in idx): w for x, w in marginal.mass.items()}
+        assert _sup_gap(keyed, base.mass) <= 1e-12
+    fold = reaudited_hdp_posterior(spec, data).combined.base
+    assert _sup_gap(combined.mass, fold.mass) <= 1e-12
+
+
+def test_posterior_checks_each_row_once_and_audits_nothing_again(monkeypatch):
+    graph, bases = _copy_flip_chain(15)
+    spec = build_hdp(graph, bases, nu=4.0)
+    data = [x for _ in range(50) for x in spec.combined.base.mass]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the posterior was audited again")
+
+    for name in ("combine_clique_bases", "is_consistent", "markov_combination", "is_markov"):
+        for module in (hdp, measures):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    as_tuple = ProductSpace.as_tuple
+    calls = []
+
+    def counted(self, assignment):
+        calls.append(assignment)
+        return as_tuple(self, assignment)
+
+    monkeypatch.setattr(ProductSpace, "as_tuple", counted)
+    post = hdp_posterior(spec, data)
+    assert len(calls) == len(data) == 200
+    assert post.nu == 204.0 and len(post.clique_bases) == 14
+
+
+def test_posterior_of_a_zero_tolerance_spec_takes_rows_on_its_support(
+    path_graph, space_ij, space_jk
+):
+    # the updated overlap laws of these thirds round apart, so a second
+    # audit at tol = 0 called the posterior bases inconsistent
+    first = DiscreteMeasure(space_ij, {(0, 0): 1 / 3, (0, 1): 1 / 3, (1, 0): 1 / 3})
+    second = DiscreteMeasure(space_jk, {(0, 0): 2 / 3, (1, 0): 1 / 3})
+    spec = build_hdp(path_graph, [first, second], 1.0, tol=0.0)
+    with pytest.raises(Inconsistent):
+        reaudited_hdp_posterior(spec, [(0, 0, 0)], tol=0.0)
+    post = hdp_posterior(spec, [(0, 0, 0)])
+    assert post.nu == 2.0
+    assert post.clique_bases[0].mass == {(0, 0): 2 / 3, (0, 1): 1 / 6, (1, 0): 1 / 6}

@@ -253,6 +253,10 @@ def test_csv_errors():
         data_from_csv_text("I\n0\n", sp)
     with pytest.raises(ValueError, match="line 3"):
         data_from_csv_text("I,J\n0,1\n2,0\n", sp)
+    # a blank line is skipped, but still counted
+    one = ProductSpace.from_domains(("X",), {"X": (0, 1)})
+    with pytest.raises(ValueError, match="^line 4: value '7' "):
+        data_from_csv_text("X\n0\n\n7\n", one)
     with pytest.raises(ValueError, match="header"):
         data_from_csv_text("", sp)
     clash = ProductSpace.from_domains(("X",), {"X": (1, "1")})
