@@ -29,6 +29,7 @@ from .graphs import perfect_ordering
 from .measures import (
     CONSISTENCY_TOL,
     _check_tol,
+    _group,
     _grouped,
     combine_clique_bases,
     is_markov,
@@ -103,8 +104,6 @@ def check_refinement(base, separator, clique, tol=DEGENERACY_TOL):
         )
     if not set(separator) <= set(clique):
         raise ValueError("the separator must be a subset of the clique")
-    for v in clique:
-        base.space.index(v)
     clique_m = marginalize(base, clique)
     sep_space = clique_m.space.subspace(separator)
     groups, totals = _grouped(clique_m, sep_space.variables, clique_m.space.variables)
@@ -118,9 +117,7 @@ def check_refinement(base, separator, clique, tol=DEGENERACY_TOL):
         if top < (1.0 - tol) * total:
             passed = False
             witness = dict(zip(sep_space.variables, key))
-            conditional = {
-                repr(x): w / total for x, w in entries
-            }
+            conditional = {repr(x): w / total for x, w in entries}
             break
     return RefinementReport(
         (SeparatorCheck(separator, clique, passed, witness, conditional),)
@@ -272,13 +269,8 @@ def verify_sample_refinement(theta, separator, clique):
         raise ValueError("the separator must be a subset of the clique")
     s_idx = sorted(map(theta.space.index, separator))
     c_idx = sorted(map(theta.space.index, clique))
-    completion = {}
-    for atom in theta.atoms:
-        s = tuple(atom[i] for i in s_idx)
-        c = tuple(atom[i] for i in c_idx)
-        if completion.setdefault(s, c) != c:
-            return False
-    return True
+    groups, _ = _group(dict(zip(theta.atoms, theta.weights)), s_idx, c_idx)
+    return all(len({c for c, _ in g}) == 1 for g in groups.values())
 
 
 def hdp_posterior(spec, data):

@@ -10,13 +10,13 @@ categories and masses are checked a column at a time, and the cells are
 sorted by category index.  The per-cell loop ``_coerced_cells`` runs
 only when that pass rejects a cell.
 
-Cells are grouped in one place, ``_grouped`` (split a measure's cells by
-their values on some variables), and glued in one place, ``_glue``
-(extend each cell of a trusted measure by another measure's conditional
-law given the overlap).  Marginals, conditionals, the Markov
-combination, the one-sided completions of ``reconcile`` and the
-degeneracy check of ``hdp`` are all built from these two loops; overlap
-laws and the tables of ``is_markov`` are read from ``_grouped`` directly.
+Cells are grouped in one place, ``_group`` (split a ``{key: mass}`` dict
+by its keys' values at some positions; ``_grouped`` names them by
+variable), and glued in one place, ``_glue`` (extend each cell by a
+conditional law given the overlap).  Marginals, conditionals, overlap
+laws, the Markov combination, ``is_markov``'s join of clique supports,
+the completions and KL compromise of ``reconcile``, and ``hdp``'s
+degeneracy checks on a base and on a draw are built from these two loops.
 """
 
 from __future__ import annotations
@@ -93,11 +93,9 @@ class ProductSpace:
         return itertools.product(*self.domains)
 
     def subspace(self, keep):
-        keepset = set(keep)
-        for v in keepset:
-            self.index(v)
-        vs = tuple(v for v in self.variables if v in keepset)
-        return ProductSpace(vs, tuple(self.domains[self.index(v)] for v in vs))
+        pos = sorted(set(map(self.index, keep)))  # an error names the first unknown in ``keep``
+        vs = tuple(self.variables[i] for i in pos)
+        return ProductSpace(vs, tuple(self.domains[i] for i in pos))
 
     def sort_key(self, assignment):
         return tuple(map(operator.getitem, self._category_index, assignment))
@@ -216,48 +214,49 @@ def scale_measure(m, factor):
 
 
 def _grouped(m, key_vars, rest_vars):
-    """Split the cells of ``m`` by their values on ``key_vars``.
+    """``_group`` on the cells of ``m``, with the positions of ``key_vars`` and ``rest_vars``."""
+    index = m.space.index
+    return _group(m.mass, tuple(map(index, key_vars)), tuple(map(index, rest_vars)))
 
-    Returns ``(groups, totals)``.  ``groups`` maps each key (values in
-    ``key_vars``' order, keys in order of first appearance) to the
-    ``(values on rest_vars, mass)`` pairs of its cells, in support
-    order; ``totals`` maps it to the ``fsum`` of those masses.
+
+def _group(cells, k_idx, r_idx):
+    """Split ``cells``, a ``{key: mass}`` dict, by the keys' values at ``k_idx``.
+
+    Returns ``(groups, totals)``: ``groups`` maps each value (in order of
+    first appearance) to its cells' ``(values at r_idx, mass)`` pairs, in
+    ``cells``' order; ``totals`` maps it to the ``fsum`` of those masses.
     """
-    k_idx = tuple(m.space.index(v) for v in key_vars)
-    r_idx = tuple(m.space.index(v) for v in rest_vars)
     groups = {}
-    for x, w in m.mass.items():
+    for x, w in cells.items():
         c = tuple(x[i] for i in k_idx)
         groups.setdefault(c, []).append((tuple(x[i] for i in r_idx), w))
     totals = {c: math.fsum(w for _, w in g) for c, g in groups.items()}
     return groups, totals
 
 
-def _glue(trusted, other, overlap, rest, arrange):
-    """Extend each cell of ``trusted`` by ``other``'s law of ``rest`` given ``overlap``.
+def _glue(cells, at, grouped, arrange):
+    """Extend each of ``cells``, a ``{key: mass}`` dict, by a conditional law.
 
-    A cell ``x`` of mass ``w`` and a cell of ``other`` with the same
-    overlap value, values ``b`` on ``rest`` and mass ``wo`` give the cell
-    ``arrange(x + b)`` mass ``w * (wo / d)``, where ``d`` is ``other``'s
-    mass on that overlap value.  Returns ``(cells, first_missing)``:
-    cells of ``trusted`` whose overlap value ``other`` never touches are
-    skipped, and ``first_missing`` is the first such value in
-    ``trusted``'s order, or None.
+    ``at`` holds the overlap's positions in the keys and ``grouped`` is
+    another measure's ``_grouped`` table keyed by the overlap.  A cell
+    ``x`` of mass ``w`` and a pair ``(b, wo)`` of its overlap value's
+    group, of total ``d``, give ``arrange(x + b)`` mass ``w * (wo / d)``.
+    Returns ``(glued, first_missing)``: cells whose overlap value has no
+    group are skipped; ``first_missing`` is the first such value, or None.
     """
-    groups, totals = _grouped(other, overlap, rest)
-    o_idx = tuple(trusted.space.index(v) for v in overlap)
-    cells = {}
+    groups, totals = grouped
+    glued = {}
     first_missing = None
-    for x, w in trusted.mass.items():
-        c = tuple(x[i] for i in o_idx)
+    for x, w in cells.items():
+        c = tuple(x[i] for i in at)
         d = totals.get(c, 0.0)
         if d <= 0.0:
             if first_missing is None:
                 first_missing = c
             continue
         for b, wo in groups[c]:
-            cells[arrange(x + b)] = w * (wo / d)
-    return cells, first_missing
+            glued[arrange(x + b)] = w * (wo / d)
+    return glued, first_missing
 
 
 def marginalize(m, keep):
@@ -388,7 +387,8 @@ def markov_combination(mu, lam, tol=CONSISTENCY_TOL):
         )
         raise Inconsistent(f"measures cannot be combined: {failing}", report)
     union, extra = _union_space(mu, lam)
-    cells, _ = _glue(mu, lam, report.overlap, extra, tuple)
+    at = tuple(map(mu.space.index, report.overlap))
+    cells, _ = _glue(mu.mass, at, _grouped(lam, report.overlap, extra), tuple)
     return DiscreteMeasure(union, cells)
 
 
@@ -447,15 +447,13 @@ def is_markov(theta, decomp, tol=CONSISTENCY_TOL):
 
     Checks that the product of clique marginals equals the measure times
     the product of separator marginals, up to ``tol`` in absolute terms,
-    at every full assignment.  Only assignments whose projection on each
-    clique carries clique-marginal mass are visited: they are built by
-    joining the clique supports along the perfect ordering, extending
-    each row by the residual values the next clique allows for the row's
-    separator value.  Anywhere else some clique factor is zero, so both
-    sides are zero (a point of the measure's support projects into every
-    clique support), and the check cannot fail there for any ``tol``.
+    at every full assignment.  Only the join of the clique supports along
+    the perfect ordering is visited (``_glue`` extends each row by the
+    residual values the next clique allows for its separator value):
+    anywhere else some clique factor is zero, so both sides are zero (a
+    point of the measure's support projects into every clique support).
     The cost is thus bounded by the joined supports, not the product
-    space, and the verdict is the one of the full walk.
+    space, and the verdict is the one of the full walk for every ``tol``.
     """
     _check_tol(tol)
     if set(theta.space.variables) != set(decomp.vertices):
@@ -468,26 +466,15 @@ def is_markov(theta, decomp, tol=CONSISTENCY_TOL):
     # tables and positions follow the decomposition's own variable order
     clique_idx = [tuple(map(theta.space.index, c)) for c in decomp.cliques]
     sep_idx = [tuple(map(theta.space.index, s)) for s in decomp.separators]
-    clique_mass = [_grouped(theta, c, ())[1] for c in decomp.cliques]
-    sep_mass = [_grouped(theta, s, ())[1] for s in decomp.separators]
+    res_idx = [tuple(map(theta.space.index, r)) for r in decomp.residuals]
+    clique_mass = [_group(theta.mass, idx, ())[1] for idx in clique_idx]
+    sep_mass = [_group(theta.mass, idx, ())[1] for idx in sep_idx]
     # rows hold values of the positions in ``order``, the history so far
     order = list(clique_idx[0])
-    rows = list(clique_mass[0])
-    res_idx = [tuple(map(theta.space.index, r)) for r in decomp.residuals]
+    rows = clique_mass[0]
     for sep, res, idx, mass in zip(sep_idx, res_idx, clique_idx[1:], clique_mass[1:]):
-        sep_in_key = [idx.index(i) for i in sep]
-        res_in_key = [idx.index(i) for i in res]
-        allowed = {}
-        for y in mass:
-            allowed.setdefault(tuple(y[j] for j in sep_in_key), []).append(
-                tuple(y[j] for j in res_in_key)
-            )
-        sep_in_row = [order.index(i) for i in sep]
-        rows = [
-            row + r
-            for row in rows
-            for r in allowed.get(tuple(row[j] for j in sep_in_row), ())
-        ]
+        table = _group(mass, tuple(map(idx.index, sep)), tuple(map(idx.index, res)))
+        rows, _ = _glue(rows, tuple(map(order.index, sep)), table, tuple)
         order += res
     back = [order.index(i) for i in range(len(order))]
     for row in rows:

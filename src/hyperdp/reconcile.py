@@ -2,9 +2,9 @@
 
 Every strategy degrades gracefully: on inputs that are already
 consistent each one reproduces the plain combination (the rescalers
-return the inputs themselves).  The one-sided completions glue cells
-with ``measures._glue``, so ``condition-on-a`` on consistent inputs runs
-the very loop ``markov_combination`` runs.
+return the inputs themselves).  The one-sided completions and the KL
+compromise glue cells with ``measures._glue``, so ``condition-on-a`` on
+consistent inputs runs the very loop ``markov_combination`` runs.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class _UnionLayout:
 
     A union cell is the first measure's variables in its order, then the
     second measure's extra variables in theirs.  ``arrange`` takes the
-    concatenated values of the ``mu_only``, ``overlap`` and ``extra``
+    concatenated values of the ``overlap``, ``mu_only`` and ``extra``
     blocks and returns them in union order; ``arrange_b`` does the same
     for a cell of the second measure followed by its ``mu_only`` values.
     """
@@ -117,7 +117,7 @@ def _union_layout(mu, lam):
         overlap,
         mu_only,
         extra,
-        arranger(mu_only + overlap + extra),
+        arranger(overlap + mu_only + extra),
         arranger(lam.space.variables + mu_only),
     )
 
@@ -125,9 +125,11 @@ def _union_layout(mu, lam):
 def _completion_cells(mu, lam, layout, side):
     """Unvalidated cells of the one-sided completion; see ``complete_via``."""
     if side == "A":
-        cells, missing = _glue(mu, lam, layout.overlap, layout.extra, tuple)
+        trusted, other, rest, arrange = mu, lam, layout.extra, tuple
     else:
-        cells, missing = _glue(lam, mu, layout.overlap, layout.mu_only, layout.arrange_b)
+        trusted, other, rest, arrange = lam, mu, layout.mu_only, layout.arrange_b
+    at = tuple(map(trusted.space.index, layout.overlap))
+    cells, missing = _glue(trusted.mass, at, _grouped(other, layout.overlap, rest), arrange)
     if missing is not None:
         raise ZeroConditional(
             f"the trusted measure puts mass on overlap value {missing!r} "
@@ -189,27 +191,18 @@ def kl_compromise(mu, lam):
     mu_c = _overlap_law(mu, overlap, mu.total)
     lam_c = _overlap_law(lam, overlap, lam.total)
     compromise = {c: 0.5 * (mu_c.get(c, 0.0) + lam_c.get(c, 0.0)) for c in {**mu_c, **lam_c}}
-    mu_groups, mu_totals = _grouped(mu, overlap, layout.mu_only)
-    lam_groups, lam_totals = _grouped(lam, overlap, layout.extra)
-    arrange = layout.arrange
-    out = {}
+    mu_table = _grouped(mu, overlap, layout.mu_only)
+    lam_table = _grouped(lam, overlap, layout.extra)
     for c, w_c in compromise.items():
-        if w_c <= 0.0:
-            continue
-        if mu_totals.get(c, 0.0) <= 0.0:
-            raise ZeroConditional(
-                f"the first measure has no conditional at overlap value {c!r}"
-            )
-        if lam_totals.get(c, 0.0) <= 0.0:
-            raise ZeroConditional(
-                f"the second measure has no conditional at overlap value {c!r}"
-            )
-        for u, wm in mu_groups[c]:
-            p_u = wm / mu_totals[c]
-            uc = u + c
-            for b, wl in lam_groups[c]:
-                out[arrange(uc + b)] = p_u * w_c * (wl / lam_totals[c])
-    return DiscreteMeasure(layout.space, out)
+        for (_, totals), which in ((mu_table, "first"), (lam_table, "second")):
+            if w_c > 0.0 and totals.get(c, 0.0) <= 0.0:
+                raise ZeroConditional(
+                    f"the {which} measure has no conditional at overlap value {c!r}"
+                )
+    # compromise law, then each side's conditional: cells ``c + u``, then ``c + u + b``
+    cells, _ = _glue(compromise, range(len(overlap)), mu_table, tuple)
+    cells, _ = _glue(cells, range(len(overlap)), lam_table, layout.arrange)
+    return DiscreteMeasure(layout.space, cells)
 
 
 def reconcile(mu, lam, strategy, tol=CONSISTENCY_TOL):

@@ -191,11 +191,9 @@ def data_from_csv_text(text, space):
     missing = [v for v in space.variables if v not in reader.fieldnames]
     if missing:
         raise ValueError(f"data CSV is missing columns {missing!r}")
-    parsers = {
-        v: _category_parser(space.domain(v), v) for v in space.variables
-    }
+    parsers = {v: _category_parser(space.domain(v), v) for v in space.variables}
     rows = []
-    for row in reader:
+    for row in csv_records(reader):
         values = []
         for v in space.variables:
             cell = row[v]
@@ -206,6 +204,19 @@ def data_from_csv_text(text, space):
             values.append(parsers[v][cell])
         rows.append(tuple(values))
     return rows
+
+
+def csv_records(reader):
+    """The records of a ``csv.DictReader``; a repeated column or a wrong cell count is an error."""
+    names = reader.fieldnames
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ValueError(f"line {reader.line_num}: the header repeats column {name!r}")
+    for row in reader:
+        cells = len(names) + len(row.get(None, ())) - list(row.values()).count(None)
+        if cells != len(names):
+            raise ValueError(f"line {reader.line_num}: {cells} cell(s), the header {len(names)}")
+        yield row
 
 
 def load_data_csv(path, space):
@@ -222,6 +233,8 @@ def likelihood_from_dict(obj, data_space, base_space):
         prob = float(entry["prob"])
         if prob < 0.0 or not math.isfinite(prob):
             raise ValueError(f"likelihood entry {k} {entry!r}: prob must be finite and nonnegative")
+        if (x, pi) in table:
+            raise ValueError(f"likelihood entry {k} {entry!r}: its x and pi are listed twice")
         table[(x, pi)] = prob
 
     def f(x, pi):

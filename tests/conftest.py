@@ -518,7 +518,11 @@ def assembled_kl_compromise(mu, lam):
     lam_c = marginalize(normalize(lam), overlap)
     lam_order = tuple(lam_c.space.index(v) for v in overlap)
     lam_law = {tuple(c[i] for i in lam_order): w for c, w in lam_c.mass.items()}
-    keys = set(mu_c.mass) | set(lam_law)
+    # overlap values as the first measure's support reaches them, then the second's
+    reached = [
+        tuple(x[m.space.index(v)] for v in overlap) for m in (mu, lam) for x in m.mass
+    ]
+    keys = dict.fromkeys(reached)
     compromise = {
         c: 0.5 * (mu_c.mass.get(c, 0.0) + lam_law.get(c, 0.0)) for c in keys
     }

@@ -912,6 +912,50 @@ def test_a_missing_key_is_a_named_error(tmp_path, kind, obj, key):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, text, detail",
+    [
+        ("posterior-hdp", "I,J,K,I\n0,0,0,1\n", "line 1: the header repeats column 'I'"),
+        ("posterior-hdp", "I,J,K\n0,0,0\n0,0,0,7\n", "line 3: 4 cell(s), the header 3"),
+        ("posterior-hdp", "I,J,K\n0,0\n", "line 2: 2 cell(s), the header 3"),
+        ("cdf-estimate", "X,Y,X\n0,1,2\n", "line 1: the header repeats column 'X'"),
+        ("cdf-estimate", "X\n0\n\n1,2\n", "line 4: 2 cell(s), the header 1"),
+        ("cdf-estimate", "X,Y\n0\n", "line 2: 1 cell(s), the header 2"),
+    ],
+    ids=["hdp-repeated", "hdp-long", "hdp-short", "cdf-repeated", "cdf-long", "cdf-short"],
+)
+def test_a_data_csv_that_contradicts_its_header_is_a_named_error(
+    tmp_path, capsys, command, text, detail
+):
+    data = tmp_path / "data.csv"
+    data.write_text(text, encoding="utf-8")
+    if command == "posterior-hdp":
+        spec = pathlib.Path(__file__).parent / "golden" / "specs" / "good.json"
+        argv = ["posterior-hdp", "--spec", str(spec), "--data", str(data)]
+    else:
+        base = write_json(tmp_path, "base.json", BASE_X)
+        argv = ["cdf-estimate", "--base", str(base), "--nu", "1", "--data", str(data), "--t", "0"]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "detail": detail}
+
+
+def test_a_likelihood_pair_listed_twice_is_a_named_error(tmp_path, capsys):
+    base = write_json(tmp_path, "base.json", BASE_X)
+    entry = {"x": {"X": 0}, "pi": {"X": 1}, "prob": "0.5"}
+    other = {"x": {"X": 1}, "pi": {"X": 1}, "prob": "1"}
+    table = write_json(tmp_path, "lik.json", {"entries": [entry, other, {**entry, "prob": "0.25"}]})
+    data = tmp_path / "data.csv"
+    data.write_text("X\n0\n1\n", encoding="utf-8")
+    argv = [
+        "mixture", "--data", str(data), "--base", str(base), "--a", "1.0",
+        "--sweeps", "2", "--seed", "1", "--likelihood", str(table),
+    ]
+    assert cli.main(argv) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "ValueError"
+    assert out["detail"].startswith("likelihood entry 3 ") and "listed twice" in out["detail"]
+
+
 def test_failed_run_writes_no_plot_file(tmp_path):
     base = write_json(
         tmp_path, "base.json",

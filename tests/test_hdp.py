@@ -43,7 +43,7 @@ from hyperdp import (
     verify_sample_markov,
     verify_sample_refinement,
 )
-from hyperdp import hdp, measures
+from hyperdp import hdp, measures, reconcile
 from hyperdp.measures import CONSISTENCY_TOL, _sup_gap
 
 from conftest import assembled_markov_combination, chordal_graphs, reaudited_hdp_posterior
@@ -444,6 +444,37 @@ def test_factorization_checks_never_walk_the_product_space(monkeypatch):
     space = ProductSpace.from_domains(graph.vertices, {v: (0, 1, 2) for v in graph.vertices})
     coupled = DiscreteMeasure(space, {(0,) * 64: 0.5, (1,) + (0,) * 62 + (2,): 0.5})
     assert not is_markov(coupled, spec.decomposition)
+
+
+def test_every_cell_assembly_runs_the_one_join(monkeypatch):
+    # is_markov's join, the Markov combination and the reconcile strategies
+    # build their cells through measures._glue and nothing else
+    glue, calls = measures._glue, []
+
+    def counted(*args):
+        calls.append(glue(*args))
+        return calls[-1]
+
+    for module in (measures, reconcile):
+        monkeypatch.setattr(module, "_glue", counted)
+    graph, bases = _copy_flip_chain(15)
+    decomp = perfect_ordering(graph)
+    theta = measures.markov_combination_seq(decomp, bases)
+    calls.clear()
+    assert is_markov(theta, decomp)
+    assert len(calls) == len(decomp.cliques) - 1 == 13
+    mu, lam = bases[1], bases[2]
+    builds = [
+        (measures.markov_combination, 1),
+        (lambda a, b: reconcile.complete_via(a, b, "A"), 1),
+        (lambda a, b: reconcile.complete_via(a, b, "B"), 1),
+        (reconcile.kl_compromise, 2),
+    ]
+    for build, n in builds:
+        calls.clear()
+        m = build(mu, lam)
+        assert len(calls) == n
+        assert m.mass == calls[-1][0]
 
 
 # ----------------------------------------------------------------- sampling

@@ -7,6 +7,9 @@ over full assignment grids, independent of the library's sparse paths.
 import collections
 import itertools
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -146,6 +149,25 @@ def test_subspace_preserves_declaration_order():
     assert sub.variables == ("A", "C")
     with pytest.raises(UnknownVariable):
         sp.subspace(["Z"])
+
+
+def test_an_unknown_variable_error_names_the_first_one_asked_for():
+    # the variables are looked up in the caller's order, not in the hash
+    # order of a set, so every hash seed names the same one
+    code = (
+        "from hyperdp import DiscreteMeasure, ProductSpace, marginalize\n"
+        "m = DiscreteMeasure(ProductSpace(('A',), ((0,),)), {(0,): 1.0})\n"
+        "try:\n"
+        "    marginalize(m, ('A', 'Zx', 'Zy', 'Zz'))\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    for seed in range(1, 7):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "UnknownVariable unknown variable 'Zx'\n"
 
 
 def test_as_tuple_coercion():

@@ -348,12 +348,7 @@ def test_union_cells_match_the_assembled_oracle(case):
     assert outcome(weighted_average, mu, lam, gamma) == outcome(
         assembled_weighted_average, mu, lam, gamma
     )
-    got, want = outcome(kl_compromise, mu, lam), outcome(assembled_kl_compromise, mu, lam)
-    if isinstance(want[0], type):
-        # with several bad overlap values the oracle's set order picks which one is named
-        assert got[0] is want[0]
-    else:
-        assert got == want
+    assert outcome(kl_compromise, mu, lam) == outcome(assembled_kl_compromise, mu, lam)
 
 
 @st.composite
