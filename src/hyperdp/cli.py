@@ -299,7 +299,7 @@ def cmd_cdf_estimate(args):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or var not in reader.fieldnames:
             raise ValueError(f"data CSV needs a column named {var!r}")
-        data = [float(row[var]) for row in ser.csv_records(reader)]
+        data = [float(row[var]) for row in ser.csv_records(reader, (var,))]
     if args.t is not None:
         return json.dumps({"t": args.t, "estimate": bayes_cdf(params, data, args.t)})
     grid = _parse_grid(args.t_grid)

@@ -29,7 +29,6 @@ from .graphs import perfect_ordering
 from .measures import (
     CONSISTENCY_TOL,
     _check_tol,
-    _group,
     _grouped,
     combine_clique_bases,
     is_markov,
@@ -117,7 +116,9 @@ def check_refinement(base, separator, clique, tol=DEGENERACY_TOL):
         if top < (1.0 - tol) * total:
             passed = False
             witness = dict(zip(sep_space.variables, key))
-            conditional = {repr(x): w / total for x, w in entries}
+            conditional = {
+                repr(x): w / total for x, w in entries
+            }
             break
     return RefinementReport(
         (SeparatorCheck(separator, clique, passed, witness, conditional),)
@@ -269,8 +270,13 @@ def verify_sample_refinement(theta, separator, clique):
         raise ValueError("the separator must be a subset of the clique")
     s_idx = sorted(map(theta.space.index, separator))
     c_idx = sorted(map(theta.space.index, clique))
-    groups, _ = _group(dict(zip(theta.atoms, theta.weights)), s_idx, c_idx)
-    return all(len({c for c, _ in g}) == 1 for g in groups.values())
+    completion = {}
+    for atom in theta.atoms:
+        s = tuple(atom[i] for i in s_idx)
+        c = tuple(atom[i] for i in c_idx)
+        if completion.setdefault(s, c) != c:
+            return False
+    return True
 
 
 def hdp_posterior(spec, data):

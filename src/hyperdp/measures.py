@@ -14,9 +14,11 @@ Cells are grouped in one place, ``_group`` (split a ``{key: mass}`` dict
 by its keys' values at some positions; ``_grouped`` names them by
 variable), and glued in one place, ``_glue`` (extend each cell by a
 conditional law given the overlap).  Marginals, conditionals, overlap
-laws, the Markov combination, ``is_markov``'s join of clique supports,
-the completions and KL compromise of ``reconcile``, and ``hdp``'s
-degeneracy checks on a base and on a draw are built from these two loops.
+laws, the Markov combination, the completions and KL compromise of
+``reconcile`` and the degeneracy check of ``hdp`` are built from these
+two loops.  ``is_markov`` reads its clique tables from ``_group`` but
+joins them as a list of keys: that join carries no masses, and it can
+be far larger than the support.
 """
 
 from __future__ import annotations
@@ -447,13 +449,15 @@ def is_markov(theta, decomp, tol=CONSISTENCY_TOL):
 
     Checks that the product of clique marginals equals the measure times
     the product of separator marginals, up to ``tol`` in absolute terms,
-    at every full assignment.  Only the join of the clique supports along
-    the perfect ordering is visited (``_glue`` extends each row by the
-    residual values the next clique allows for its separator value):
-    anywhere else some clique factor is zero, so both sides are zero (a
-    point of the measure's support projects into every clique support).
+    at every full assignment.  Only assignments whose projection on each
+    clique carries clique-marginal mass are visited: they are built by
+    joining the clique supports along the perfect ordering, extending
+    each row by the residual values the next clique allows for the row's
+    separator value.  Anywhere else some clique factor is zero, so both
+    sides are zero (a point of the measure's support projects into every
+    clique support), and the check cannot fail there for any ``tol``.
     The cost is thus bounded by the joined supports, not the product
-    space, and the verdict is the one of the full walk for every ``tol``.
+    space, and the verdict is the one of the full walk.
     """
     _check_tol(tol)
     if set(theta.space.variables) != set(decomp.vertices):
@@ -471,10 +475,11 @@ def is_markov(theta, decomp, tol=CONSISTENCY_TOL):
     sep_mass = [_group(theta.mass, idx, ())[1] for idx in sep_idx]
     # rows hold values of the positions in ``order``, the history so far
     order = list(clique_idx[0])
-    rows = clique_mass[0]
+    rows = list(clique_mass[0])
     for sep, res, idx, mass in zip(sep_idx, res_idx, clique_idx[1:], clique_mass[1:]):
-        table = _group(mass, tuple(map(idx.index, sep)), tuple(map(idx.index, res)))
-        rows, _ = _glue(rows, tuple(map(order.index, sep)), table, tuple)
+        allowed, _ = _group(mass, tuple(map(idx.index, sep)), tuple(map(idx.index, res)))
+        at = tuple(map(order.index, sep))
+        rows = [row + r for row in rows for r, _ in allowed.get(tuple(row[j] for j in at), ())]
         order += res
     back = [order.index(i) for i in range(len(order))]
     for row in rows:

@@ -191,9 +191,11 @@ def data_from_csv_text(text, space):
     missing = [v for v in space.variables if v not in reader.fieldnames]
     if missing:
         raise ValueError(f"data CSV is missing columns {missing!r}")
-    parsers = {v: _category_parser(space.domain(v), v) for v in space.variables}
+    parsers = {
+        v: _category_parser(space.domain(v), v) for v in space.variables
+    }
     rows = []
-    for row in csv_records(reader):
+    for row in csv_records(reader, space.variables):
         values = []
         for v in space.variables:
             cell = row[v]
@@ -206,16 +208,20 @@ def data_from_csv_text(text, space):
     return rows
 
 
-def csv_records(reader):
-    """The records of a ``csv.DictReader``; a repeated column or a wrong cell count is an error."""
+def csv_records(reader, columns):
+    """The records of a ``csv.DictReader`` that reads ``columns``.
+
+    A header that repeats one of ``columns``, or a record with more or
+    fewer cells than the header, is an error.
+    """
     names = reader.fieldnames
-    for k, name in enumerate(names):
-        if name in names[:k]:
+    for name in columns:
+        if names.count(name) > 1:
             raise ValueError(f"line {reader.line_num}: the header repeats column {name!r}")
     for row in reader:
-        cells = len(names) + len(row.get(None, ())) - list(row.values()).count(None)
-        if cells != len(names):
-            raise ValueError(f"line {reader.line_num}: {cells} cell(s), the header {len(names)}")
+        if None in row or None in row.values():
+            more = "more" if None in row else "fewer"
+            raise ValueError(f"line {reader.line_num}: {more} cells than the header's {len(names)}")
         yield row
 
 

@@ -916,11 +916,11 @@ def test_a_missing_key_is_a_named_error(tmp_path, kind, obj, key):
     "command, text, detail",
     [
         ("posterior-hdp", "I,J,K,I\n0,0,0,1\n", "line 1: the header repeats column 'I'"),
-        ("posterior-hdp", "I,J,K\n0,0,0\n0,0,0,7\n", "line 3: 4 cell(s), the header 3"),
-        ("posterior-hdp", "I,J,K\n0,0\n", "line 2: 2 cell(s), the header 3"),
+        ("posterior-hdp", "I,J,K\n0,0,0\n0,0,0,7\n", "line 3: more cells than the header's 3"),
+        ("posterior-hdp", "I,J,K\n0,0\n", "line 2: fewer cells than the header's 3"),
         ("cdf-estimate", "X,Y,X\n0,1,2\n", "line 1: the header repeats column 'X'"),
-        ("cdf-estimate", "X\n0\n\n1,2\n", "line 4: 2 cell(s), the header 1"),
-        ("cdf-estimate", "X,Y\n0\n", "line 2: 1 cell(s), the header 2"),
+        ("cdf-estimate", "X\n0\n\n1,2\n", "line 4: more cells than the header's 1"),
+        ("cdf-estimate", "X,Y\n0\n", "line 2: fewer cells than the header's 2"),
     ],
     ids=["hdp-repeated", "hdp-long", "hdp-short", "cdf-repeated", "cdf-long", "cdf-short"],
 )
@@ -937,6 +937,30 @@ def test_a_data_csv_that_contradicts_its_header_is_a_named_error(
         argv = ["cdf-estimate", "--base", str(base), "--nu", "1", "--data", str(data), "--t", "0"]
     assert cli.main(argv) == 1
     assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "detail": detail}
+
+
+@pytest.mark.parametrize(
+    "command, plain, padded",
+    [
+        ("posterior-hdp", "I,J,K\n0,0,0\n1,1,1\n", "I,,J,K,\n0,,0,0,\n1,,1,1,\n"),
+        ("cdf-estimate", "X\n0\n1\n", "X,,\n0,,\n1,,\n"),
+    ],
+)
+def test_a_data_csv_may_repeat_a_column_it_does_not_read(tmp_path, capsys, command, plain, padded):
+    # spreadsheet exports pad rows with empty, unnamed cells
+    outs = []
+    for name, text in (("plain.csv", plain), ("padded.csv", padded)):
+        data = tmp_path / name
+        data.write_text(text, encoding="utf-8")
+        if command == "posterior-hdp":
+            spec = pathlib.Path(__file__).parent / "golden" / "specs" / "good.json"
+            argv = ["posterior-hdp", "--spec", str(spec), "--data", str(data)]
+        else:
+            base = write_json(tmp_path, "base.json", BASE_X)
+            argv = ["cdf-estimate", "--base", str(base), "--nu", "1", "--data", str(data), "--t", "0"]
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_a_likelihood_pair_listed_twice_is_a_named_error(tmp_path, capsys):

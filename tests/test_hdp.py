@@ -447,8 +447,8 @@ def test_factorization_checks_never_walk_the_product_space(monkeypatch):
 
 
 def test_every_cell_assembly_runs_the_one_join(monkeypatch):
-    # is_markov's join, the Markov combination and the reconcile strategies
-    # build their cells through measures._glue and nothing else
+    # the Markov combination and the reconcile strategies build their cells
+    # through measures._glue and nothing else
     glue, calls = measures._glue, []
 
     def counted(*args):
@@ -457,13 +457,7 @@ def test_every_cell_assembly_runs_the_one_join(monkeypatch):
 
     for module in (measures, reconcile):
         monkeypatch.setattr(module, "_glue", counted)
-    graph, bases = _copy_flip_chain(15)
-    decomp = perfect_ordering(graph)
-    theta = measures.markov_combination_seq(decomp, bases)
-    calls.clear()
-    assert is_markov(theta, decomp)
-    assert len(calls) == len(decomp.cliques) - 1 == 13
-    mu, lam = bases[1], bases[2]
+    _, (_, mu, lam) = _copy_flip_chain(4)
     builds = [
         (measures.markov_combination, 1),
         (lambda a, b: reconcile.complete_via(a, b, "A"), 1),
