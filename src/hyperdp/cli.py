@@ -94,8 +94,11 @@ def _sample_lines(params, args):
         import concurrent.futures  # loaded here so that serial runs skip it
 
         workers = min(args.parallel, args.replicates, os.cpu_count() or 1)
+        # about eight chunks per worker, as a task per replicate costs more in
+        # round trips to the pool than its draw; map yields in order
+        chunksize = max(1, args.replicates // (8 * workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            _write_lines(pool.map(replicate_line, reps), cfg)  # map yields in order
+            _write_lines(pool.map(replicate_line, reps, chunksize=chunksize), cfg)
     else:
         _write_lines(map(replicate_line, reps), cfg)
 
@@ -299,7 +302,15 @@ def cmd_cdf_estimate(args):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or var not in reader.fieldnames:
             raise ValueError(f"data CSV needs a column named {var!r}")
-        data = [float(row[var]) for row in ser.csv_records(reader, (var,))]
+        data = []
+        for row in ser.csv_records(reader, (var,)):
+            try:
+                x = float(row[var])
+                if not math.isfinite(x):
+                    raise ValueError(f"observations must be finite real numbers, got {x!r}")
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+            data.append(x)
     if args.t is not None:
         return json.dumps({"t": args.t, "estimate": bayes_cdf(params, data, args.t)})
     grid = _parse_grid(args.t_grid)

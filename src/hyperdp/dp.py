@@ -16,7 +16,7 @@ from collections.abc import Callable
 from ._record import record
 from .errors import OutsideDomain
 from .measures import DiscreteMeasure, ProductSpace, marginalize
-from .rng import stream
+from .rng import scalars, stream
 
 
 @record
@@ -92,16 +92,20 @@ class WeightedAtoms:
             raise ValueError("weights must sum to one")
 
 
-def _weighted_draw(keys, weights):
-    """Sampler of ``keys`` with chances proportional to ``weights``.
-
-    ``draw(rng)`` returns the key of the first running sum above
-    ``rng.random()`` times the total, clamped to the last key: the last
-    key is listed twice, so a draw at or above the total lands on it.
-    """
+def _lookup_table(keys, weights):
+    """``keys`` with the last one listed twice, and the running sums ``cum``
+    of ``weights``: ``keys[bisect_right(cum, u * cum[-1])]`` is the key of
+    the first sum above ``u`` times the total, and a ``u`` of 1 or more
+    lands on the last key."""
     keys = list(keys)
     keys.append(keys[-1])
-    cum = list(itertools.accumulate(weights))
+    return keys, list(itertools.accumulate(weights))
+
+
+def _weighted_draw(keys, weights):
+    """Sampler of ``keys`` with chances proportional to ``weights``:
+    ``draw(rng)`` looks ``rng.random()`` up in ``_lookup_table``."""
+    keys, cum = _lookup_table(keys, weights)
     total = cum[-1]
     bisect_right = bisect.bisect_right
 
@@ -115,12 +119,6 @@ def _discrete_sampler(measure):
     return _weighted_draw(measure.mass, measure.mass.values())
 
 
-def _base_sampler(base):
-    if isinstance(base, DiscreteMeasure):
-        return _discrete_sampler(base), base.space
-    return base.sampler, None
-
-
 def sample_dp(params, cfg, replicate=0):
     """One stick-breaking draw, truncated by leftover mass or atom budget.
 
@@ -131,18 +129,29 @@ def sample_dp(params, cfg, replicate=0):
     sum to one.  For nu > 1 numpy's ``beta(1, nu)`` makes each fraction
     in one call from the same two gamma draws (its Gamma(1) is a standard
     exponential), so it takes the same bits as the two calls that nu <= 1
-    still needs, for there numpy's ``beta`` uses another algorithm.
+    still needs, for there numpy's ``beta`` uses another algorithm.  The
+    shapes go to numpy as 0-d arrays (``rng.scalars``), made once per draw.
+
+    A continuous base's sampler gets the generator once per atom.  For a
+    discrete base each atom takes one raw word ``w`` instead, looked up
+    after the loop as ``(w >> 11) * 2**-53``: numpy's ``random()`` makes
+    that double of the same word, so the atoms are ``_weighted_draw``'s.
     """
     rng = stream(cfg.seed, replicate)
-    draw, space = _base_sampler(params.base)
+    base = params.base
+    if isinstance(base, DiscreteMeasure):
+        draw, space = rng.bit_generator.random_raw, base.space
+    else:
+        draw, space = functools.partial(base.sampler, rng), None
     nu, eps, slots = params.nu, cfg.eps, cfg.max_atoms - 1
     if nu > 1.0:
-        fraction = functools.partial(rng.beta, 1.0, nu)
+        fraction = functools.partial(rng.beta, *scalars(1.0, nu))
     else:
         exponential, gamma = rng.standard_exponential, rng.standard_gamma
+        (shape,) = scalars(nu)
 
         def fraction():
-            x, y = exponential(), gamma(nu)
+            x, y = exponential(), gamma(shape)
             return x / (x + y) if x else 0.0  # x = 0 gives 0; the test spares a 0/0
 
     atoms, weights = [], []
@@ -153,16 +162,21 @@ def sample_dp(params, cfg, replicate=0):
         # zero, fails the test below and the loop draws again
         w = fraction() * remaining
         if w > 0.0:
-            add_atom(draw(rng))
+            add_atom(draw())
             add_weight(w)
             remaining -= w
             n += 1
     if remaining > 0.0:
-        atoms.append(draw(rng))
-        weights.append(remaining)
+        add_atom(draw())
+        add_weight(remaining)
         residual = remaining
     else:
         residual = 0.0
+    if space is not None:
+        keys, cum = _lookup_table(base.mass, base.mass.values())
+        # (word >> 11) * scale rounds once, as random() * total does: 2**-53 * total is exact
+        scale, bisect_right = 2.0**-53 * cum[-1], bisect.bisect_right
+        atoms = [keys[bisect_right(cum, (word >> 11) * scale)] for word in atoms]
     return WeightedAtoms(tuple(atoms), tuple(weights), residual, space)
 
 

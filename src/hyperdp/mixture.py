@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from ._record import record
-from .dp import ContinuousBase, DPParams, _base_sampler, _discrete_sampler, dp_posterior
+from .dp import ContinuousBase, DPParams, _discrete_sampler, dp_posterior
 from .errors import ZeroMass
 from .measures import DiscreteMeasure
 from .rng import stream, uniforms
@@ -67,7 +67,7 @@ def sample_partition(a, base, n, cfg, replicate=0):
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
     rng = stream(cfg.seed, replicate)
-    draw, _ = _base_sampler(base)
+    draw = _discrete_sampler(base) if isinstance(base, DiscreteMeasure) else base.sampler
     values = []
     for i in range(n):
         if rng.random() * (a + i) < a:

@@ -9,10 +9,14 @@ numpy's Gamma, exponential or integer draws.  ``uniforms`` computes the
 same Philox blocks in plain Python for callers that only need
 ``random()``: its draws equal ``stream(seed, replicate).random()`` bit
 for bit, without importing numpy.
+
+Seeds and replicates are integers in [0, 2**64); anything else is a
+``ValueError``, so no two pairs share a key.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 import types
@@ -38,14 +42,46 @@ _SCALE = (2.0**-53).__mul__
 
 
 def _key(seed, replicate):
-    return (int(seed) & _MASK64) | ((int(replicate) & _MASK64) << 64)
+    """The Philox key of a (seed, replicate) pair, the seed in its low word."""
+    for name, value in (("seed", seed), ("replicate", replicate)):
+        if not 0 <= value <= _MASK64:
+            raise ValueError(f"{name} must lie in [0, 2**64), got {value!r}")
+    return int(seed) | int(replicate) << 64
+
+
+@functools.cache
+def _numpy():
+    """numpy, and a seed sequence that hands Philox a key's two words.
+
+    ``Philox(key=k)`` spends half its time seeding a ``SeedSequence`` from
+    OS entropy that it then discards; this gives the same generator
+    without it.  It cannot spawn, so ``Generator.spawn`` raises numpy's
+    ``TypeError``, as with ``key=``.
+    """
+    import numpy as np  # loaded here so that commands drawing no random numbers skip it
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeyWords(ISeedSequence):
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=None):
+            return np.array((self.key & _MASK64, self.key >> 64), np.uint64)
+
+    return np, KeyWords
 
 
 def stream(seed, replicate=0):
-    """Independent generator for one (seed, replicate) pair."""
-    import numpy as np  # loaded here so that commands drawing no random numbers skip it
+    """Independent generator for one (seed, replicate) pair: it draws what
+    ``Generator(Philox(key=_key(seed, replicate)))`` draws."""
+    np, key_words = _numpy()
+    return np.random.Generator(np.random.Philox(key_words(_key(seed, replicate))))
 
-    return np.random.Generator(np.random.Philox(key=_key(seed, replicate)))
+
+def scalars(*values):
+    """``values`` as 0-d float arrays, which numpy's samplers take without
+    converting them on every call; the draws keep their bits."""
+    return [_numpy()[0].array(float(v)) for v in values]
 
 
 def _round_keys(key):

@@ -249,6 +249,46 @@ def test_sample_parallel_bytes_match_serial(tmp_path):
     assert parallel.stdout == serial.stdout
 
 
+@pytest.mark.parametrize("replicates", [7, 130])
+def test_chunked_parallel_bytes_match_serial(tmp_path, replicates):
+    # 130 replicates over two workers come in chunks of several, the last one short
+    base = write_json(tmp_path, "base.json", UNIFORM_IJ)
+    argv = ["sample", "--base", base, "--nu", "3.0", "--replicates", replicates, "--seed", "9"]
+    serial, parallel = run_cli(*argv), run_cli(*argv, "--parallel", "2")
+    assert serial.returncode == parallel.returncode == 0
+    assert len(serial.stdout.splitlines()) == replicates
+    assert parallel.stdout == serial.stdout
+
+
+SEEDED_SPECS = pathlib.Path(__file__).parent / "golden" / "specs"
+SEEDED_COMMANDS = {
+    "sample": ["sample", "--base", SEEDED_SPECS / "mixture_base.json", "--nu", "2"],
+    "sample-hdp": ["sample-hdp", "--spec", SEEDED_SPECS / "good.json", "--replicates", "2"],
+    "mixture": [
+        "mixture", "--data", SEEDED_SPECS / "mixture_data.csv",
+        "--base", SEEDED_SPECS / "mixture_base.json", "--a", "1", "--sweeps", "1",
+    ],
+    "diagnose": ["diagnose", "--spec", SEEDED_SPECS / "good.json", "--samples", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(SEEDED_COMMANDS))
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seeds_at_either_end_of_64_bits_are_accepted(capsys, command, seed):
+    assert cli.main([*map(str, SEEDED_COMMANDS[command]), "--seed", str(seed)]) == 0
+
+
+@pytest.mark.parametrize("command", list(SEEDED_COMMANDS))
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_64_bits_are_a_named_error(capsys, command, seed):
+    # they used to be masked into range: -1 drew as 2**64 - 1, and 2**64 as 0
+    assert cli.main([*map(str, SEEDED_COMMANDS[command]), "--seed", str(seed)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValueError",
+        "detail": f"seed must lie in [0, 2**64), got {seed}",
+    }
+
+
 def test_sample_writes_each_draw_before_making_the_next(monkeypatch, capsys):
     golden = pathlib.Path(__file__).parent / "golden"
     argv = ["sample", "--base", str(golden / "specs" / "mixture_base.json"), "--nu", "2",
@@ -281,7 +321,7 @@ def test_sample_rejects_fewer_than_one_worker(tmp_path, workers):
 
 def test_parallel_workers_are_capped(tmp_path, monkeypatch, capsys):
     # a recorder stands in for the pool, so no worker process is started
-    created = []
+    created, chunks = [], []
 
     class Recorder:
         def __init__(self, max_workers):
@@ -293,7 +333,10 @@ def test_parallel_workers_are_capped(tmp_path, monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        @staticmethod
+        def map(fn, iterable, chunksize):
+            chunks.append(chunksize)
+            return map(fn, iterable)
 
     base = write_json(tmp_path, "base.json", UNIFORM_IJ)
     argv = ["sample", "--base", str(base), "--nu", "3.0", "--replicates", "3", "--seed", "9"]
@@ -301,7 +344,7 @@ def test_parallel_workers_are_capped(tmp_path, monkeypatch, capsys):
     serial = capsys.readouterr().out
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     assert cli.main([*argv, "--parallel", str(10**6)]) == 0
-    assert created == [min(3, cli.os.cpu_count() or 1)]
+    assert created == [min(3, cli.os.cpu_count() or 1)] and chunks == [1]
     assert capsys.readouterr().out == serial
 
 
@@ -935,6 +978,24 @@ def test_a_data_csv_that_contradicts_its_header_is_a_named_error(
     else:
         base = write_json(tmp_path, "base.json", BASE_X)
         argv = ["cdf-estimate", "--base", str(base), "--nu", "1", "--data", str(data), "--t", "0"]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "detail": detail}
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("X\n0\nabc\n", "line 3: could not convert string to float: 'abc'"),
+        ("X\n0\n\nnan\n", "line 4: observations must be finite real numbers, got nan"),
+        ('X\n"0\n"\n-inf\n', "line 4: observations must be finite real numbers, got -inf"),
+    ],
+    ids=["not-a-number", "nan", "inf-after-a-two-line-record"],
+)
+def test_a_cdf_cell_that_is_not_a_finite_number_names_its_line(tmp_path, capsys, text, detail):
+    data = tmp_path / "data.csv"
+    data.write_text(text, encoding="utf-8")
+    base = write_json(tmp_path, "base.json", BASE_X)
+    argv = ["cdf-estimate", "--base", str(base), "--nu", "1", "--data", str(data), "--t", "0"]
     assert cli.main(argv) == 1
     assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "detail": detail}
 

@@ -5,8 +5,10 @@ replicates with 3-sigma bands); the heavy sweeps live in the
 acceptance suite.
 """
 
+import functools
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from hyperdp import (
     uniform_measure,
 )
 from hyperdp.dp import _weighted_draw
-from hyperdp.rng import _LANES, _blocks, _round_keys, uniforms
+from hyperdp.rng import _LANES, _blocks, _key, _round_keys, scalars, uniforms
 
 from conftest import beta_variate, looped_sample_dp
 
@@ -144,6 +146,62 @@ def test_unit_beta_takes_the_bits_of_the_two_call_fraction(seed, ops):
             x = slow.standard_exponential()
             b = x / (x + slow.standard_gamma(nu))
         assert a.hex() == b.hex()
+
+
+SHORTCUT_OPS = [
+    ("random", None), ("beta", math.nextafter(1.0, 2.0)), ("random", None),
+    ("gamma", 0.5), ("exponential", None), ("beta", 500.0), ("random", None),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    replicate=st.integers(0, 2**64 - 1),
+    ops=st.lists(
+        st.one_of(
+            st.just(("random", None)),
+            st.just(("exponential", None)),
+            st.floats(0.01, 500.0).map(lambda nu: ("gamma", nu)),
+            st.floats(1.0, 500.0, exclude_min=True).map(lambda nu: ("beta", nu)),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+)
+@example(seed=0, replicate=0, ops=SHORTCUT_OPS)
+@example(seed=2**64 - 1, replicate=2**64 - 1, ops=SHORTCUT_OPS)
+def test_sample_dp_shortcuts_take_the_bits_of_the_plain_calls(seed, replicate, ops):
+    # sample_dp draws from stream's key-only seed sequence, reads each
+    # atom's uniform from a raw word, and passes its shapes as 0-d arrays;
+    # call for call, that must draw what the plain numpy calls draw on a
+    # generator keyed with Philox(key=...)
+    fast = stream(seed, replicate)
+    plain = np.random.Generator(np.random.Philox(key=_key(seed, replicate)))
+    for kind, nu in ops:
+        if kind == "random":
+            a, b = (fast.bit_generator.random_raw() >> 11) * 2**-53, plain.random()
+        elif kind == "exponential":
+            a, b = fast.standard_exponential(), plain.standard_exponential()
+        elif kind == "gamma":
+            a, b = fast.standard_gamma(*scalars(nu)), plain.standard_gamma(nu)
+        else:
+            a, b = fast.beta(*scalars(1.0, nu)), plain.beta(1.0, nu)
+        assert type(a) is float and a.hex() == b.hex()
+
+
+@pytest.mark.parametrize("seed, replicate", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_streams_refuse_a_seed_or_replicate_outside_64_bits(seed, replicate):
+    # masking would alias them: -1 would draw as 2**64 - 1, and 2**64 as 0
+    name, value = ("seed", seed) if seed else ("replicate", replicate)
+    for make in (stream, uniforms):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 2\*\*64\), got {value}$"):
+            make(seed, replicate)
+
+
+def test_streams_cannot_spawn():
+    with pytest.raises(TypeError):
+        stream(3, 1).spawn(1)
 
 
 # --------------------------------------------------------------- parameters
@@ -307,14 +365,21 @@ def test_sample_dp_matches_the_looped_oracle(
 
 class _ScriptedStream:
     """Stand-in for ``stream``'s generator: each method replays its script
-    and every call is logged by name."""
+    and every call is logged by name.  Shape arguments must come as the
+    0-d arrays that ``sample_dp`` builds once per draw; they are logged as
+    floats."""
 
     def __init__(self, **scripts):
         self.scripts = {name: iter(draws) for name, draws in scripts.items()}
         self.calls = []
+        self.bit_generator = types.SimpleNamespace(
+            random_raw=functools.partial(self._next, "bit_generator.random_raw")
+        )
 
     def _next(self, name, *args):
-        self.calls.append((name, *args))
+        for arg in args:
+            assert isinstance(arg, np.ndarray) and arg.shape == () and arg.dtype == np.float64
+        self.calls.append((name, *map(float, args)))
         return next(self.scripts[name])
 
     def beta(self, a, b):
@@ -326,13 +391,14 @@ class _ScriptedStream:
     def standard_gamma(self, shape):
         return self._next("standard_gamma", shape)
 
-    def random(self):
-        return self._next("random")
-
 
 def _scripted_draw(monkeypatch, nu, **scripts):
-    """Two-atom ``sample_dp`` draw on a scripted stream, and the stream."""
-    rng = _ScriptedStream(random=[0.1, 0.9], **scripts)
+    """Two-atom ``sample_dp`` draw on a scripted stream, and the stream.
+
+    The raw words 0 and 2**64 - 1 are the uniforms 0 and 1 - 2**-53, so
+    the first atom is (0,) and the folded one is (1,).
+    """
+    rng = _ScriptedStream(**{"bit_generator.random_raw": [0, 2**64 - 1]}, **scripts)
     monkeypatch.setattr("hyperdp.dp.stream", lambda seed, replicate=0: rng)
     theta = sample_dp(DPParams(nu, one_var_base([0.5, 0.5])), SamplerConfig(seed=1, max_atoms=2))
     return theta, rng.calls
@@ -341,7 +407,7 @@ def _scripted_draw(monkeypatch, nu, **scripts):
 def test_both_zero_gammas_redraw_the_beta_fraction(monkeypatch):
     # numpy's beta gives 0/0 = NaN when both of its gamma draws are zero
     theta, calls = _scripted_draw(monkeypatch, 2.0, beta=[math.nan, 0.25])
-    assert calls == [("beta", 1.0, 2.0)] * 2 + [("random",)] * 2
+    assert calls == [("beta", 1.0, 2.0)] * 2 + [("bit_generator.random_raw",)] * 2
     assert theta.atoms == ((0,), (1,)) and theta.weights == (0.25, 0.75)
 
 
@@ -351,7 +417,7 @@ def test_both_zero_gammas_redraw_the_two_call_fraction(monkeypatch, nu):
         monkeypatch, nu, standard_exponential=[0.0, 1.0], standard_gamma=[0.0, 3.0]
     )
     pair = [("standard_exponential",), ("standard_gamma", nu)]
-    assert calls == pair * 2 + [("random",)] * 2
+    assert calls == pair * 2 + [("bit_generator.random_raw",)] * 2
     assert theta.atoms == ((0,), (1,)) and theta.weights == (0.25, 0.75)
 
 
