@@ -466,7 +466,7 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "IOError", "detail": str(exc)}))
         return 2
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         return 1
     if text is not None:

@@ -16,7 +16,7 @@ from collections.abc import Callable
 from ._record import record
 from .errors import OutsideDomain
 from .measures import DiscreteMeasure, ProductSpace, marginalize
-from .rng import scalars, stream
+from .rng import _as_index, scalars, stream
 
 
 @record
@@ -64,7 +64,7 @@ class SamplerConfig:
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise ValueError("eps must lie strictly between 0 and 1")
-        if self.max_atoms < 1:
+        if _as_index("max_atoms", self.max_atoms) < 1:
             raise ValueError("max_atoms must be at least 1")
 
 

@@ -14,7 +14,7 @@ Cells are grouped in one place, ``_group`` (split a ``{key: mass}`` dict
 by its keys' values at some positions; ``_grouped`` names them by
 variable), and glued in one place, ``_glue`` (extend each cell by a
 conditional law given the overlap).  Marginals, conditionals, overlap
-laws, the Markov combination, the completions and KL compromise of
+laws, the Markov combination, every union-cell strategy of
 ``reconcile`` and the degeneracy check of ``hdp`` are built from these
 two loops.  ``is_markov`` reads its clique tables from ``_group`` but
 joins them as a list of keys: that join carries no masses, and it can
@@ -236,29 +236,25 @@ def _group(cells, k_idx, r_idx):
     return groups, totals
 
 
-def _glue(cells, at, grouped, arrange):
+def _glue(cells, at, grouped, arrange, mass=None):
     """Extend each of ``cells``, a ``{key: mass}`` dict, by a conditional law.
 
     ``at`` holds the overlap's positions in the keys and ``grouped`` is
     another measure's ``_grouped`` table keyed by the overlap.  A cell
-    ``x`` of mass ``w`` and a pair ``(b, wo)`` of its overlap value's
-    group, of total ``d``, give ``arrange(x + b)`` mass ``w * (wo / d)``.
-    Returns ``(glued, first_missing)``: cells whose overlap value has no
-    group are skipped; ``first_missing`` is the first such value, or None.
+    ``x`` of mass ``w`` and a pair ``(b, wo)`` of its overlap value
+    ``c``'s group, of total ``d``, give ``arrange(x + b)`` mass
+    ``w * (wo / d)``, or ``mass(c, w, wo, d)`` if ``mass`` is given.
+    Cells whose overlap value has no group are skipped.
     """
     groups, totals = grouped
     glued = {}
-    first_missing = None
     for x, w in cells.items():
         c = tuple(x[i] for i in at)
         d = totals.get(c, 0.0)
-        if d <= 0.0:
-            if first_missing is None:
-                first_missing = c
-            continue
-        for b, wo in groups[c]:
-            glued[arrange(x + b)] = w * (wo / d)
-    return glued, first_missing
+        if d > 0.0:
+            for b, wo in groups[c]:
+                glued[arrange(x + b)] = w * (wo / d) if mass is None else mass(c, w, wo, d)
+    return glued
 
 
 def marginalize(m, keep):
@@ -390,8 +386,7 @@ def markov_combination(mu, lam, tol=CONSISTENCY_TOL):
         raise Inconsistent(f"measures cannot be combined: {failing}", report)
     union, extra = _union_space(mu, lam)
     at = tuple(map(mu.space.index, report.overlap))
-    cells, _ = _glue(mu.mass, at, _grouped(lam, report.overlap, extra), tuple)
-    return DiscreteMeasure(union, cells)
+    return DiscreteMeasure(union, _glue(mu.mass, at, _grouped(lam, report.overlap, extra), tuple))
 
 
 def combine_clique_bases(decomp, bases, tol=CONSISTENCY_TOL):

@@ -2,13 +2,15 @@
 
 Every strategy degrades gracefully: on inputs that are already
 consistent each one reproduces the plain combination (the rescalers
-return the inputs themselves).  The one-sided completions and the KL
-compromise glue cells with ``measures._glue``, so ``condition-on-a`` on
-consistent inputs runs the very loop ``markov_combination`` runs.
+return the inputs themselves).  The completions, the weighted average
+and the KL compromise each check their conditionals on grouped tables,
+then glue cells in ``measures._glue`` (the average in one pass), so
+``condition-on-a`` on consistent inputs runs ``markov_combination``'s loop.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 from ._record import record
@@ -122,20 +124,27 @@ def _union_layout(mu, lam):
     )
 
 
+def _check_conditionals(trusted, other):
+    """Raise ZeroConditional at the first overlap value of the ``trusted``
+    ``_grouped`` table that the ``other`` table gives no mass."""
+    for c in trusted[1]:
+        if other[1].get(c, 0.0) <= 0.0:
+            raise ZeroConditional(
+                f"the trusted measure puts mass on overlap value {c!r} "
+                "where the other measure has none"
+            )
+
+
 def _completion_cells(mu, lam, layout, side):
     """Unvalidated cells of the one-sided completion; see ``complete_via``."""
     if side == "A":
         trusted, other, rest, arrange = mu, lam, layout.extra, tuple
     else:
         trusted, other, rest, arrange = lam, mu, layout.mu_only, layout.arrange_b
+    table = _grouped(other, layout.overlap, rest)
+    _check_conditionals(_grouped(trusted, layout.overlap, ()), table)
     at = tuple(map(trusted.space.index, layout.overlap))
-    cells, missing = _glue(trusted.mass, at, _grouped(other, layout.overlap, rest), arrange)
-    if missing is not None:
-        raise ZeroConditional(
-            f"the trusted measure puts mass on overlap value {missing!r} "
-            "where the other measure has none"
-        )
-    return cells
+    return _glue(trusted.mass, at, table, arrange)
 
 
 def complete_via(mu, lam, side):
@@ -146,7 +155,7 @@ def complete_via(mu, lam, side):
     symmetrically for side "B").  The trusted side's marginal is
     reproduced exactly.  Raises ZeroConditional where the trusted
     measure puts mass on an overlap value the other measure never
-    touches.
+    touches, naming the first such value in the trusted measure's order.
     """
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
@@ -155,15 +164,27 @@ def complete_via(mu, lam, side):
 
 
 def weighted_average(mu, lam, gamma):
-    """Pointwise gamma-blend of the two one-sided completions."""
+    """Pointwise gamma-blend of the two one-sided completions, in one join.
+
+    Both exist only if the measures charge the same overlap values (else
+    ZeroConditional, side A's first), and then both live on the cells
+    ``x + b`` with ``mu(x) > 0`` and ``lam(c(x), b) > 0``: gluing ``mu``
+    onto ``lam`` gives side A's ``w * (wo / d)`` and B's ``wo * (w / e)``.
+    """
     if not (0.0 <= gamma <= 1.0):
         raise ValueError("gamma must lie in [0, 1]")
     layout = _union_layout(mu, lam)
-    via_a = _completion_cells(mu, lam, layout, "A")
-    via_b = _completion_cells(mu, lam, layout, "B")
-    out = {k: gamma * a + (1.0 - gamma) * via_b.get(k, 0.0) for k, a in via_a.items()}
-    out.update((k, gamma * 0.0 + (1.0 - gamma) * b) for k, b in via_b.items() if k not in via_a)
-    return DiscreteMeasure(layout.space, out)
+    mu_table = _grouped(mu, layout.overlap, ())
+    lam_table = _grouped(lam, layout.overlap, layout.extra)
+    _check_conditionals(mu_table, lam_table)
+    _check_conditionals(lam_table, mu_table)
+    gamma_b, e = 1.0 - gamma, mu_table[1]
+
+    def blend(c, w, wo, d):
+        return gamma * (w * (wo / d)) + gamma_b * (wo * (w / e[c]))
+
+    at = tuple(map(mu.space.index, layout.overlap))
+    return DiscreteMeasure(layout.space, _glue(mu.mass, at, lam_table, tuple, blend))
 
 
 def suggested_gamma(mu, lam):
@@ -171,6 +192,8 @@ def suggested_gamma(mu, lam):
     tm, tl = mu.total, lam.total
     if tm + tl == 0.0:
         raise ZeroMass("cannot suggest a mixing weight for two measures with zero total mass")
+    if math.isinf(tm + tl):
+        return (0.5 * tm) / (0.5 * tm + 0.5 * tl)
     return tm / (tm + tl)
 
 
@@ -200,8 +223,8 @@ def kl_compromise(mu, lam):
                     f"the {which} measure has no conditional at overlap value {c!r}"
                 )
     # compromise law, then each side's conditional: cells ``c + u``, then ``c + u + b``
-    cells, _ = _glue(compromise, range(len(overlap)), mu_table, tuple)
-    cells, _ = _glue(cells, range(len(overlap)), lam_table, layout.arrange)
+    cells = _glue(compromise, range(len(overlap)), mu_table, tuple)
+    cells = _glue(cells, range(len(overlap)), lam_table, layout.arrange)
     return DiscreteMeasure(layout.space, cells)
 
 

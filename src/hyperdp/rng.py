@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import struct
 import types
 
@@ -43,10 +44,19 @@ _SCALE = (2.0**-53).__mul__
 
 def _key(seed, replicate):
     """The Philox key of a (seed, replicate) pair, the seed in its low word."""
+    seed, replicate = _as_index("seed", seed), _as_index("replicate", replicate)
     for name, value in (("seed", seed), ("replicate", replicate)):
         if not 0 <= value <= _MASK64:
             raise ValueError(f"{name} must lie in [0, 2**64), got {value!r}")
-    return int(seed) | int(replicate) << 64
+    return seed | replicate << 64
+
+
+def _as_index(name, value):
+    """An integer (numpy's too) as an int; 2.5 is a ValueError, not 2."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @functools.cache

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -82,7 +83,8 @@ def object_json(fields):
 
 
 def measure_json(m):
-    """``json.dumps(measure_to_dict(m))``, written a column at a time."""
+    """``json.dumps(measure_to_dict(m))``, written a column at a time and
+    formatted in one ``%`` pass over every cell's category texts and mass."""
     variables = m.space.variables
     head = json.dumps(
         {
@@ -94,7 +96,8 @@ def measure_json(m):
     fields = ", ".join(_key_text(v).replace("%", "%%") + ": %s" for v in variables)
     point = '{"assignment": {' + fields + '}, "mass": "%r"}'
     columns = [_texts_by_identity(c) for c in zip(*m.mass)]
-    points = ", ".join(map(point.__mod__, zip(*columns, m.mass.values())))
+    flat = tuple(itertools.chain.from_iterable(zip(*columns, m.mass.values())))
+    points = ", ".join(itertools.repeat(point, len(m.mass))) % flat
     return f'{head[:-1]}, "points": [{points}]}}'
 
 

@@ -651,6 +651,34 @@ def test_reconcile_of_zero_measures_exits_with_zero_mass(tmp_path, args, detail)
     assert json.loads(proc.stdout) == {"error": "ZeroMass", "detail": detail}
 
 
+def test_reconcile_average_suggests_half_for_two_huge_equal_masses(tmp_path, capsys):
+    # tm + tl overflows to inf, and tm / inf would print a gamma of 0.0
+    huge_ij = measure_dict(("I", "J"), {"I": (0,), "J": (0,)}, {(0, 0): 1.5e308})
+    huge_jk = measure_dict(("J", "K"), {"J": (0,), "K": (0,)}, {(0, 0): 1.5e308})
+    mu, lam = write_json(tmp_path, "mu.json", huge_ij), write_json(tmp_path, "lam.json", huge_jk)
+    argv = ["reconcile", "--mu", str(mu), "--lambda", str(lam), "--strategy", "average"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["gamma"] == 0.5
+    point = {"assignment": {"I": 0, "J": 0, "K": 0}, "mass": "1.5e+308"}
+    assert out["measure"]["points"] == [point]
+
+
+@pytest.mark.parametrize("strategy", ["average", "kl"])
+def test_reconcile_of_a_measure_whose_total_overflows_is_a_named_error(
+    tmp_path, capsys, strategy
+):
+    huge = measure_dict(("I", "J"), {"I": (0, 1), "J": (0,)}, {(0, 0): 1e308, (1, 0): 1e308})
+    point = measure_dict(("J", "K"), {"J": (0,), "K": (0,)}, {(0, 0): 1.0})
+    mu, lam = write_json(tmp_path, "mu.json", huge), write_json(tmp_path, "lam.json", point)
+    argv = ["reconcile", "--mu", str(mu), "--lambda", str(lam), "--strategy", strategy]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "OverflowError",
+        "detail": "intermediate overflow in fsum",
+    }
+
+
 def test_reconcile_condition_a(tmp_path):
     mu = write_json(tmp_path, "mu.json", SKEW_IJ)
     lam = write_json(tmp_path, "lam.json", UNIFORM_JK)

@@ -199,6 +199,21 @@ def test_streams_refuse_a_seed_or_replicate_outside_64_bits(seed, replicate):
             make(seed, replicate)
 
 
+@pytest.mark.parametrize("seed, replicate", [(2.5, 0), (2.0, 0), ("3", 0), (0, 1.5), (0, None)])
+def test_streams_refuse_a_seed_or_replicate_that_is_not_an_integer(seed, replicate):
+    # int() would truncate them: 2.5 drew seed 2's stream
+    name, value = ("replicate", replicate) if seed == 0 else ("seed", seed)
+    for make in (stream, uniforms):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            make(seed, replicate)
+
+
+def test_streams_take_numpy_integers():
+    want = stream(3, 7).random()
+    assert stream(np.uint64(3), np.int32(7)).random() == want
+    assert uniforms(np.int64(3), np.uint8(7)).random() == want
+
+
 def test_streams_cannot_spawn():
     with pytest.raises(TypeError):
         stream(3, 1).spawn(1)
@@ -228,6 +243,9 @@ def test_sampler_config_validation():
         SamplerConfig(seed=1, eps=1.5)
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, max_atoms=0)
+    with pytest.raises(ValueError, match=r"^max_atoms must be an integer, got 2\.5$"):
+        SamplerConfig(seed=1, max_atoms=2.5)
+    assert SamplerConfig(seed=1, max_atoms=np.int64(2)).max_atoms == 2
 
 
 def test_weighted_atoms_validation():

@@ -458,17 +458,28 @@ def test_every_cell_assembly_runs_the_one_join(monkeypatch):
     for module in (measures, reconcile):
         monkeypatch.setattr(module, "_glue", counted)
     _, (_, mu, lam) = _copy_flip_chain(4)
+
+    def refuse(*args):
+        raise AssertionError("the weighted average built a one-sided completion")
+
+    def averaged(a, b):
+        # the blend takes both completions' masses from its one join
+        with monkeypatch.context() as patch:
+            patch.setattr(reconcile, "_completion_cells", refuse)
+            return reconcile.weighted_average(a, b, 0.3)
+
     builds = [
         (measures.markov_combination, 1),
         (lambda a, b: reconcile.complete_via(a, b, "A"), 1),
         (lambda a, b: reconcile.complete_via(a, b, "B"), 1),
         (reconcile.kl_compromise, 2),
+        (averaged, 1),
     ]
     for build, n in builds:
         calls.clear()
         m = build(mu, lam)
         assert len(calls) == n
-        assert m.mass == calls[-1][0]
+        assert m.mass == calls[-1]
 
 
 # ----------------------------------------------------------------- sampling
