@@ -6,7 +6,18 @@ before anything is written, so a failing run never emits a partial
 artifact.  The exceptions are ``sample`` and ``sample-hdp``: once their
 inputs pass every check, they write each draw as soon as it is made.
 Exit codes: 0 success, 1 validation or model errors (the symbolic error
-name appears in the JSON output), 2 I/O errors.
+name appears in the JSON output), 2 I/O errors, among them a stdout that
+cannot be written: a closed pipe or a full disk gives one ``hyperdp:
+cannot write output: ...`` line on stderr and no traceback.
+
+``main(argv)`` runs one command and returns its exit code.  ``run()``,
+the entry point of the ``hyperdp`` script and ``python -m hyperdp``,
+freezes the heap that import built, so the collector's full passes skip
+it, calls ``main``, flushes stdout and stderr and ends the process with
+``os._exit``: the interpreter's teardown (clear every module, collect,
+free every object) only delays the exit of a process whose output is
+written.  What escapes ``main`` (argparse's ``SystemExit``, a traceback,
+``KeyboardInterrupt``) still takes the normal exit path.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import json
 import math
 import os
@@ -78,6 +90,7 @@ def _write_lines(results, cfg):
     for line, residual in results:
         sys.stdout.write(line + "\n")
         residuals.append(residual)
+    sys.stdout.flush()  # a stdout that cannot take the last lines fails inside main
     _report_budget_hits(residuals, cfg)
 
 
@@ -98,7 +111,11 @@ def _sample_lines(params, args):
         # round trips to the pool than its draw; map yields in order
         chunksize = max(1, args.replicates // (8 * workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            _write_lines(pool.map(replicate_line, reps, chunksize=chunksize), cfg)
+            try:
+                _write_lines(pool.map(replicate_line, reps, chunksize=chunksize), cfg)
+            except BaseException:  # a closed stdout, say: drop the chunks not yet started
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         _write_lines(map(replicate_line, reps), cfg)
 
@@ -293,6 +310,10 @@ def _linspace(lo, hi, steps):
 def cmd_cdf_estimate(args):
     if args.t is None and args.t_grid is None:
         raise ValueError("one of --t or --t-grid is required")
+    if args.t is not None and args.t_grid is not None:
+        raise ValueError("--t and --t-grid cannot be used together")
+    if args.plot_csv and args.t_grid is None:
+        raise ValueError("--plot-csv needs --t-grid")
     base = ser.measure_from_dict(ser.load_json(args.base))
     if len(base.space.variables) != 1:
         raise ValueError("cdf estimates need a base over exactly one variable")
@@ -456,23 +477,38 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        text = args.func(args)
+        code, text = 0, args.func(args)
     except _Failure as failure:
-        print(failure.text)
-        return 1
+        code, text = 1, failure.text
     except HyperDPError as exc:
-        print(json.dumps(exc.payload()))
-        return 1
+        code, text = 1, json.dumps(exc.payload())
     except (OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": "IOError", "detail": str(exc)}))
-        return 2
+        code, text = 2, json.dumps({"error": "IOError", "detail": str(exc)})
     except (ValueError, TypeError, ArithmeticError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
-        return 1
+        code, text = 1, json.dumps({"error": type(exc).__name__, "detail": str(exc)})
     if text is not None:
-        print(text)
-    return 0
+        try:
+            print(text, flush=True)
+        except OSError as exc:  # a stdout that failed under the command fails again
+            try:
+                sys.stderr.write(f"hyperdp: cannot write output: {exc}\n")
+            except OSError:
+                pass
+            return 2
+    return code
+
+
+def run():
+    """Run ``main`` on ``sys.argv`` and end the process with its exit code."""
+    gc.freeze()
+    code = main()
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError:  # main has reported stdout's failure; stderr cannot report its own
+            code = 2
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,8 +6,11 @@ on-disk formats.
 """
 
 import concurrent.futures
+import gc
 import json
+import os
 import pathlib
+import signal
 import struct
 import subprocess
 import sys
@@ -823,6 +826,32 @@ def test_cdf_estimate_requires_threshold(tmp_path):
     assert json.loads(proc.stdout)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "flags, detail",
+    [
+        (
+            ["--t", "0.5", "--t-grid", "0:1:3", "--plot-csv"],
+            "--t and --t-grid cannot be used together",
+        ),
+        (["--t", "0.5", "--plot-csv"], "--plot-csv needs --t-grid"),
+    ],
+)
+def test_cdf_estimate_refuses_flags_it_would_ignore(tmp_path, capsys, flags, detail):
+    # announced narrowing: both runs printed the single estimate, exited 0
+    # and wrote no plot file
+    base = write_json(
+        tmp_path, "base.json",
+        measure_dict(("X",), {"X": (0, 1)}, {(0,): 0.5, (1,): 0.5}),
+    )
+    data = tmp_path / "data.csv"
+    data.write_text("X\n0\n", encoding="utf-8")
+    plot = tmp_path / "p.csv"
+    argv = ["cdf-estimate", "--base", str(base), "--nu", "1.0", "--data", str(data)]
+    assert cli.main([*argv, *flags, str(plot)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "detail": detail}
+    assert not plot.exists()
+
+
 def _bits(values):
     return [struct.pack("<d", v) for v in values]
 
@@ -1132,3 +1161,159 @@ def test_mixture_draws_without_numpy_or_a_process_pool():
                "--base", specs / "mixture_base.json", "--a", "1.5", "--sweeps", "3", "--seed", "5"]
     runs = [mixture, [*mixture, "--likelihood", specs / "mixture_likelihood.json"]]
     assert _loaded_modules(runs, ["numpy", "concurrent.futures"]) == [[], [], []]
+
+
+# ------------------------------------------------------------ process exit
+
+SPECS = pathlib.Path(__file__).parent / "golden" / "specs"
+
+
+def test_main_in_process_neither_freezes_nor_exits(good_spec, bad_spec, capsys):
+    # the fast exit and the frozen heap belong to cli.run alone; a frozen
+    # heap that grew with every test would never be collected
+    frozen = gc.get_freeze_count()
+    assert cli.main(["build-hdp", "--spec", str(good_spec)]) == 0
+    assert cli.main(["build-hdp", "--spec", str(bad_spec)]) == 1
+    assert gc.get_freeze_count() == frozen
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_the_console_script_takes_the_fast_exit():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"hyperdp": "hyperdp.cli:run"}
+
+
+def _run_module_with_exit_hook(*argv):
+    """``python -m hyperdp ARGV...`` with an atexit hook that says ``teardown``."""
+    script = f"""
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("teardown\\n"))
+sys.argv = ["hyperdp", *{list(map(str, argv))!r}]
+runpy.run_module("hyperdp", run_name="__main__", alter_sys=True)
+"""
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+
+
+def test_python_m_hyperdp_skips_teardown_unless_main_raises(good_spec, bad_spec):
+    ok = _run_module_with_exit_hook("build-hdp", "--spec", good_spec)
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert json.loads(ok.stdout)["nu"] == 4.0
+    failed = _run_module_with_exit_hook("build-hdp", "--spec", bad_spec)
+    assert (failed.returncode, failed.stderr) == (1, "")
+    assert json.loads(failed.stdout)["error"] == "RefinementViolated"
+    # argparse's SystemExit escapes main and takes the normal exit path
+    usage = _run_module_with_exit_hook("build-hdp")
+    assert usage.returncode == 2
+    assert usage.stderr.endswith("teardown\n") and "usage: hyperdp" in usage.stderr
+
+
+def _env(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered, workers", [(False, 1), (True, 1), (False, 2)])
+def test_a_reader_that_closes_the_pipe_gets_exit_2_and_one_line(good_spec, unbuffered, workers):
+    # 2000 lines overfill the pipe, so the writer is still running when
+    # the reader goes away after the first line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hyperdp", "sample-hdp", "--spec", str(good_spec),
+         "--seed", "1", "--replicates", "2000", "--parallel", str(workers)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(unbuffered),
+    )
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert first["replicate"] == 0
+    assert stderr.splitlines() == ["hyperdp: cannot write output: [Errno 32] Broken pipe"]
+
+
+def test_a_closed_stdout_cancels_the_chunks_not_yet_started(good_spec, monkeypatch, capsys):
+    shutdowns = []
+
+    class Pool:  # stands in for the process pool, so no worker process is started
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        @staticmethod
+        def map(fn, iterable, chunksize):
+            return map(fn, iterable)
+
+        @staticmethod
+        def shutdown(wait=True, *, cancel_futures=False):
+            shutdowns.append(cancel_futures)
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    argv = ["sample-hdp", "--spec", str(good_spec), "--seed", "1", "--replicates", "64"]
+    assert cli.main([*argv, "--parallel", "2"]) == 2
+    assert shutdowns == [True]
+    assert capsys.readouterr().err == "hyperdp: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["posterior-hdp", "--data", SPECS / "good_data.csv"],
+        ["sample-hdp", "--seed", "1", "--replicates", "200"],
+        ["posterior-hdp", "--data", "missing.csv"],  # the IOError report cannot be written either
+    ],
+)
+def test_a_full_disk_gets_exit_2_and_one_line(good_spec, argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperdp", *map(str, argv), "--spec", str(good_spec)],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_env(unbuffered),
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "hyperdp: cannot write output: [Errno 28] No space left on device"
+    ]
+
+
+def _session_members(sid):
+    """Pids of the live processes in session ``sid``, from ``/proc``."""
+    members = []
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # the fields after the parenthesized name: state, ppid, pgrp, session
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # the process ended while we looked
+            continue
+        if int(fields[3]) == sid:
+            members.append(int(stat.parent.name))
+    return members
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_parallel_sampling_leaves_no_process_behind(good_spec):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hyperdp", "sample-hdp", "--spec", str(good_spec),
+         "--seed", "1", "--replicates", "40", "--parallel", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    out, err = proc.communicate(timeout=120)
+    left = _session_members(proc.pid)
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert (proc.returncode, err, left) == (0, b"", [])
+    assert len(out.splitlines()) == 40
