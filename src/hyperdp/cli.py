@@ -7,8 +7,8 @@ artifact.  The exceptions are ``sample`` and ``sample-hdp``: once their
 inputs pass every check, they write each draw as soon as it is made.
 Exit codes: 0 success, 1 validation or model errors (the symbolic error
 name appears in the JSON output), 2 I/O errors, among them a stdout that
-cannot be written: a closed pipe or a full disk gives one ``hyperdp:
-cannot write output: ...`` line on stderr and no traceback.
+cannot be written (help text too): a closed pipe or a full disk gives one
+``hyperdp: cannot write output: ...`` line on stderr and no traceback.
 
 ``main(argv)`` runs one command and returns its exit code.  ``run()``,
 the entry point of the ``hyperdp`` script and ``python -m hyperdp``,
@@ -357,8 +357,14 @@ def _add_sampling_flags(p):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):  # argparse's own drops an OSError
+        if message:
+            print(message, end="", file=file or sys.stderr, flush=True)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyperdp",
         description="Dirichlet process priors with graph-structured base measures.",
     )
@@ -475,8 +481,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, text = 0, args.func(args)
     except _Failure as failure:
         code, text = 1, failure.text

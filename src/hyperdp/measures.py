@@ -5,10 +5,13 @@ Assignments are tuples aligned with the space's variable order, support
 iteration is sorted by per-variable category index, and summation uses
 ``math.fsum``, so identical inputs give bit-identical outputs.
 
-A measure is built in one columnar pass, ``_checked_cells``: keys,
-categories and masses are checked a column at a time, and the cells are
-sorted by category index.  The per-cell loop ``_coerced_cells`` runs
-only when that pass rejects a cell.
+A measure from a file or a library caller is built through the full
+check, one columnar pass, ``_checked_cells``: keys, categories and masses
+are checked a column at a time, and the cells are sorted by category
+index.  The per-cell loop ``_coerced_cells`` runs only when that pass
+rejects a cell.  Cells derived from validated measures in the space's
+order skip it (``_ordered_measure``: ``markov_combination``, ``normalize``,
+``scale_measure``, ``reconcile.weighted_average``, ``complete_via`` side A).
 
 Cells are grouped in one place, ``_group`` (split a ``{key: mass}`` dict
 by its keys' values at some positions; ``_grouped`` names them by
@@ -128,7 +131,7 @@ class ProductSpace:
 
 @record
 class DiscreteMeasure:
-    """Sparse finite measure; construction validates and drops zeros."""
+    """Sparse finite measure; construction (the full check) validates, sorts, drops zeros."""
 
     space: ProductSpace
     mass: dict
@@ -198,6 +201,24 @@ def _coerced_cells(space, mass):
     return cleaned
 
 
+def _ordered_measure(space, cells):
+    """The measure of ``cells`` derived from validated measures, without the full check.
+
+    Precondition: the keys are distinct tuples of ``space``'s categories in
+    its sort order (``_glue`` walks one measure's cells, then each group of
+    another's, in their order), and the masses are products, quotients or
+    convex sums of finite nonnegative floats.  Zeros (underflows, ``-0.0``)
+    are dropped; a mass that is not finite gets the full check's error.
+    """
+    if not all(map(math.isfinite, cells.values())):
+        return DiscreteMeasure(space, cells)
+    if 0.0 in cells.values():
+        cells = {x: v for x, v in cells.items() if v}
+    m = object.__new__(DiscreteMeasure)
+    m.__dict__.update(space=space, mass=cells)
+    return m
+
+
 def uniform_measure(space):
     """The probability measure giving every full assignment equal mass."""
     w = 1.0 / space.size()
@@ -212,7 +233,7 @@ def scale_measure(m, factor):
     factor = float(factor)
     if factor < 0.0 or not math.isfinite(factor):
         raise ValueError("scale factor must be finite and nonnegative")
-    return DiscreteMeasure(m.space, {x: v * factor for x, v in m.mass.items()})
+    return _ordered_measure(m.space, {x: v * factor for x, v in m.mass.items()})
 
 
 def _grouped(m, key_vars, rest_vars):
@@ -268,7 +289,7 @@ def normalize(m):
     total = m.total
     if total <= 0.0:
         raise ZeroMass("cannot normalize a measure with zero total mass")
-    return DiscreteMeasure(m.space, {x: v / total for x, v in m.mass.items()})
+    return _ordered_measure(m.space, {x: v / total for x, v in m.mass.items()})
 
 
 def condition(m, given):
@@ -386,7 +407,7 @@ def markov_combination(mu, lam, tol=CONSISTENCY_TOL):
         raise Inconsistent(f"measures cannot be combined: {failing}", report)
     union, extra = _union_space(mu, lam)
     at = tuple(map(mu.space.index, report.overlap))
-    return DiscreteMeasure(union, _glue(mu.mass, at, _grouped(lam, report.overlap, extra), tuple))
+    return _ordered_measure(union, _glue(mu.mass, at, _grouped(lam, report.overlap, extra), tuple))
 
 
 def combine_clique_bases(decomp, bases, tol=CONSISTENCY_TOL):

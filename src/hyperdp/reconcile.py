@@ -20,6 +20,7 @@ from .measures import (
     DiscreteMeasure,
     _glue,
     _grouped,
+    _ordered_measure,
     _overlap_law,
     _union_space,
     is_consistent,
@@ -160,7 +161,8 @@ def complete_via(mu, lam, side):
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' or 'B'")
     layout = _union_layout(mu, lam)
-    return DiscreteMeasure(layout.space, _completion_cells(mu, lam, layout, side))
+    build = _ordered_measure if side == "A" else DiscreteMeasure  # arrange_b permutes
+    return build(layout.space, _completion_cells(mu, lam, layout, side))
 
 
 def weighted_average(mu, lam, gamma):
@@ -184,7 +186,7 @@ def weighted_average(mu, lam, gamma):
         return gamma * (w * (wo / d)) + gamma_b * (wo * (w / e[c]))
 
     at = tuple(map(mu.space.index, layout.overlap))
-    return DiscreteMeasure(layout.space, _glue(mu.mass, at, lam_table, tuple, blend))
+    return _ordered_measure(layout.space, _glue(mu.mass, at, lam_table, tuple, blend))
 
 
 def suggested_gamma(mu, lam):

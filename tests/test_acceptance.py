@@ -288,18 +288,22 @@ def _grid_search_3(weights, step=1e-4, block=200):
     best_val, best_pt = math.inf, None
     for lo in range(0, p.size, block):
         p0 = p[lo : lo + block, None]
-        p2 = 1.0 - p0 - p[None, :]
+        # p2 falls along rows and columns, so the first row's feasible columns cover the block's
+        n = int(np.count_nonzero(1.0 - p0[0, 0] - p > 0.0))
+        if not n:
+            break
+        p2 = 1.0 - p0 - p[None, :n]
         with np.errstate(invalid="ignore", divide="ignore"):
             obj = -(
                 weights[0] * np.log(p0)
-                + weights[1] * log_p[None, :]
+                + weights[1] * log_p[None, :n]
                 + weights[2] * np.log(p2)
             )
         obj[p2 <= 0.0] = np.inf
         i = int(np.argmin(obj))
         val = float(obj.flat[i])
         if val < best_val:
-            r, c = divmod(i, p.size)
+            r, c = divmod(i, n)
             best_val = val
             best_pt = np.array([float(p0[r, 0]), float(p[c]), float(p2[r, c])])
     return best_pt, best_val

@@ -8,6 +8,7 @@ on-disk formats.
 import concurrent.futures
 import gc
 import json
+import math
 import os
 import pathlib
 import signal
@@ -1288,6 +1289,64 @@ def test_a_full_disk_gets_exit_2_and_one_line(good_spec, argv, unbuffered):
     assert proc.stderr.splitlines() == [
         "hyperdp: cannot write output: [Errno 28] No space left on device"
     ]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["--help"], ["reconcile", "--help"]])
+def test_help_on_a_full_disk_gets_exit_2_and_one_line(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperdp", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_env(unbuffered),
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "hyperdp: cannot write output: [Errno 28] No space left on device"
+    ]
+
+
+def test_help_still_exits_0():
+    proc = run_cli("reconcile", "--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: hyperdp reconcile ")
+
+
+MAX_FLOAT = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize(
+    "argv, mu, lam, detail",
+    [
+        # a mass read from a file is checked where it is parsed
+        (
+            ["combine"], UNIFORM_IJ,
+            measure_dict(("J", "K"), {"J": (0, 1), "K": (0, 1)}, {(0, 0): math.inf}),
+            "point 1 {'assignment': {'J': 0, 'K': 0}, 'mass': 'inf'}: "
+            "mass must be finite and nonnegative",
+        ),
+        (
+            ["reconcile", "--strategy", "average"], UNIFORM_IJ,
+            measure_dict(("J", "K"), {"J": (0, 1), "K": (0, 1)}, {(0, 0): -1.0}),
+            "point 1 {'assignment': {'J': 0, 'K': 0}, 'mass': '-1.0'}: "
+            "mass must be finite and nonnegative",
+        ),
+        # rescaled to the other total, the one mass rounds past the largest float
+        (
+            ["reconcile", "--strategy", "rescale-convex", "--gamma", "0"],
+            measure_dict(("I", "J"), {"I": (0, 1), "J": (0, 1)}, {(0, 0): 1.844736280968114}),
+            measure_dict(("J", "K"), {"J": (0, 1), "K": (0, 1)}, {(0, 0): MAX_FLOAT}),
+            "mass at (0, 0) must be finite and nonnegative",
+        ),
+    ],
+    ids=["combine-infinite", "average-negative", "rescale-overflow"],
+)
+def test_a_bad_mass_exits_1_with_its_error(tmp_path, argv, mu, lam, detail):
+    mu_path = write_json(tmp_path, "mu.json", mu)
+    lam_path = write_json(tmp_path, "lam.json", lam)
+    proc = run_cli(*argv, "--mu", mu_path, "--lambda", lam_path)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {"error": "ValueError", "detail": detail}
 
 
 def _session_members(sid):

@@ -5,9 +5,11 @@ over full assignment grids, independent of the library's sparse paths.
 """
 
 import collections
+import importlib.util
 import itertools
 import math
 import os
+import pathlib
 import subprocess
 import sys
 from unittest import mock
@@ -420,6 +422,12 @@ def test_marginalize_composes(seed):
     two_step = marginalize(marginalize(m, ("A", "B")), ("A",))
     one_step = marginalize(m, ("A",))
     assert_measures_close(two_step, one_step)
+
+
+def test_marginal_cells_come_in_category_order(space_ij):
+    # the support reaches J = 1 first, so the grouped totals are out of order
+    m = marginalize(DiscreteMeasure(space_ij, {(0, 1): 0.5, (1, 0): 0.25}), ("J",))
+    assert list(m.mass.items()) == [((0,), 0.25), ((1,), 0.5)]
 
 
 def test_normalize():
@@ -916,3 +924,19 @@ def markov_check_cases(draw):
 def test_is_markov_agrees_with_dense_walk(case):
     theta, decomp, tol = case
     assert is_markov(theta, decomp, tol) == dense_is_markov(theta, decomp, tol)
+
+
+def test_the_methods_the_bench_tracer_wraps_by_name_exist():
+    # the tracer patches these class attributes by name; losing one breaks every traced run
+    path = pathlib.Path(__file__).parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = {(cls, attr) for cls, attrs in tracer.METHODS.items() for attr in attrs}
+    assert wrapped >= {
+        ("DiscreteMeasure", "__post_init__"),
+        ("ProductSpace", "as_tuple"),
+        ("ProductSpace", "sort_key"),
+    }
+    for cls, attr in wrapped:
+        assert callable(vars(getattr(measures, cls))[attr])

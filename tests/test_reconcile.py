@@ -7,6 +7,7 @@ hand.
 """
 
 import itertools
+import json
 import math
 import re
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from hyperdp import (
     DiscreteMeasure,
+    HyperDPError,
     Inconsistent,
     ProductSpace,
     ReconcileStrategy,
@@ -434,6 +436,92 @@ def test_glued_cells_match_the_assembled_combination(case):
     if is_consistent(mu, lam).consistent:
         # condition-on-a runs the same glue, but names the skipped value
         assert outcome(complete_via, mu, lam, "A")[0] is ZeroConditional
+
+
+# factors that keep, shrink to subnormals, underflow to zero or sign the zeros
+SCALE_FACTORS = st.sampled_from((-0.0, 5e-324, 1e-310, 0.3, 1.0, 7.0, 1e300))
+
+
+def assert_passes_the_full_check(m):
+    """``m`` equals itself rebuilt through ``DiscreteMeasure``'s full check.
+
+    Keys are compared as JSON text, so that ``1``, ``True`` and ``1.0``
+    stay apart, and masses bit for bit.
+    """
+    full = DiscreteMeasure(m.space, dict(m.mass))
+    assert type(m) is DiscreteMeasure and full.space == m.space
+    assert list(map(json.dumps, full.mass)) == list(map(json.dumps, m.mass))
+    assert [v.hex() for v in full.mass.values()] == [v.hex() for v in m.mass.values()]
+
+
+def assert_kernel_cells_pass_the_full_check(mu, lam, gamma, factor):
+    calls = [
+        (markov_combination, mu, lam),
+        (complete_via, mu, lam, "A"),
+        (weighted_average, mu, lam, gamma),
+        (scale_measure, mu, factor),
+        (scale_measure, lam, factor),
+        (normalize, mu),
+        (normalize, lam),
+    ]
+    for fn, *args in calls:
+        try:
+            m = fn(*args)
+        except HyperDPError:  # no cells to check; the oracle tests compare the errors
+            continue
+        assert_passes_the_full_check(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reconcile_cases(), SCALE_FACTORS)
+def test_kernel_cells_of_any_pair_pass_the_full_check(case, factor):
+    assert_kernel_cells_pass_the_full_check(*case, factor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nearly_consistent_cases(), st.sampled_from((0.0, 0.3, 1.0)), SCALE_FACTORS)
+def test_kernel_cells_of_consistent_pairs_pass_the_full_check(case, gamma, factor):
+    assert_kernel_cells_pass_the_full_check(*case, gamma, factor)
+
+
+@pytest.mark.parametrize(
+    "glue",
+    [
+        markov_combination,
+        lambda mu, lam: complete_via(mu, lam, "A"),
+        lambda mu, lam: weighted_average(mu, lam, 0.5),
+    ],
+)
+def test_cells_that_underflow_to_zero_are_dropped(glue):
+    # a consistent pair; the cell (0, 0, 0) would have mass 1e-300 * 1e-30
+    mu_space = ProductSpace.from_domains(("A", "B"), {"A": (0, 1), "B": (0, 1)})
+    lam_space = ProductSpace.from_domains(("B", "C"), {"B": (0, 1), "C": (0, 1)})
+    mu = DiscreteMeasure(mu_space, {(0, 0): 1e-300, (1, 0): 1.0})
+    lam = DiscreteMeasure(lam_space, {(0, 0): 1e-30, (0, 1): 1.0})
+    m = glue(mu, lam)
+    assert list(m.mass) == [(0, 0, 1), (1, 0, 0), (1, 0, 1)]
+    assert m.mass[(0, 0, 1)] == 1e-300
+    assert_passes_the_full_check(m)
+
+
+def test_normalizing_drops_quotients_that_underflow(space_ij):
+    m = normalize(DiscreteMeasure(space_ij, {(0, 0): 5e-324, (1, 1): 1e10}))
+    assert m.mass == {(1, 1): 1.0}
+
+
+@pytest.mark.parametrize("factor", [-0.0, 0.0, 5e-324])
+def test_a_result_without_cells_is_the_empty_measure(uniform_ij, factor):
+    m = scale_measure(uniform_ij, factor)
+    assert m == DiscreteMeasure(uniform_ij.space, {}) and m.total == 0.0
+
+
+def test_a_mass_that_overflows_gets_the_full_checks_error(space_ij):
+    m = DiscreteMeasure(space_ij, {(0, 1): 1.0, (1, 0): 1e10})
+    message = "mass at (1, 0) must be finite and nonnegative"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DiscreteMeasure(space_ij, {x: v * 1e300 for x, v in m.mass.items()})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scale_measure(m, 1e300)
 
 
 @st.composite
