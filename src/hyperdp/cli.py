@@ -197,12 +197,13 @@ def cmd_posterior_hdp(args):
 def cmd_diagnose(args):
     if args.samples < 0:
         raise ValueError("--samples must be at least 0")
+    cfg = _sampler_config(args)
     graph, nu, bases = ser.hdp_spec_from_dict(ser.load_json(args.spec))
     audit = audit_hdp(graph, bases)
     checks = list(audit.checks)
     if audit.failure is None and args.samples > 0:
         decomp = audit.decomposition
-        params, cfg = DPParams(nu, audit.combined), _sampler_config(args)
+        params = DPParams(nu, audit.combined)
         draws = [sample_dp(params, cfg, r) for r in range(args.samples)]
         _report_budget_hits([t.truncation_residual for t in draws], cfg)
         blocks = list(zip(decomp.separators, decomp.cliques[1:]))

@@ -195,8 +195,7 @@ def marginal_atoms(theta, keep):
     if theta.space is None:
         raise TypeError("only draws from a discrete base can be projected")
     sub = theta.space.subspace(keep)
-    idx = tuple(theta.space.index(v) for v in sub.variables)
-    atoms = tuple(tuple(a[i] for i in idx) for a in theta.atoms)
+    atoms = tuple(map(theta.space.projector(sub.variables), theta.atoms))
     return WeightedAtoms(atoms, theta.weights, theta.truncation_residual, sub)
 
 

@@ -268,13 +268,11 @@ def verify_sample_refinement(theta, separator, clique):
     clique = tuple(clique)
     if not set(separator) <= set(clique):
         raise ValueError("the separator must be a subset of the clique")
-    s_idx = sorted(map(theta.space.index, separator))
-    c_idx = sorted(map(theta.space.index, clique))
+    s_at, c_at = theta.space.projector(separator), theta.space.projector(clique)
     completion = {}
     for atom in theta.atoms:
-        s = tuple(atom[i] for i in s_idx)
-        c = tuple(atom[i] for i in c_idx)
-        if completion.setdefault(s, c) != c:
+        c = c_at(atom)
+        if completion.setdefault(s_at(atom), c) != c:
             return False
     return True
 
@@ -292,8 +290,7 @@ def hdp_posterior(spec, data):
         return spec
     bases = []
     for base in spec.clique_bases:
-        idx = tuple(space.index(v) for v in base.space.variables)
-        projected = [tuple(x[i] for i in idx) for x in obs]
+        projected = list(map(space.projector(base.space.variables), obs))
         bases.append(_posterior(DPParams(spec.nu, base), projected).base)
     combined = _posterior(spec.combined, obs)
     _, _, failure = _degeneracy(combined.base, spec.decomposition)

@@ -13,10 +13,12 @@ rejects a cell.  Cells derived from validated measures in the space's
 order skip it (``_ordered_measure``: ``markov_combination``, ``normalize``,
 ``scale_measure``, ``reconcile.weighted_average``, ``complete_via`` side A).
 
-Cells are grouped in one place, ``_group`` (split a ``{key: mass}`` dict
-by its keys' values at some positions; ``_grouped`` names them by
-variable), and glued in one place, ``_glue`` (extend each cell by a
-conditional law given the overlap).  Marginals, conditionals, overlap
+A key is projected in one place, ``_projector`` (its values at some
+positions, as a tuple; ``ProductSpace.projector`` names them by
+variable).  Cells are grouped in one place, ``_group`` (split a
+``{key: mass}`` dict by two projections of its keys; ``_grouped`` takes
+them by variable), and glued in one place, ``_glue`` (extend each cell
+by a conditional law given the overlap).  Marginals, conditionals, overlap
 laws, the Markov combination, every union-cell strategy of
 ``reconcile`` and the degeneracy check of ``hdp`` are built from these
 two loops.  ``is_markov`` reads its clique tables from ``_group`` but
@@ -98,9 +100,12 @@ class ProductSpace:
         return itertools.product(*self.domains)
 
     def subspace(self, keep):
-        pos = sorted(set(map(self.index, keep)))  # an error names the first unknown in ``keep``
-        vs = tuple(self.variables[i] for i in pos)
-        return ProductSpace(vs, tuple(self.domains[i] for i in pos))
+        take = _projector(sorted(set(map(self.index, keep))))  # an error names the first unknown
+        return ProductSpace(take(self.variables), take(self.domains))
+
+    def projector(self, variables):
+        """``_projector`` of the positions of ``variables``, in their order."""
+        return _projector(tuple(map(self.index, variables)))
 
     def sort_key(self, assignment):
         return tuple(map(operator.getitem, self._category_index, assignment))
@@ -114,7 +119,7 @@ class ProductSpace:
             extra = [v for v in assignment if v not in self.variables]
             if extra:
                 raise UnknownVariable(f"assignment names unknown variables {extra!r}")
-            assignment = tuple(assignment[v] for v in self.variables)
+            assignment = _projector(self.variables)(assignment)
         else:
             assignment = tuple(assignment)
         if len(assignment) != len(self.variables):
@@ -236,23 +241,33 @@ def scale_measure(m, factor):
     return _ordered_measure(m.space, {x: v * factor for x, v in m.mass.items()})
 
 
+def _projector(idx):
+    """``x -> tuple(x[i] for i in idx)``: the one place a key is projected.
+
+    ``operator.itemgetter`` of one position returns the bare value, not a
+    1-tuple, so one position and none get their own functions.
+    """
+    if len(idx) == 1:
+        (i,) = idx
+        return lambda x: (x[i],)
+    return operator.itemgetter(*idx) if idx else lambda x: ()
+
+
 def _grouped(m, key_vars, rest_vars):
-    """``_group`` on the cells of ``m``, with the positions of ``key_vars`` and ``rest_vars``."""
-    index = m.space.index
-    return _group(m.mass, tuple(map(index, key_vars)), tuple(map(index, rest_vars)))
+    """``_group`` on the cells of ``m``, projected on ``key_vars`` and ``rest_vars``."""
+    return _group(m.mass, m.space.projector(key_vars), m.space.projector(rest_vars))
 
 
-def _group(cells, k_idx, r_idx):
-    """Split ``cells``, a ``{key: mass}`` dict, by the keys' values at ``k_idx``.
+def _group(cells, key, rest):
+    """Split ``cells``, a ``{key: mass}`` dict, by the projections ``key`` of their keys.
 
     Returns ``(groups, totals)``: ``groups`` maps each value (in order of
-    first appearance) to its cells' ``(values at r_idx, mass)`` pairs, in
+    first appearance) to its cells' ``(rest(x), mass)`` pairs, in
     ``cells``' order; ``totals`` maps it to the ``fsum`` of those masses.
     """
     groups = {}
     for x, w in cells.items():
-        c = tuple(x[i] for i in k_idx)
-        groups.setdefault(c, []).append((tuple(x[i] for i in r_idx), w))
+        groups.setdefault(key(x), []).append((rest(x), w))
     totals = {c: math.fsum(w for _, w in g) for c, g in groups.items()}
     return groups, totals
 
@@ -260,8 +275,8 @@ def _group(cells, k_idx, r_idx):
 def _glue(cells, at, grouped, arrange, mass=None):
     """Extend each of ``cells``, a ``{key: mass}`` dict, by a conditional law.
 
-    ``at`` holds the overlap's positions in the keys and ``grouped`` is
-    another measure's ``_grouped`` table keyed by the overlap.  A cell
+    ``at`` projects a key on the overlap and ``grouped`` is another
+    measure's ``_grouped`` table keyed by the overlap.  A cell
     ``x`` of mass ``w`` and a pair ``(b, wo)`` of its overlap value
     ``c``'s group, of total ``d``, give ``arrange(x + b)`` mass
     ``w * (wo / d)``, or ``mass(c, w, wo, d)`` if ``mass`` is given.
@@ -270,7 +285,7 @@ def _glue(cells, at, grouped, arrange, mass=None):
     groups, totals = grouped
     glued = {}
     for x, w in cells.items():
-        c = tuple(x[i] for i in at)
+        c = at(x)
         d = totals.get(c, 0.0)
         if d > 0.0:
             for b, wo in groups[c]:
@@ -406,7 +421,7 @@ def markov_combination(mu, lam, tol=CONSISTENCY_TOL):
         )
         raise Inconsistent(f"measures cannot be combined: {failing}", report)
     union, extra = _union_space(mu, lam)
-    at = tuple(map(mu.space.index, report.overlap))
+    at = mu.space.projector(report.overlap)
     return _ordered_measure(union, _glue(mu.mass, at, _grouped(lam, report.overlap, extra), tuple))
 
 
@@ -483,29 +498,32 @@ def is_markov(theta, decomp, tol=CONSISTENCY_TOL):
     if not theta.is_probability():
         raise ValueError("a probability measure is required")
 
-    # tables and positions follow the decomposition's own variable order
-    clique_idx = [tuple(map(theta.space.index, c)) for c in decomp.cliques]
-    sep_idx = [tuple(map(theta.space.index, s)) for s in decomp.separators]
-    res_idx = [tuple(map(theta.space.index, r)) for r in decomp.residuals]
-    clique_mass = [_group(theta.mass, idx, ())[1] for idx in clique_idx]
-    sep_mass = [_group(theta.mass, idx, ())[1] for idx in sep_idx]
-    # rows hold values of the positions in ``order``, the history so far
-    order = list(clique_idx[0])
+    def within(names, sub):
+        return _projector(tuple(map(names.index, sub)))
+
+    # tables are keyed in the decomposition's own variable order
+    clique_at = list(map(theta.space.projector, decomp.cliques))
+    sep_at = list(map(theta.space.projector, decomp.separators))
+    clique_mass = [_group(theta.mass, at, _projector(()))[1] for at in clique_at]
+    sep_mass = [_group(theta.mass, at, _projector(()))[1] for at in sep_at]
+    # rows hold values of the variables in ``order``, the history so far
+    order = decomp.cliques[0]
     rows = list(clique_mass[0])
-    for sep, res, idx, mass in zip(sep_idx, res_idx, clique_idx[1:], clique_mass[1:]):
-        allowed, _ = _group(mass, tuple(map(idx.index, sep)), tuple(map(idx.index, res)))
-        at = tuple(map(order.index, sep))
-        rows = [row + r for row in rows for r, _ in allowed.get(tuple(row[j] for j in at), ())]
+    steps = zip(decomp.separators, decomp.residuals, decomp.cliques[1:], clique_mass[1:])
+    for sep, res, clique, mass in steps:
+        allowed, _ = _group(mass, within(clique, sep), within(clique, res))
+        at = within(order, sep)
+        rows = [row + r for row in rows for r, _ in allowed.get(at(row), ())]
         order += res
-    back = [order.index(i) for i in range(len(order))]
+    back = within(order, theta.space.variables)
     for row in rows:
-        x = tuple(row[j] for j in back)
+        x = back(row)
         lhs = theta.mass.get(x, 0.0)
-        for idx, mass in zip(sep_idx, sep_mass):
-            lhs *= mass.get(tuple(x[i] for i in idx), 0.0)
+        for at, mass in zip(sep_at, sep_mass):
+            lhs *= mass.get(at(x), 0.0)
         rhs = 1.0
-        for idx, mass in zip(clique_idx, clique_mass):
-            rhs *= mass.get(tuple(x[i] for i in idx), 0.0)
+        for at, mass in zip(clique_at, clique_mass):
+            rhs *= mass.get(at(x), 0.0)
         if abs(lhs - rhs) > tol:
             return False
     return True

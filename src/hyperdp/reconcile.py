@@ -11,7 +11,6 @@ then glue cells in ``measures._glue`` (the average in one pass), so
 from __future__ import annotations
 
 import math
-import operator
 
 from ._record import record
 from .errors import Inconsistent, ZeroConditional, ZeroMass
@@ -22,6 +21,7 @@ from .measures import (
     _grouped,
     _ordered_measure,
     _overlap_law,
+    _projector,
     _union_space,
     is_consistent,
     scale_measure,
@@ -110,19 +110,11 @@ def _union_layout(mu, lam):
     mu_only = tuple(v for v in mu.space.variables if v not in lam_vars)
     union, extra = _union_space(mu, lam)
 
-    def arranger(blocks):
-        pos = [blocks.index(v) for v in union.variables]
-        # itemgetter of a single position returns the bare value, not a tuple
-        return operator.itemgetter(*pos) if len(pos) > 1 else tuple
-
-    return _UnionLayout(
-        union,
-        overlap,
-        mu_only,
-        extra,
-        arranger(overlap + mu_only + extra),
-        arranger(lam.space.variables + mu_only),
+    arrange, arrange_b = (
+        _projector([blocks.index(v) for v in union.variables])
+        for blocks in (overlap + mu_only + extra, lam.space.variables + mu_only)
     )
+    return _UnionLayout(union, overlap, mu_only, extra, arrange, arrange_b)
 
 
 def _check_conditionals(trusted, other):
@@ -144,8 +136,7 @@ def _completion_cells(mu, lam, layout, side):
         trusted, other, rest, arrange = lam, mu, layout.mu_only, layout.arrange_b
     table = _grouped(other, layout.overlap, rest)
     _check_conditionals(_grouped(trusted, layout.overlap, ()), table)
-    at = tuple(map(trusted.space.index, layout.overlap))
-    return _glue(trusted.mass, at, table, arrange)
+    return _glue(trusted.mass, trusted.space.projector(layout.overlap), table, arrange)
 
 
 def complete_via(mu, lam, side):
@@ -185,7 +176,7 @@ def weighted_average(mu, lam, gamma):
     def blend(c, w, wo, d):
         return gamma * (w * (wo / d)) + gamma_b * (wo * (w / e[c]))
 
-    at = tuple(map(mu.space.index, layout.overlap))
+    at = mu.space.projector(layout.overlap)
     return _ordered_measure(layout.space, _glue(mu.mass, at, lam_table, tuple, blend))
 
 
@@ -225,8 +216,8 @@ def kl_compromise(mu, lam):
                     f"the {which} measure has no conditional at overlap value {c!r}"
                 )
     # compromise law, then each side's conditional: cells ``c + u``, then ``c + u + b``
-    cells = _glue(compromise, range(len(overlap)), mu_table, tuple)
-    cells = _glue(cells, range(len(overlap)), lam_table, layout.arrange)
+    at = _projector(range(len(overlap)))
+    cells = _glue(_glue(compromise, at, mu_table, tuple), at, lam_table, layout.arrange)
     return DiscreteMeasure(layout.space, cells)
 
 

@@ -491,6 +491,25 @@ def test_diagnose_refuses_a_negative_sample_count(good_spec):
     assert not [c for c in json.loads(zero.stdout)["checks"] if "passing" in c]
 
 
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        # no draws are made, and the audit passes
+        (["diagnose", "--spec", SEEDED_SPECS / "good.json", "--samples", "0",
+          "--eps", "7", "--max-atoms", "-5"], "eps must lie strictly between 0 and 1"),
+        # draws are asked for, but the audit fails before any is made
+        (["diagnose", "--spec", SEEDED_SPECS / "inconsistent.json", "--samples", "4",
+          "--max-atoms", "0"], "max_atoms must be at least 1"),
+        (["sample-hdp", "--spec", SEEDED_SPECS / "good.json", "--seed", "1", "--eps", "7"],
+         "eps must lie strictly between 0 and 1"),
+    ],
+)
+def test_bad_sampling_flags_fail_whatever_the_sample_count_and_verdict(argv, detail):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {"error": "ValueError", "detail": detail}
+
+
 def test_diagnose_bad_spec(bad_spec):
     proc = run_cli("diagnose", "--spec", bad_spec)
     assert proc.returncode == 1

@@ -4,10 +4,12 @@ Oracles live at the top and recompute everything by direct summation
 over full assignment grids, independent of the library's sparse paths.
 """
 
+import ast
 import collections
 import importlib.util
 import itertools
 import math
+import operator
 import os
 import pathlib
 import subprocess
@@ -940,3 +942,65 @@ def test_the_methods_the_bench_tracer_wraps_by_name_exist():
     }
     for cls, attr in wrapped:
         assert callable(vars(getattr(measures, cls))[attr])
+
+
+# ------------------------------------------------------------------ projector
+
+# distinct objects that compare equal, and a value that is itself a tuple,
+# so a bare value where a 1-tuple belongs does not compare equal by luck
+_TWINS = (1, True, 1.0, (1,), "x", None)
+
+
+@given(
+    idx=st.sampled_from([0, 1, 2, 5]).flatmap(
+        lambda n: st.lists(st.integers(0, len(_TWINS) - 1), min_size=n, max_size=n)
+    ),
+    keyed=st.booleans(),
+    as_list=st.booleans(),
+)
+def test_projector_matches_the_genexpr_oracle(idx, keyed, as_list):
+    # positions may repeat and come in any order; dict keys project by name
+    x = dict(zip("abcdef", _TWINS)) if keyed else _TWINS
+    idx = ["abcdef"[i] for i in idx] if keyed else idx
+    got = measures._projector(idx if as_list else tuple(idx))(x)
+    want = tuple(x[i] for i in idx)
+    assert type(got) is tuple
+    assert got == want
+    assert len(got) == len(want) and all(map(operator.is_, got, want))
+
+
+def test_projector_of_one_position_gives_a_one_tuple():
+    assert measures._projector([3])(_TWINS) == ((1,),)
+    assert measures._projector(("b",))({"a": 1, "b": (2,)}) == ((2,),)
+    assert measures._projector(())(_TWINS) == ()
+
+
+def _hand_written_projections(tree):
+    """Lines of ``tuple(<genexpr>)`` calls whose element subscripts by a loop variable."""
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple"
+            and len(node.args) == 1
+            and isinstance(node.args[0], ast.GeneratorExp)
+        ):
+            continue
+        gen = node.args[0]
+        names = {n.id for g in gen.generators for n in ast.walk(g.target) if isinstance(n, ast.Name)}
+        if isinstance(gen.elt, ast.Subscript) and getattr(gen.elt.slice, "id", None) in names:
+            yield node.lineno
+
+
+def test_every_key_projection_runs_the_one_projector():
+    # measures._projector is the one place a key is projected on some positions
+    assert list(_hand_written_projections(ast.parse("tuple(x[i] for i in idx)"))) == [1]
+    assert not list(_hand_written_projections(ast.parse("tuple(f(v) for v in vs)")))
+    src = pathlib.Path(measures.__file__).parent
+    hits, getters = [], []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        hits += [f"{path.name}:{n}" for n in _hand_written_projections(ast.parse(text))]
+        getters += [path.name] * text.count("itemgetter(")
+    assert hits == []
+    assert getters == ["measures.py"]
