@@ -23,7 +23,6 @@ written.  What escapes ``main`` (argparse's ``SystemExit``, a traceback,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import gc
 import json
@@ -308,6 +307,13 @@ def _linspace(lo, hi, steps):
     return points
 
 
+def _finite_float(cell):
+    x = float(cell)
+    if not math.isfinite(x):
+        raise ValueError(f"observations must be finite real numbers, got {x!r}")
+    return x
+
+
 def cmd_cdf_estimate(args):
     if args.t is None and args.t_grid is None:
         raise ValueError("one of --t or --t-grid is required")
@@ -319,20 +325,7 @@ def cmd_cdf_estimate(args):
     if len(base.space.variables) != 1:
         raise ValueError("cdf estimates need a base over exactly one variable")
     params = DPParams(args.nu, base)
-    var = base.space.variables[0]
-    with open(args.data, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or var not in reader.fieldnames:
-            raise ValueError(f"data CSV needs a column named {var!r}")
-        data = []
-        for row in ser.csv_records(reader, (var,)):
-            try:
-                x = float(row[var])
-                if not math.isfinite(x):
-                    raise ValueError(f"observations must be finite real numbers, got {x!r}")
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
-            data.append(x)
+    data = [x for (x,) in ser.load_csv_columns(args.data, base.space.variables, [_finite_float])]
     if args.t is not None:
         return json.dumps({"t": args.t, "estimate": bayes_cdf(params, data, args.t)})
     grid = _parse_grid(args.t_grid)

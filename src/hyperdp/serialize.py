@@ -6,7 +6,8 @@ key orders are fixed by construction, which keeps byte-level output
 deterministic.
 
 ``measure_json`` writes every measure the command line prints;
-``measure_to_dict`` is the dict form for library callers.
+``measure_to_dict`` is the dict form for library callers;
+``read_csv_columns`` parses every data CSV, with LF, CRLF or CR line endings.
 """
 
 from __future__ import annotations
@@ -179,58 +180,63 @@ def _category_parser(domain, var):
                 f"variable {var!r} has categories that collide as text: {key!r}"
             )
         by_str[key] = cat
-    return by_str
+
+    def parse(cell):
+        if cell in by_str:
+            return by_str[cell]
+        raise ValueError(f"value {cell!r} is not a category of {var!r}")
+
+    return parse
+
+
+def read_csv_columns(fh, columns, parsers):
+    """The records of the CSV file ``fh`` (opened with ``newline=""``), each the tuple
+    of its ``columns`` cells passed through their ``parsers``, which are read once
+    the header names every column.  Blank lines are skipped but counted; a parser's
+    ValueError and a ``csv.Error`` become a ValueError that starts ``line N: ``."""
+    rows = csv.reader(fh)
+    try:
+        header = next(rows, None)
+        if header is None:
+            raise ValueError("data CSV has no header row")
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"data CSV is missing columns {missing!r}")
+        fields = list(zip(parsers, map(header.index, columns)))
+        for c in columns:
+            if header.count(c) > 1:
+                raise ValueError(f"line {rows.line_num}: the header repeats column {c!r}")
+        width = len(header)
+        records = []
+        for row in filter(None, rows):
+            if len(row) != width:
+                more = "more" if len(row) > width else "fewer"
+                raise ValueError(f"line {rows.line_num}: {more} cells than the header's {width}")
+            try:
+                records.append(tuple([parse(row[i]) for parse, i in fields]))
+            except ValueError as exc:
+                raise ValueError(f"line {rows.line_num}: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"line {rows.line_num}: {exc}") from None
+    return records
+
+
+def load_csv_columns(path, columns, parsers):
+    """``read_csv_columns`` of the file at ``path``, without a UTF-8 byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        return read_csv_columns(fh, columns, parsers)
 
 
 def data_from_csv_text(text, space):
-    """Observations from CSV with one column per variable.
-
-    Cell text is matched against the string form of each category, so
-    numeric and string categories both round trip.
-    """
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        raise ValueError("data CSV has no header row")
-    missing = [v for v in space.variables if v not in reader.fieldnames]
-    if missing:
-        raise ValueError(f"data CSV is missing columns {missing!r}")
-    parsers = {
-        v: _category_parser(space.domain(v), v) for v in space.variables
-    }
-    rows = []
-    for row in csv_records(reader, space.variables):
-        values = []
-        for v in space.variables:
-            cell = row[v]
-            if cell not in parsers[v]:
-                raise ValueError(
-                    f"line {reader.line_num}: value {cell!r} is not a category of {v!r}"
-                )
-            values.append(parsers[v][cell])
-        rows.append(tuple(values))
-    return rows
-
-
-def csv_records(reader, columns):
-    """The records of a ``csv.DictReader`` that reads ``columns``.
-
-    A header that repeats one of ``columns``, or a record with more or
-    fewer cells than the header, is an error.
-    """
-    names = reader.fieldnames
-    for name in columns:
-        if names.count(name) > 1:
-            raise ValueError(f"line {reader.line_num}: the header repeats column {name!r}")
-    for row in reader:
-        if None in row or None in row.values():
-            more = "more" if None in row else "fewer"
-            raise ValueError(f"line {reader.line_num}: {more} cells than the header's {len(names)}")
-        yield row
+    """Observations from CSV with one column per variable; a cell is matched
+    against each category's text, so numeric and string categories round trip."""
+    parsers = map(_category_parser, space.domains, space.variables)
+    return read_csv_columns(io.StringIO(text, newline=""), space.variables, parsers)
 
 
 def load_data_csv(path, space):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return data_from_csv_text(fh.read(), space)
+    parsers = map(_category_parser, space.domains, space.variables)
+    return load_csv_columns(path, space.variables, parsers)
 
 
 def likelihood_from_dict(obj, data_space, base_space):

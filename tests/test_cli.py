@@ -5,6 +5,7 @@ than through the library's serializers, so these tests also pin the
 on-disk formats.
 """
 
+import codecs
 import concurrent.futures
 import gc
 import json
@@ -1032,6 +1033,27 @@ def test_a_missing_key_is_a_named_error(tmp_path, kind, obj, key):
     assert "Traceback" not in proc.stderr
 
 
+DATA_COMMANDS = ["posterior", "posterior-hdp", "mixture", "cdf-estimate"]
+
+
+def _data_text(command):
+    if command == "posterior-hdp":
+        return (SEEDED_SPECS / "good_data.csv").read_text(encoding="utf-8")
+    return "X\n0\n1\n1\n"
+
+
+def _data_argv(tmp_path, command, data):
+    """``command``'s argv, reading its observations from ``data``."""
+    if command == "posterior-hdp":
+        return ["posterior-hdp", "--spec", str(SEEDED_SPECS / "good.json"), "--data", str(data)]
+    base = str(write_json(tmp_path, "base.json", BASE_X))
+    return {
+        "posterior": ["posterior", "--base", base, "--nu", "1"],
+        "mixture": ["mixture", "--base", base, "--a", "1", "--sweeps", "2", "--seed", "1"],
+        "cdf-estimate": ["cdf-estimate", "--base", base, "--nu", "1", "--t", "0"],
+    }[command] + ["--data", str(data)]
+
+
 @pytest.mark.parametrize(
     "command, text, detail",
     [
@@ -1041,21 +1063,20 @@ def test_a_missing_key_is_a_named_error(tmp_path, kind, obj, key):
         ("cdf-estimate", "X,Y,X\n0,1,2\n", "line 1: the header repeats column 'X'"),
         ("cdf-estimate", "X\n0\n\n1,2\n", "line 4: more cells than the header's 1"),
         ("cdf-estimate", "X,Y\n0\n", "line 2: fewer cells than the header's 2"),
+        ("cdf-estimate", "", "data CSV has no header row"),
+        ("cdf-estimate", "Y\n0\n", "data CSV is missing columns ['X']"),
     ],
-    ids=["hdp-repeated", "hdp-long", "hdp-short", "cdf-repeated", "cdf-long", "cdf-short"],
+    ids=[
+        "hdp-repeated", "hdp-long", "hdp-short", "cdf-repeated", "cdf-long", "cdf-short",
+        "cdf-empty", "cdf-missing",
+    ],
 )
 def test_a_data_csv_that_contradicts_its_header_is_a_named_error(
     tmp_path, capsys, command, text, detail
 ):
     data = tmp_path / "data.csv"
     data.write_text(text, encoding="utf-8")
-    if command == "posterior-hdp":
-        spec = pathlib.Path(__file__).parent / "golden" / "specs" / "good.json"
-        argv = ["posterior-hdp", "--spec", str(spec), "--data", str(data)]
-    else:
-        base = write_json(tmp_path, "base.json", BASE_X)
-        argv = ["cdf-estimate", "--base", str(base), "--nu", "1", "--data", str(data), "--t", "0"]
-    assert cli.main(argv) == 1
+    assert cli.main(_data_argv(tmp_path, command, data)) == 1
     assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "detail": detail}
 
 
@@ -1071,9 +1092,7 @@ def test_a_data_csv_that_contradicts_its_header_is_a_named_error(
 def test_a_cdf_cell_that_is_not_a_finite_number_names_its_line(tmp_path, capsys, text, detail):
     data = tmp_path / "data.csv"
     data.write_text(text, encoding="utf-8")
-    base = write_json(tmp_path, "base.json", BASE_X)
-    argv = ["cdf-estimate", "--base", str(base), "--nu", "1", "--data", str(data), "--t", "0"]
-    assert cli.main(argv) == 1
+    assert cli.main(_data_argv(tmp_path, "cdf-estimate", data)) == 1
     assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "detail": detail}
 
 
@@ -1090,15 +1109,47 @@ def test_a_data_csv_may_repeat_a_column_it_does_not_read(tmp_path, capsys, comma
     for name, text in (("plain.csv", plain), ("padded.csv", padded)):
         data = tmp_path / name
         data.write_text(text, encoding="utf-8")
-        if command == "posterior-hdp":
-            spec = pathlib.Path(__file__).parent / "golden" / "specs" / "good.json"
-            argv = ["posterior-hdp", "--spec", str(spec), "--data", str(data)]
-        else:
-            base = write_json(tmp_path, "base.json", BASE_X)
-            argv = ["cdf-estimate", "--base", str(base), "--nu", "1", "--data", str(data), "--t", "0"]
-        assert cli.main(argv) == 0
+        assert cli.main(_data_argv(tmp_path, command, data)) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+def _stdout_per_copy(tmp_path, capsys, command, copies):
+    """The stdout of ``command`` on each ``{name: bytes}`` copy of a data file."""
+    outs = {}
+    for name, raw in copies.items():
+        data = tmp_path / f"{name}.csv"
+        data.write_bytes(raw)
+        assert cli.main(_data_argv(tmp_path, command, data)) == 0
+        outs[name] = capsys.readouterr().out
+    return outs
+
+
+@pytest.mark.parametrize("command", DATA_COMMANDS)
+def test_a_data_csv_reads_alike_with_any_line_ending(tmp_path, capsys, command):
+    text = _data_text(command)
+    copies = {name: text.replace("\n", end).encode() for name, end in
+              (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r"))}
+    outs = _stdout_per_copy(tmp_path, capsys, command, copies)
+    assert outs["crlf"] == outs["lf"] and outs["cr"] == outs["lf"]
+
+
+@pytest.mark.parametrize("command", DATA_COMMANDS)
+def test_a_data_csv_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, command):
+    # a spreadsheet's "CSV UTF-8" export starts with one
+    raw = _data_text(command).encode()
+    outs = _stdout_per_copy(tmp_path, capsys, command, {"plain": raw, "bom": codecs.BOM_UTF8 + raw})
+    assert outs["bom"] == outs["plain"]
+
+
+@pytest.mark.parametrize("command", DATA_COMMANDS)
+def test_a_csv_module_error_is_a_named_error(tmp_path, capsys, command):
+    data = tmp_path / "data.csv"
+    header = _data_text(command).splitlines()[0]
+    data.write_text(f"{header}\n{'0' * 131_073}\n", encoding="utf-8")
+    assert cli.main(_data_argv(tmp_path, command, data)) == 1
+    detail = "line 2: field larger than field limit (131072)"
+    assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "detail": detail}
 
 
 def test_a_likelihood_pair_listed_twice_is_a_named_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Interchange formats: bit-exact mass strings, JSON dicts, CSV data."""
 
+import ast
 import json
 import pathlib
 
@@ -29,6 +30,7 @@ from hyperdp import (
     measure_to_dict,
     perfect_ordering,
 )
+from hyperdp import serialize
 from hyperdp.serialize import object_json
 
 from conftest import equal_twin
@@ -237,8 +239,9 @@ def test_load_json(tmp_path):
 
 def test_csv_parses_numeric_and_text_categories():
     sp = ProductSpace.from_domains(("I", "tag"), {"I": (0, 1), "tag": ("a", "b")})
-    rows = data_from_csv_text("I,tag\n0,a\n1,b\n1,a\n", sp)
-    assert rows == [(0, "a"), (1, "b"), (1, "a")]
+    for end in ("\n", "\r\n", "\r"):
+        rows = data_from_csv_text(f"I,tag{end}0,a{end}1,b{end}{end}1,a{end}", sp)
+        assert rows == [(0, "a"), (1, "b"), (1, "a")]
 
 
 def test_csv_ignores_column_order_and_extras():
@@ -257,11 +260,36 @@ def test_csv_errors():
     one = ProductSpace.from_domains(("X",), {"X": (0, 1)})
     with pytest.raises(ValueError, match="^line 4: value '7' "):
         data_from_csv_text("X\n0\n\n7\n", one)
+    with pytest.raises(ValueError, match=r"^line 3: field larger than field limit \(131072\)$"):
+        data_from_csv_text("X\n0\n" + "0" * 131_073 + "\n", one)
     with pytest.raises(ValueError, match="header"):
         data_from_csv_text("", sp)
     clash = ProductSpace.from_domains(("X",), {"X": (1, "1")})
     with pytest.raises(ValueError, match="collide"):
         data_from_csv_text("X\n1\n", clash)
+
+
+def _csv_module_uses(tree):
+    """Lines that import the ``csv`` module or read one of its attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "csv":
+            yield node.lineno
+
+
+def test_every_data_csv_is_parsed_by_the_one_reader():
+    # serialize.read_csv_columns is the one place a CSV file is parsed
+    probe = "import csv\nfrom csv import reader\ncsv.reader(fh)\nargs.plot_csv\n"
+    assert list(_csv_module_uses(ast.parse(probe))) == [1, 2, 3]
+    src = pathlib.Path(serialize.__file__).parent
+    users = [
+        path.name for path in sorted(src.glob("*.py"))
+        if list(_csv_module_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    ]
+    assert users == ["serialize.py"]
 
 
 def test_load_data_csv(tmp_path):
