@@ -28,6 +28,7 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 
 from .dp import DPParams, SamplerConfig, bayes_cdf, dp_posterior, sample_dp
@@ -307,10 +308,19 @@ def _linspace(lo, hi, steps):
     return points
 
 
+# sign, ASCII digits, point, exponent; a quoted cell that runs onto the
+# next line may end in its line break (compiled on first use, by ``re``'s cache)
+_DECIMAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?:\r\n|\r|\n)?"
+
+
 def _finite_float(cell):
+    """A cell as a finite float, if it is a plain decimal literal: ``float``
+    alone would also take ``1_0``, `` 0.5`` and non-ASCII digits."""
     x = float(cell)
     if not math.isfinite(x):
         raise ValueError(f"observations must be finite real numbers, got {x!r}")
+    if not re.fullmatch(_DECIMAL, cell):
+        raise ValueError(f"{cell!r} is not a plain decimal number")
     return x
 
 

@@ -102,6 +102,16 @@ def _lookup_table(keys, weights):
     return keys, list(itertools.accumulate(weights))
 
 
+def _base_lookup(base):
+    """``_lookup_table`` of a discrete base's cells, built on its first draw
+    and kept on the measure, as ``ProductSpace`` keeps its category maps."""
+    table = base.__dict__.get("_lookup")
+    if table is None:
+        table = _lookup_table(base.mass, base.mass.values())
+        object.__setattr__(base, "_lookup", table)
+    return table
+
+
 def _weighted_draw(keys, weights):
     """Sampler of ``keys`` with chances proportional to ``weights``:
     ``draw(rng)`` looks ``rng.random()`` up in ``_lookup_table``."""
@@ -173,7 +183,7 @@ def sample_dp(params, cfg, replicate=0):
     else:
         residual = 0.0
     if space is not None:
-        keys, cum = _lookup_table(base.mass, base.mass.values())
+        keys, cum = _base_lookup(base)
         # (word >> 11) * scale rounds once, as random() * total does: 2**-53 * total is exact
         scale, bisect_right = 2.0**-53 * cum[-1], bisect.bisect_right
         atoms = [keys[bisect_right(cum, (word >> 11) * scale)] for word in atoms]

@@ -276,20 +276,28 @@ def _glue(cells, at, grouped, arrange, mass=None):
     """Extend each of ``cells``, a ``{key: mass}`` dict, by a conditional law.
 
     ``at`` projects a key on the overlap and ``grouped`` is another
-    measure's ``_grouped`` table keyed by the overlap.  A cell
-    ``x`` of mass ``w`` and a pair ``(b, wo)`` of its overlap value
-    ``c``'s group, of total ``d``, give ``arrange(x + b)`` mass
-    ``w * (wo / d)``, or ``mass(c, w, wo, d)`` if ``mass`` is given.
+    measure's ``_grouped`` table keyed by the overlap.  The first cell
+    whose overlap value is ``c`` turns ``c``'s group, of total ``d``,
+    into rows ``(b, wo, wo / d)``, which every later cell of ``c``
+    reuses.  A cell ``x`` of mass ``w`` gives ``arrange(x + b)`` the
+    mass ``w * (wo / d)`` for each row, or, if ``mass`` is given, the
+    row's entry of the list ``mass(c, w, rows)``, called once per cell.
     Cells whose overlap value has no group are skipped.
     """
     groups, totals = grouped
-    glued = {}
+    rows_at, glued = {}, {}
     for x, w in cells.items():
         c = at(x)
-        d = totals.get(c, 0.0)
-        if d > 0.0:
-            for b, wo in groups[c]:
-                glued[arrange(x + b)] = w * (wo / d) if mass is None else mass(c, w, wo, d)
+        rows = rows_at.get(c)
+        if rows is None:
+            d = totals.get(c, 0.0)
+            rows = rows_at[c] = [(b, wo, wo / d) for b, wo in groups[c]] if d > 0.0 else []
+        if mass is None:
+            for b, _, q in rows:
+                glued[arrange(x + b)] = w * q
+        elif rows:
+            for (b, _, _), v in zip(rows, mass(c, w, rows)):
+                glued[arrange(x + b)] = v
     return glued
 
 

@@ -173,8 +173,9 @@ def weighted_average(mu, lam, gamma):
     _check_conditionals(lam_table, mu_table)
     gamma_b, e = 1.0 - gamma, mu_table[1]
 
-    def blend(c, w, wo, d):
-        return gamma * (w * (wo / d)) + gamma_b * (wo * (w / e[c]))
+    def blend(c, w, rows):
+        r = w / e[c]
+        return [gamma * (w * q) + gamma_b * (wo * r) for _, wo, q in rows]
 
     at = mu.space.projector(layout.overlap)
     return _ordered_measure(layout.space, _glue(mu.mass, at, lam_table, tuple, blend))

@@ -19,7 +19,7 @@ import json
 import math
 
 from .graphs import build_graph
-from .measures import DiscreteMeasure, ProductSpace
+from .measures import DiscreteMeasure, ProductSpace, _projector
 
 
 def mass_str(value):
@@ -96,23 +96,66 @@ def measure_json(m):
     # one %s per variable's category text, then the mass's float.__repr__
     fields = ", ".join(_key_text(v).replace("%", "%%") + ": %s" for v in variables)
     point = '{"assignment": {' + fields + '}, "mass": "%r"}'
-    columns = [_texts_by_identity(c) for c in zip(*m.mass)]
+    # str(int) is json.dumps(int); bool and other int subclasses print otherwise
+    columns = [c if set(map(type, c)) == {int} else _texts_by_identity(c) for c in zip(*m.mass)]
     flat = tuple(itertools.chain.from_iterable(zip(*columns, m.mass.values())))
     points = ", ".join(itertools.repeat(point, len(m.mass))) % flat
     return f'{head[:-1]}, "points": [{points}]}}'
 
 
 def measure_from_dict(obj):
+    """The measure of a ``measure_to_dict`` object; repeated points add up.
+
+    The points are read a column at a time (``_columnar_cells``), and
+    ``DiscreteMeasure``'s columnar check takes their categories and
+    masses.  The per-point loop ``_point_cells`` runs only when either
+    rejects a point or a point is repeated, so an error names the first
+    bad point and repeated points merge in first-seen order.
+    """
     space = ProductSpace.from_domains(obj["variables"], obj["domains"])
+    points = list(obj["points"])
+    cells = _columnar_cells(space, points)
+    if cells is not None:
+        try:
+            return DiscreteMeasure(space, cells)
+        except ValueError:  # a category off its domain, a mass negative or not finite
+            pass
+    return DiscreteMeasure(space, _point_cells(space, points))
+
+
+def _columnar_cells(space, points):
+    """``{assignment tuple: float mass}`` of ``points``, or None unless each
+    is a JSON object whose mass ``float`` reads and whose assignment is an
+    object naming each variable once, and no two name the same assignment."""
+    try:
+        assignments = [p["assignment"] for p in points]
+        masses = list(map(float, [p["mass"] for p in points]))
+    except (KeyError, TypeError, ValueError, ArithmeticError):
+        return None
+    if not set(map(type, assignments)) <= {dict, _Fields}:
+        return None
+    if not set(map(len, assignments)) <= {len(space.variables)}:
+        return None
+    try:
+        keys = list(map(_projector(space.variables), assignments))
+        cells = dict(zip(keys, masses))
+    except (KeyError, TypeError, ValueError):  # a variable missing, a category unhashable
+        return None
+    return cells if len(cells) == len(keys) else None
+
+
+def _point_cells(space, points):
+    """``points`` checked one by one, so that an error names the first bad
+    point; repeated assignments are merged in first-seen order."""
     mass = {}
-    for k, point in enumerate(obj["points"], start=1):
+    for k, point in enumerate(points, start=1):
         x = space.as_tuple(point["assignment"])
         v = float(point["mass"])
         # checked per point: merging duplicates first could hide a negative mass
         if v < 0.0 or not math.isfinite(v):
             raise ValueError(f"point {k} {point!r}: mass must be finite and nonnegative")
         mass[x] = mass.get(x, 0.0) + v
-    return DiscreteMeasure(space, mass)
+    return mass
 
 
 def hdp_spec_to_dict(graph, nu, clique_bases):

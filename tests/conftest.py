@@ -388,6 +388,36 @@ def looped_measure_mass(space, mass):
     return {x: cleaned[x] for x in sorted(cleaned, key=space.sort_key)}
 
 
+def looped_measure_from_dict(obj):
+    """Oracle for ``serialize.measure_from_dict``: the per-point loop it
+    replaced.  Each point goes through ``as_tuple`` and ``float`` in turn,
+    so an error names the first bad point; repeated points are merged in
+    first-seen order."""
+    space = ProductSpace.from_domains(obj["variables"], obj["domains"])
+    mass = {}
+    for k, point in enumerate(obj["points"], start=1):
+        x = space.as_tuple(point["assignment"])
+        v = float(point["mass"])
+        if v < 0.0 or not math.isfinite(v):
+            raise ValueError(f"point {k} {point!r}: mass must be finite and nonnegative")
+        mass[x] = mass.get(x, 0.0) + v
+    return DiscreteMeasure(space, mass)
+
+
+def looped_glue(cells, at, grouped, arrange, mass=None):
+    """Oracle for ``measures._glue``: the per-cell loop it replaced, which
+    divides once per output cell and calls ``mass(c, w, wo, d)`` there."""
+    groups, totals = grouped
+    glued = {}
+    for x, w in cells.items():
+        c = at(x)
+        d = totals.get(c, 0.0)
+        if d > 0.0:
+            for b, wo in groups[c]:
+                glued[arrange(x + b)] = w * (wo / d) if mass is None else mass(c, w, wo, d)
+    return glued
+
+
 def equal_twin(c):
     """A value equal to category ``c`` but of another type, if there is one.
 

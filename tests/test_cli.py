@@ -1097,6 +1097,35 @@ def test_a_cdf_cell_that_is_not_a_finite_number_names_its_line(tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
+    "cell",
+    ["1_0", " 0.5", "0.5 ", "\t1", "\u0661", "\uff11", "1\u00a0", "\u0665e1"],
+    ids=["underscore", "leading-space", "trailing-space", "tab", "arabic-indic-digit",
+         "fullwidth-digit", "no-break-space", "arabic-indic-mantissa"],
+)
+def test_a_cdf_cell_that_is_not_a_plain_decimal_names_its_line(tmp_path, capsys, cell):
+    # Python's float() reads each of these as a number; a data file must not
+    assert math.isfinite(float(cell))
+    data = tmp_path / "data.csv"
+    data.write_text(f"X\n0\n{cell}\n1\n", encoding="utf-8")
+    assert cli.main(_data_argv(tmp_path, "cdf-estimate", data)) == 1
+    detail = f"line 3: {cell!r} is not a plain decimal number"
+    assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "detail": detail}
+
+
+def test_a_cdf_cell_reads_every_plain_decimal_form(tmp_path, capsys):
+    forms = ["-2", "+1", ".5", "5.", "1E+3", "2e-1", "007"]
+    values = [-2.0, 1.0, 0.5, 5.0, 1000.0, 0.2, 7.0]
+    assert [cli._finite_float(c).hex() for c in forms] == [v.hex() for v in values]
+    outputs = []
+    for cells in (forms, map(repr, values)):
+        data = tmp_path / "data.csv"
+        data.write_text("X\n" + "".join(c + "\n" for c in cells), encoding="utf-8")
+        assert cli.main(_data_argv(tmp_path, "cdf-estimate", data)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
     "command, plain, padded",
     [
         ("posterior-hdp", "I,J,K\n0,0,0\n1,1,1\n", "I,,J,K,\n0,,0,0,\n1,,1,1,\n"),

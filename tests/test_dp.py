@@ -34,6 +34,7 @@ from hyperdp import (
     stream,
     uniform_measure,
 )
+from hyperdp import dp as dp_module
 from hyperdp.dp import _weighted_draw
 from hyperdp.rng import _LANES, _blocks, _key, _round_keys, scalars, uniforms
 
@@ -307,6 +308,45 @@ def test_atom_budget_folds_leftover():
     assert abs(math.fsum(theta.weights) - 1.0) <= 1e-12
     # a nu this large cannot spend the stick in four breaks
     assert theta.truncation_residual > 1e-12
+
+
+# Stick lengths -log(1 - V), V ~ Beta(1, nu), are Exp(nu), so the breaks
+# that leave at least eps are a Poisson(nu * ln(1/eps)) count; one more
+# break crosses eps and the fold adds the last atom.  Seed 20261020, R
+# replicates each; the bands are 5 sigma of the sample mean and variance.
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+@pytest.mark.parametrize("nu, reps", [(0.5, 1000), (1.0, 1000), (10.0, 1000), (200.0, 200)])
+def test_atom_count_below_the_budget_is_two_plus_poisson(nu, reps, eps):
+    params = DPParams(nu, one_var_base([0.25, 0.25, 0.5]))
+    cfg = SamplerConfig(seed=20261020, eps=eps, max_atoms=100_000)
+    counts = np.array([len(sample_dp(params, cfg, r).atoms) for r in range(reps)])
+    assert counts.max() < cfg.max_atoms
+    lam = nu * math.log(1.0 / eps)
+    n = counts - 2
+    assert abs(n.mean() - lam) <= 5.0 * math.sqrt(lam / reps)
+    # Var of a sample variance of Poisson(lam) is about (lam + 2 lam^2) / reps
+    assert abs(n.var(ddof=1) - lam) <= 5.0 * math.sqrt((lam + 2.0 * lam * lam) / reps)
+
+
+def test_draws_from_one_base_build_its_lookup_table_once(monkeypatch):
+    built = []
+
+    def counted(keys, weights):
+        built.append(len(built))
+        return lookup_table(keys, weights)
+
+    lookup_table = dp_module._lookup_table
+    monkeypatch.setattr(dp_module, "_lookup_table", counted)
+    base = one_var_base([0.25, 0.25, 0.5])
+    params, cfg = DPParams(3.0, base), SamplerConfig(seed=5)
+    draws = [sample_dp(params, cfg, r) for r in range(20)]
+    assert len(built) == 1
+    # the kept table gives the draws of a table built afresh each time
+    for r, theta in enumerate(draws):
+        assert theta == looped_sample_dp(params, cfg, r)
+    # an equal but distinct base measure builds its own
+    sample_dp(DPParams(3.0, one_var_base([0.25, 0.25, 0.5])), cfg)
+    assert len(built) == 2
 
 
 def test_partition_moments_match_dirichlet_law():

@@ -449,10 +449,17 @@ def test_factorization_checks_never_walk_the_product_space(monkeypatch):
 def test_every_cell_assembly_runs_the_one_join(monkeypatch):
     # the Markov combination and the reconcile strategies build their cells
     # through measures._glue and nothing else
-    glue, calls = measures._glue, []
+    glue, calls, hook_calls = measures._glue, [], []
 
-    def counted(*args):
-        calls.append(glue(*args))
+    def counted(cells, at, grouped, arrange, mass=None):
+        if mass is not None:
+            hook = mass
+
+            def mass(*args):
+                hook_calls.append(args[0])
+                return hook(*args)
+
+        calls.append(glue(cells, at, grouped, arrange, mass))
         return calls[-1]
 
     for module in (measures, reconcile):
@@ -480,6 +487,15 @@ def test_every_cell_assembly_runs_the_one_join(monkeypatch):
         m = build(mu, lam)
         assert len(calls) == n
         assert m.mass == calls[-1]
+    # the blend's hook runs once per cell of the first measure, not once per
+    # union cell: 40 x 20 and 20 x 40 tables give 800 calls for 32,000 cells
+    tables = []
+    for variables, shape in ((("A", "B"), (40, 20)), (("B", "C"), (20, 40))):
+        space = ProductSpace.from_domains(variables, dict(zip(variables, map(range, shape))))
+        tables.append(DiscreteMeasure(space, {x: 1.0 + k % 7 for k, x in enumerate(space.assignments())}))
+    hook_calls.clear()
+    assert len(reconcile.weighted_average(*tables, 0.3).mass) == 32_000
+    assert len(hook_calls) == 800
 
 
 # ----------------------------------------------------------------- sampling

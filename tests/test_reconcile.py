@@ -36,6 +36,8 @@ from hyperdp import (
     uniform_measure,
     weighted_average,
 )
+from hyperdp import measures as measures_module
+from hyperdp import reconcile as reconcile_module
 from hyperdp.reconcile import reconcile
 from hyperdp.serialize import measure_json
 
@@ -45,6 +47,7 @@ from conftest import (
     assembled_markov_combination,
     assembled_weighted_average,
     equal_twin,
+    looped_glue,
     outcome,
     random_joint,
 )
@@ -370,6 +373,26 @@ def test_union_cells_match_the_assembled_oracle(case):
     assert printed(kl_compromise, mu, lam) == printed(assembled_kl_compromise, mu, lam)
 
 
+def _per_cell_glue(cells, at, grouped, arrange, mass=None):
+    """``looped_glue``, calling a ``_glue`` mass hook on one row per output cell."""
+    if mass is not None:
+        hook = mass
+
+        def mass(c, w, wo, d):
+            (v,) = hook(c, w, [(None, wo, wo / d)])
+            return v
+
+    return looped_glue(cells, at, grouped, arrange, mass)
+
+
+def printed_per_cell(fn, *args):
+    """``printed(fn, *args)`` with ``_per_cell_glue`` as the one join."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (measures_module, reconcile_module):
+            patch.setattr(module, "_glue", _per_cell_glue)
+        return printed(fn, *args)
+
+
 @st.composite
 def nearly_consistent_cases(draw):
     """A measure and a consistent partner that lacks one of its overlap values.
@@ -436,6 +459,23 @@ def test_glued_cells_match_the_assembled_combination(case):
     if is_consistent(mu, lam).consistent:
         # condition-on-a runs the same glue, but names the skipped value
         assert outcome(complete_via, mu, lam, "A")[0] is ZeroConditional
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(reconcile_cases(), nearly_consistent_cases().map(lambda case: (*case, 0.3))))
+def test_grouped_glue_matches_the_per_cell_loop(case):
+    # printed, so cells, key objects and mass bits must all match; the nearly
+    # consistent pairs give markov_combination cells to glue and to skip
+    mu, lam, gamma = case
+    builds = [
+        (markov_combination, mu, lam),
+        (complete_via, mu, lam, "A"),
+        (complete_via, mu, lam, "B"),
+        (kl_compromise, mu, lam),
+        (weighted_average, mu, lam, gamma),
+    ]
+    for fn, *args in builds:
+        assert printed(fn, *args) == printed_per_cell(fn, *args)
 
 
 # factors that keep, shrink to subnormals, underflow to zero or sign the zeros

@@ -1,6 +1,7 @@
 """Interchange formats: bit-exact mass strings, JSON dicts, CSV data."""
 
 import ast
+import enum
 import json
 import pathlib
 
@@ -33,7 +34,7 @@ from hyperdp import (
 from hyperdp import serialize
 from hyperdp.serialize import object_json
 
-from conftest import equal_twin
+from conftest import equal_twin, looped_measure_from_dict
 
 
 AWKWARD = [0.1, 1 / 3, 0.30000000000000004, 1e-300, 2e17, 5e-324]
@@ -123,6 +124,86 @@ def test_loading_a_measure_validates_each_point_once(tmp_path, monkeypatch, bad)
     assert len(calls) == 3
 
 
+def test_loading_a_clean_measure_checks_no_point_on_its_own(monkeypatch):
+    # distinct valid points are read a column at a time: as_tuple never runs
+    refuse = lambda self, a: pytest.fail("a point was checked on its own")  # noqa: E731
+    monkeypatch.setattr(ProductSpace, "as_tuple", refuse)
+    points = [{"assignment": {"Y": y, "X": x}, "mass": "0.125"} for x in (0, 1) for y in "ab"]
+    d = {"variables": ["X", "Y"], "domains": {"X": [0, 1], "Y": ["a", "b"]}, "points": points}
+    assert measure_from_dict(d).mass == {(x, y): 0.125 for x in (0, 1) for y in "ab"}
+
+
+# Points that exercise every branch of the loader: repeated and twin
+# categories (1, True and 1.0), masses that are negative, NaN, out of
+# range or not numbers, missing keys, missing and unknown variables,
+# categories off the domain or unhashable, and points or assignments
+# that are not JSON objects.
+LOADER_CATEGORIES = (0, 1, 2, 300, -7, "a", "1", 2.5, None)
+LOADER_MASSES = (
+    "0.5", "0.25", "1e-300", "5e-324", "0", "-0.0", 0.5, 3, True,
+    "-1", "nan", "inf", "1e400", "abc", None, [1],
+)
+
+
+@st.composite
+def measure_objects(draw):
+    variables = draw(st.lists(st.sampled_from("ABC"), max_size=3, unique=True))
+    domains = {
+        v: draw(st.lists(st.sampled_from(LOADER_CATEGORIES), min_size=1, max_size=3, unique=True))
+        for v in variables
+    }
+
+    def value(v):
+        kind = draw(st.integers(0, 15))
+        if kind == 0:
+            return draw(st.sampled_from((7, "zz", [0], 1.25)))  # off the domain or unhashable
+        c = draw(st.sampled_from(domains[v]))
+        return equal_twin(c) if kind == 1 else c
+
+    def point():
+        assignment = {v: value(v) for v in variables}
+        kind = draw(st.integers(0, 24))
+        if kind == 0 and variables:
+            del assignment[draw(st.sampled_from(variables))]
+        elif kind == 1:
+            assignment["Z"] = 0
+        elif kind == 2:
+            assignment = list(assignment.values())
+        elif kind == 3:
+            assignment = draw(st.sampled_from(("A", None, 0)))
+        p = {"assignment": assignment, "mass": draw(st.sampled_from(LOADER_MASSES[:6]))}
+        kind = draw(st.integers(0, 24))
+        if kind == 0:
+            p["mass"] = draw(st.sampled_from(LOADER_MASSES))
+        elif kind == 1:
+            del p[draw(st.sampled_from(("assignment", "mass")))]
+        elif kind == 2:
+            p = draw(st.sampled_from(([0], "p", None)))
+        return p
+
+    points = [point() for _ in range(draw(st.integers(0, 6)))]
+    return {"variables": variables, "domains": domains, "points": points}
+
+
+def _loaded(load, obj):
+    """The measure as (space, [(typed key, mass bits)]), or the error as (class, text)."""
+    try:
+        m = load(obj)
+    except Exception as exc:  # differential tests compare errors too
+        return type(exc), str(exc)
+    typed = [(tuple((type(c), repr(c)) for c in x), v.hex()) for x, v in m.mass.items()]
+    return m.space, typed
+
+
+@settings(max_examples=500, deadline=None)
+@given(obj=measure_objects(), as_file=st.booleans())
+def test_measure_from_dict_matches_the_per_point_loop(obj, as_file):
+    # as read from a file, a missing key is a ValueError, not a KeyError
+    if as_file:
+        obj = json.loads(json.dumps(obj), object_pairs_hook=serialize._Fields)
+    assert _loaded(measure_from_dict, obj) == _loaded(looped_measure_from_dict, obj)
+
+
 def test_hdp_spec_round_trip(path_graph, uniform_ij, copy_jk):
     d = hdp_spec_to_dict(path_graph, 4.0, [uniform_ij, copy_jk])
     graph, nu, bases = hdp_spec_from_dict(json.loads(json.dumps(d)))
@@ -202,6 +283,47 @@ def measures(draw):
 @settings(max_examples=300, deadline=None)
 @given(m=measures())
 def test_measure_json_equals_json_dumps_of_the_dict(m):
+    assert measure_json(m) == json.dumps(measure_to_dict(m))
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 300
+
+
+class Loud(int):
+    """An int that prints as text: ``json.dumps`` still writes the number."""
+
+    def __str__(self):
+        return "loud"
+
+
+# Integer columns print without the identity pass when every object is an
+# exact int; bool, IntEnum and other int subclasses in a column must not.
+INT_COLUMNS = st.one_of(
+    st.lists(st.integers(-(10**20), 10**20), min_size=1, max_size=4, unique=True),
+    st.lists(st.one_of(st.integers(-300, 300), TEXT), min_size=1, max_size=4, unique=True),
+    st.lists(st.booleans(), min_size=1, max_size=2, unique=True),
+    st.lists(st.sampled_from([*Level, 0, 7]), min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(2, 500).map(Loud), min_size=1, max_size=3, unique=True),
+)
+
+
+@st.composite
+def int_column_measures(draw):
+    variables = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
+    domains = [tuple(draw(INT_COLUMNS)) for _ in variables]
+    sp = ProductSpace(tuple(variables), tuple(domains))
+    # the float twin of an int above 2**53 may round to another number
+    twin = lambda c: equal_twin(c) if equal_twin(c) == c else c  # noqa: E731
+    category = [st.sampled_from(d).flatmap(lambda c: st.sampled_from((c, twin(c)))) for d in domains]
+    mass = st.floats(0.0, 1.0)
+    return DiscreteMeasure(sp, draw(st.dictionaries(st.tuples(*category), mass, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=int_column_measures())
+def test_measure_json_prints_integer_columns_as_json_dumps_does(m):
     assert measure_json(m) == json.dumps(measure_to_dict(m))
 
 
