@@ -4,9 +4,11 @@ The latent values are draws from a Dirichlet process, so a new
 observation either repeats an existing value or picks a fresh one from
 the base; classes are the equality classes of those values.
 
-``gibbs_chain`` is the one collapsed Pólya-urn sampler.  It keeps a
-running count per latent value, and each step weighs the candidates
-with ``_urn_weights`` and draws one with ``_draw_candidate``.  It needs
+``gibbs_chain`` is the one collapsed Pólya-urn sampler.  Counts only
+ever hold values of the base's support, so it works on support
+positions: each step multiplies the predictive vector by the
+observation's likelihood row and draws one position with
+``_draw_candidate``; values are looked up only at the end.  It needs
 only uniform draws, so it takes them from ``rng.uniforms``, the
 plain-Python copy of the Philox stream: the chain's draws are those of
 ``rng.stream`` bit for bit, and the ``mixture`` command never imports
@@ -16,10 +18,13 @@ numpy.  ``sample_partition`` also needs integer draws and keeps
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 
 from ._record import record
-from .dp import ContinuousBase, DPParams, _discrete_sampler, dp_posterior
+from .dp import ContinuousBase, DPParams, _discrete_sampler, _weighted_draw, dp_posterior
 from .errors import ZeroMass
 from .measures import DiscreteMeasure
 from .rng import stream, uniforms
@@ -86,55 +91,44 @@ def expected_clusters(a, n):
     return math.fsum(a / (a + i) for i in range(n))
 
 
-def _urn_weights(x, counts, likelihood, a, base):
-    """Candidate values and their unnormalized weights for observation ``x``.
-
-    ``counts`` maps each value held by the other observations to how
-    many hold it.  Candidates are the base's support in its order, then
-    the counted values off the support.
-    """
-    candidates = list(base.mass)
-    for key in counts:
-        if key not in base.mass:
-            candidates.append(key)
-    weights = []
-    for cand in candidates:
-        predictive = a * base.mass.get(cand, 0.0) + counts.get(cand, 0.0)
-        weights.append(predictive * float(likelihood(x, cand)))
-    return candidates, weights
-
-
-def _draw_candidate(candidates, weights, rng):
-    for cand, w in zip(candidates, weights):
-        if not 0.0 <= w < math.inf:
-            raise ValueError(
-                f"candidate value {cand!r} has weight {w!r}; the likelihood must "
-                "give finite nonnegative values"
-            )
-    total = math.fsum(weights)
+def _draw_candidate(weights, rng, support):
+    """Position of the first running sum of ``weights`` above ``u`` times
+    their ``fsum``, or the last position: the partial sums of an
+    ``acc += w`` walk.  Weights are checked by their sum and minimum; only
+    a failing check scans them, so the first one that is not finite and
+    nonnegative is named by its ``support`` value."""
+    try:
+        total = math.fsum(weights)
+        bad = not total < math.inf or min(weights) < 0.0
+    except (OverflowError, ValueError):  # an fsum overflow, or inf + -inf
+        bad = True
+    if bad:
+        for cand, w in zip(support, weights):
+            if not 0.0 <= w < math.inf:
+                raise ValueError(
+                    f"candidate value {cand!r} has weight {w!r}; the likelihood must "
+                    "give finite nonnegative values"
+                )
+        total = math.fsum(weights)  # finite weights whose sum overflows raise here
     if total <= 0.0:
         raise ZeroMass(
             "every candidate value has zero reweighted mass; the likelihood "
             "table does not cover the data"
         )
-    u = rng.random() * total
-    acc = 0.0
-    for cand, w in zip(candidates, weights):
-        acc += w
-        if u < acc:
-            return cand
-    return candidates[-1]
+    cum = list(itertools.accumulate(weights))
+    return bisect.bisect_right(cum, rng.random() * total, 0, len(cum) - 1)
 
 
 def gibbs_chain(data, likelihood, a, base, sweeps, cfg, replicate=0):
     """Run index-order sweeps from the all-in-one-class start.
 
     Every observation begins at one shared value drawn from the base;
-    each sweep reassigns observations in index order.  The chain keeps
-    one running count per latent value: before observation ``i`` is
-    redrawn its old value loses one unit (and is dropped at zero), and
-    the new value gains one afterwards, so each step costs one pass over
-    the candidates rather than a recount of the other n-1 values.
+    each sweep reassigns observations in index order.  The chain works on
+    positions in the base's support: a running count and predictive
+    weight ``a * g + count`` per position, of which a step recomputes the
+    two whose count changed.  The likelihood is called once per
+    observation and support cell, in support order, at that
+    observation's first reassignment; its row is reused after that.
     Returns the final values and the per-sweep label lists.
     """
     _check_precision(a)
@@ -143,23 +137,29 @@ def gibbs_chain(data, likelihood, a, base, sweeps, cfg, replicate=0):
     if not isinstance(base, DiscreteMeasure):
         raise TypeError("collapsed reassignment requires a discrete base")
     rng = uniforms(cfg.seed, replicate)
-    start = _discrete_sampler(base)(rng)
-    assignments = [start] * len(data)
-    counts = {start: float(len(data))} if len(data) else {}
+    support = list(base.mass)
+    start = _weighted_draw(range(len(support)), base.mass.values())(rng)
+    at = [start] * len(data)
+    count = [0.0] * len(support)
+    count[start] = float(len(data))
+    prior = [a * g for g in base.mass.values()]
+    pred = list(map(operator.add, prior, count))
+    rows = [None] * len(data)
     history = []
     for _ in range(sweeps):
         for i, x in enumerate(data):
-            old = assignments[i]
-            counts[old] -= 1.0
-            if counts[old] == 0.0:
-                del counts[old]
-            candidates, weights = _urn_weights(x, counts, likelihood, a, base)
-            new = _draw_candidate(candidates, weights, rng)
-            assignments[i] = new
-            counts[new] = counts.get(new, 0.0) + 1.0
+            j = at[i]
+            count[j] -= 1.0
+            pred[j] = prior[j] + count[j]
+            row = rows[i]
+            if row is None:
+                row = rows[i] = [float(likelihood(x, c)) for c in support]
+            j = at[i] = _draw_candidate(list(map(operator.mul, pred, row)), rng, support)
+            count[j] += 1.0
+            pred[j] = prior[j] + count[j]
         labels = {}
-        history.append([labels.setdefault(v, len(labels)) for v in assignments])
-    return assignments, history
+        history.append([labels.setdefault(j, len(labels)) for j in at])
+    return [support[j] for j in at], history
 
 
 def identity_likelihood(x, pi):

@@ -149,7 +149,10 @@ def _point_cells(space, points):
     point; repeated assignments are merged in first-seen order."""
     mass = {}
     for k, point in enumerate(points, start=1):
-        x = space.as_tuple(point["assignment"])
+        x = point["assignment"]
+        if not isinstance(x, dict):
+            raise ValueError(f"point {k} {point!r}: the assignment must be a JSON object")
+        x = space.as_tuple(x)
         v = float(point["mass"])
         # checked per point: merging duplicates first could hide a negative mass
         if v < 0.0 or not math.isfinite(v):
@@ -286,8 +289,11 @@ def likelihood_from_dict(obj, data_space, base_space):
     """Sparse likelihood table f(x | value); absent pairs mean zero."""
     table = {}
     for k, entry in enumerate(obj["entries"], start=1):
-        x = data_space.as_tuple(entry["x"])
-        pi = base_space.as_tuple(entry["pi"])
+        x, pi = entry["x"], entry["pi"]
+        if not (isinstance(x, dict) and isinstance(pi, dict)):
+            raise ValueError(f"likelihood entry {k} {entry!r}: x and pi must be JSON objects")
+        x = data_space.as_tuple(x)
+        pi = base_space.as_tuple(pi)
         prob = float(entry["prob"])
         if prob < 0.0 or not math.isfinite(prob):
             raise ValueError(f"likelihood entry {k} {entry!r}: prob must be finite and nonnegative")

@@ -17,6 +17,7 @@ from hyperdp import (
     UnknownVariable,
     WeightedAtoms,
     ZeroConditional,
+    ZeroMass,
     build_graph,
     build_hdp,
     dp_posterior,
@@ -26,7 +27,6 @@ from hyperdp import (
 )
 from hyperdp.dp import _coerce_data
 from hyperdp.measures import CONSISTENCY_TOL, _check_tol, _sup_gap, _union_space, is_consistent
-from hyperdp.mixture import _draw_candidate, _urn_weights
 from hyperdp.rng import stream
 
 
@@ -266,7 +266,48 @@ def dense_is_markov(theta, decomp, tol=CONSISTENCY_TOL):
     return True
 
 
-# The O(n) recount step that ``gibbs_chain`` replaced with running counts.
+# The O(n) recount step that ``gibbs_chain`` replaced with running counts,
+# and the key-based weights and draw that it replaced with support positions.
+
+
+def _urn_weights(x, counts, likelihood, a, base):
+    """Candidate values and their unnormalized weights for observation ``x``.
+
+    ``counts`` maps each value held by the other observations to how
+    many hold it.  Candidates are the base's support in its order, then
+    the counted values off the support.
+    """
+    candidates = list(base.mass)
+    for key in counts:
+        if key not in base.mass:
+            candidates.append(key)
+    weights = []
+    for cand in candidates:
+        predictive = a * base.mass.get(cand, 0.0) + counts.get(cand, 0.0)
+        weights.append(predictive * float(likelihood(x, cand)))
+    return candidates, weights
+
+
+def _draw_candidate(candidates, weights, rng):
+    for cand, w in zip(candidates, weights):
+        if not 0.0 <= w < math.inf:
+            raise ValueError(
+                f"candidate value {cand!r} has weight {w!r}; the likelihood must "
+                "give finite nonnegative values"
+            )
+    total = math.fsum(weights)
+    if total <= 0.0:
+        raise ZeroMass(
+            "every candidate value has zero reweighted mass; the likelihood "
+            "table does not cover the data"
+        )
+    u = rng.random() * total
+    acc = 0.0
+    for cand, w in zip(candidates, weights):
+        acc += w
+        if u < acc:
+            return cand
+    return candidates[-1]
 
 
 def _gibbs_weights(i, assignments, data, likelihood, a, base):
@@ -390,12 +431,15 @@ def looped_measure_mass(space, mass):
 
 def looped_measure_from_dict(obj):
     """Oracle for ``serialize.measure_from_dict``: the per-point loop it
-    replaced.  Each point goes through ``as_tuple`` and ``float`` in turn,
-    so an error names the first bad point; repeated points are merged in
+    replaced.  Each point's assignment must be a JSON object and goes
+    through ``as_tuple``, and its mass through ``float``, in turn, so an
+    error names the first bad point; repeated points are merged in
     first-seen order."""
     space = ProductSpace.from_domains(obj["variables"], obj["domains"])
     mass = {}
     for k, point in enumerate(obj["points"], start=1):
+        if not isinstance(point["assignment"], dict):
+            raise ValueError(f"point {k} {point!r}: the assignment must be a JSON object")
         x = space.as_tuple(point["assignment"])
         v = float(point["mass"])
         if v < 0.0 or not math.isfinite(v):

@@ -770,6 +770,58 @@ def test_sample_rejects_a_negative_mass_hidden_by_a_duplicate(tmp_path):
     assert out["error"] == "ValueError" and "point 1 " in out["detail"]
 
 
+# Assignments that are not JSON objects: before they had to be objects, a
+# string loaded as its characters and a list by position.
+NOT_OBJECTS = pytest.mark.parametrize(
+    "bad", ["ab", ["a", "b"], 7, None], ids=["string", "list", "number", "null"]
+)
+LETTERS = {"I": ("a", "b"), "J": ("a", "b"), "K": ("a", "b")}
+
+
+def _letter_measure(variables, first):
+    """A measure over ``variables`` whose first point's assignment is ``first``."""
+    m = measure_dict(variables, LETTERS, {("a", "b"): 0.5, ("b", "a"): 0.5})
+    m["points"][0]["assignment"] = first
+    return m
+
+
+def _names_a_non_object(proc, where):
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)
+    assert out["error"] == "ValueError", out
+    assert out["detail"].startswith(where) and "JSON object" in out["detail"], out
+
+
+@NOT_OBJECTS
+def test_combine_rejects_an_assignment_that_is_not_an_object(tmp_path, bad):
+    mu = write_json(tmp_path, "mu.json", _letter_measure(("I", "J"), bad))
+    lam = write_json(tmp_path, "lam.json", _letter_measure(("J", "K"), {"J": "a", "K": "b"}))
+    _names_a_non_object(run_cli("combine", "--mu", mu, "--lambda", lam), "point 1 ")
+
+
+@NOT_OBJECTS
+def test_build_hdp_rejects_a_clique_base_assignment_that_is_not_an_object(tmp_path, bad):
+    bases = [_letter_measure(("I", "J"), {"I": "a", "J": "b"}), _letter_measure(("J", "K"), bad)]
+    spec = write_json(tmp_path, "spec.json", {"graph": PATH_GRAPH, "nu": 4.0, "clique_bases": bases})
+    _names_a_non_object(run_cli("build-hdp", "--spec", spec), "point 1 ")
+
+
+@NOT_OBJECTS
+@pytest.mark.parametrize("field", ["x", "pi"])
+def test_mixture_rejects_a_likelihood_entry_that_is_not_an_object(tmp_path, bad, field):
+    base = write_json(tmp_path, "base.json", _letter_measure(("I", "J"), {"I": "a", "J": "b"}))
+    entries = [{"x": {"I": "a", "J": "b"}, "pi": {"I": "a", "J": "b"}, "prob": 1.0}] * 2
+    entries[1] = {**entries[1], field: bad}
+    table = write_json(tmp_path, "lik.json", {"entries": entries})
+    data = tmp_path / "data.csv"
+    data.write_text("I,J\na,b\n", encoding="utf-8")
+    proc = run_cli(
+        "mixture", "--data", data, "--base", base, "--a", "1.0", "--sweeps", "1",
+        "--seed", "1", "--likelihood", table,
+    )
+    _names_a_non_object(proc, "likelihood entry 2 ")
+
+
 def test_mixture(tmp_path):
     base = write_json(
         tmp_path, "base.json",

@@ -22,13 +22,15 @@ from hyperdp import (
     expected_clusters,
     gibbs_chain,
     identity_likelihood,
+    likelihood_from_dict,
     sample_partition,
     uniform_measure,
     urn_predictive,
 )
-from hyperdp.mixture import _urn_weights
+from hyperdp import mixture
 
-from conftest import exact_partition_law, recount_gibbs_chain
+import conftest
+from conftest import _urn_weights, exact_partition_law, recount_gibbs_chain
 
 
 def one_var_base(masses):
@@ -295,11 +297,33 @@ def test_gibbs_chain_rejects_bad_precision_and_sweeps():
     assert final[0] == final[1] and history == []
 
 
-def _outcome(chain, *args):
+def _outcome(chain, *args, log=None):
+    """The chain's result, or its error's class and text, and ``log`` with
+    the weights of each draw the chain began appended: a failure must come
+    at the same step, and every step must weigh its candidates bit for bit
+    alike."""
+    module = mixture if chain is gibbs_chain else conftest
+    draw = module._draw_candidate
+    log = [] if log is None else log
+
+    def logged(*a):
+        weights = a[0] if chain is gibbs_chain else a[1]
+        log.append(list(map(float.hex, weights)))
+        return draw(*a)
+
+    module._draw_candidate = logged
     try:
-        return chain(*args)
-    except ZeroMass:
-        return "ZeroMass"
+        return chain(*args), log
+    except Exception as exc:  # the differential test compares errors too
+        return (type(exc), str(exc)), log
+    finally:
+        module._draw_candidate = draw
+
+
+# likelihood values that make a weight bad, or not: 1e308 overflows the
+# product with a predictive above about 1.8, and the fsum of two such
+# finite weights otherwise
+BAD_LIKELIHOODS = (math.nan, math.inf, -math.inf, -1.0, -0.0, 1e308)
 
 
 @st.composite
@@ -307,7 +331,8 @@ def gibbs_chain_cases(draw):
     """A small chain whose base may leave cells without mass.
 
     Observations range over the whole space, so identity and sparse
-    likelihood tables can leave an observation with no candidate.
+    likelihood tables can leave an observation with no candidate.  Some
+    (observation, cell) pairs may get a value from ``BAD_LIKELIHOODS``.
     """
     size = draw(st.integers(2, 5))
     masses = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 3.0]),
@@ -319,15 +344,18 @@ def gibbs_chain_cases(draw):
     cells = [(k,) for k in range(size)]
     data = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=30))
     if draw(st.booleans()):
-        likelihood = identity_likelihood
+        table = {(x, pi): identity_likelihood(x, pi) for x in cells for pi in cells}
     else:
         table = {
             (x, pi): draw(st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0]))
             for x in cells for pi in cells
         }
+    pairs = st.tuples(st.sampled_from(cells), st.sampled_from(cells))
+    for pair in draw(st.lists(pairs, max_size=3)):
+        table[pair] = draw(st.sampled_from(BAD_LIKELIHOODS))
 
-        def likelihood(x, pi):
-            return table[(tuple(x), tuple(pi))]
+    def likelihood(x, pi):
+        return table[(tuple(x), tuple(pi))]
 
     a = draw(st.sampled_from([0.1, 1.0, 50.0]))
     sweeps = draw(st.integers(0, 4))
@@ -339,6 +367,91 @@ def gibbs_chain_cases(draw):
 @given(gibbs_chain_cases())
 def test_gibbs_chain_running_counts_match_recount(case):
     assert _outcome(gibbs_chain, *case) == _outcome(recount_gibbs_chain, *case)
+
+
+@pytest.mark.parametrize(
+    "a, masses, row, error, text",
+    [
+        # predictives 25 and 25: 25e308 is inf
+        (50.0, [0.5, 0.5], [1e308, 1e308], ValueError, "value (0,) has weight inf;"),
+        # predictives 1 and 1: two finite weights whose sum overflows
+        (2.0, [0.5, 0.5], [1e308, 1e308], OverflowError, "intermediate overflow in fsum"),
+        # the same overflow, before a NaN weight that the check must name
+        (2.0, [0.45, 0.45, 0.1], [1e308, 1e308, math.nan], ValueError,
+         "value (2,) has weight nan;"),
+        # fsum of inf and -inf raises its own ValueError
+        (1.0, [0.5, 0.5], [math.inf, -math.inf], ValueError, "value (0,) has weight inf;"),
+    ],
+    ids=["product-overflow", "fsum-overflow", "fsum-overflow-then-nan", "inf-and-minus-inf"],
+)
+def test_gibbs_chain_bad_weight_sums_fail_like_the_recount(a, masses, row, error, text):
+    case = ([(0,)], lambda x, pi: row[pi[0]], a, one_var_base(masses), 1, SamplerConfig(seed=4))
+    outcome = _outcome(gibbs_chain, *case)
+    (raised, message), log = outcome
+    assert raised is error and text in message and len(log) == 1
+    assert outcome == _outcome(recount_gibbs_chain, *case)
+
+
+def _likelihood_log(chain, data, sweeps, raise_at=None):
+    """``_outcome`` of ``chain`` whose log also lists each likelihood call
+    as (type of x's value, x, pi) before the weights of each draw."""
+    log = []
+
+    def likelihood(x, pi):
+        if x is raise_at:
+            raise RuntimeError("no likelihood here")
+        log.append((type(x[0]), x, pi))
+        return 0.0 if x[0] == 9 else 1.0
+
+    base = one_var_base([0.25, 0.75])
+    return _outcome(chain, data, likelihood, 1.0, base, sweeps, SamplerConfig(seed=8), log=log)
+
+
+def test_gibbs_chain_calls_the_likelihood_once_per_observation_and_cell():
+    # equal observations of different types each get their own row
+    data = [(1,), (True,), (1,), (1.0,), (0,)]
+    cells = [(0,), (1,)]
+    assert _likelihood_log(gibbs_chain, data, 0)[1] == []
+    for sweeps in (1, 3):
+        _, log = _likelihood_log(gibbs_chain, data, sweeps)
+        first = []
+        for x in data:
+            first += [(type(x[0]), x, c) for c in cells] + ["draw"]
+        calls = [e if isinstance(e, tuple) else "draw" for e in log]
+        assert calls == first + ["draw"] * (len(data) * (sweeps - 1))
+
+
+def test_gibbs_chain_likelihood_errors_come_at_their_step():
+    data = [tuple([v]) for v in (0, 1, 0)]  # three distinct objects
+    for k in (1, 2):
+        outcome = _likelihood_log(gibbs_chain, data, 2, raise_at=data[k])
+        assert outcome[0] == (RuntimeError, "no likelihood here")
+        assert sum(isinstance(e, list) for e in outcome[1]) == k
+        assert outcome[0] == _likelihood_log(recount_gibbs_chain, data, 2, raise_at=data[k])[0]
+    # observation 0 has no candidate: its ZeroMass comes before observation 1 raises
+    zero = [(9,), (1,)]
+    outcome = _likelihood_log(gibbs_chain, zero, 2, raise_at=zero[1])
+    assert outcome[0][0] is ZeroMass and sum(isinstance(e, list) for e in outcome[1]) == 1
+    assert outcome[0] == _likelihood_log(recount_gibbs_chain, zero, 2, raise_at=zero[1])[0]
+
+
+def test_gibbs_chain_matches_recount_on_a_kernel_table():
+    # the bench's mixture shape at n=120: 10 categories, a 5-neighbour kernel
+    kernel = (0.1, 0.2, 0.4, 0.2, 0.1)
+    base = one_var_base([0.1] * 10)
+    table = {
+        "entries": [
+            {"x": {"X": (pi + off) % 10}, "pi": {"X": pi}, "prob": p}
+            for pi in range(10)
+            for off, p in zip(range(-2, 3), kernel)
+        ]
+    }
+    likelihood = likelihood_from_dict(table, base.space, base.space)
+    data = [((3 * i * i + i // 7) % 10,) for i in range(120)]
+    case = (data, likelihood, 1.0, base, 2, SamplerConfig(seed=211))
+    outcome = _outcome(gibbs_chain, *case)
+    assert len(outcome[1]) == 120 * 2
+    assert outcome == _outcome(recount_gibbs_chain, *case)
 
 
 def test_identity_likelihood():
