@@ -18,31 +18,27 @@ from hyperdp import (
     DiscreteMeasure,
     ProductSpace,
     measure_from_dict,
-    measure_to_dict,
+    measure_json,
     uniform_measure,
 )
 
 space = ProductSpace.from_domains(("I", "J"), {"I": (0, 1), "J": (0, 1)})
 measure = DiscreteMeasure(space, {(0, 0): 0.1, (0, 1): 1 / 3, (1, 0): 0.3, (1, 1): 0.5})
 
-payload = measure_to_dict(measure)
+payload = json.loads(measure_json(measure))
 print("one serialized point:", payload["points"][0])
-back = measure_from_dict(json.loads(json.dumps(payload)))
+back = measure_from_dict(payload)
 print("bit-exact round trip:", back.mass == measure.mass)
 
 # The command line speaks the same schema.
+copy_jk = DiscreteMeasure(
+    ProductSpace.from_domains(("J", "K"), {"J": (0, 1), "K": (0, 1)}),
+    {(0, 0): 0.5, (1, 1): 0.5},
+)
 spec = {
     "graph": {"vertices": ["I", "J", "K"], "edges": [["I", "J"], ["J", "K"]]},
     "nu": 4.0,
-    "clique_bases": [
-        measure_to_dict(uniform_measure(space)),
-        measure_to_dict(
-            DiscreteMeasure(
-                ProductSpace.from_domains(("J", "K"), {"J": (0, 1), "K": (0, 1)}),
-                {(0, 0): 0.5, (1, 1): 0.5},
-            )
-        ),
-    ],
+    "clique_bases": [json.loads(measure_json(m)) for m in (uniform_measure(space), copy_jk)],
 }
 with tempfile.TemporaryDirectory() as workdir:
     spec_path = Path(workdir) / "spec.json"

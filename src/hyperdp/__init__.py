@@ -13,10 +13,7 @@ from .dp import (
     WeightedAtoms,
     atoms_to_measure,
     bayes_cdf,
-    dp_marginal,
     dp_posterior,
-    finite_partition_law,
-    marginal_atoms,
     sample_dp,
     sample_from_atoms,
 )
@@ -46,7 +43,6 @@ from .graphs import (
     mcs_order,
     ordering_from_cliques,
     perfect_ordering,
-    separates,
 )
 from .hdp import (
     HDPAudit,
@@ -70,9 +66,7 @@ from .measures import (
     is_markov,
     marginalize,
     markov_combination,
-    markov_combination_seq,
     normalize,
-    point_mass,
     scale_measure,
     uniform_measure,
 )
@@ -95,20 +89,16 @@ from .reconcile import (
 from .rng import stream
 from .serialize import (
     atoms_to_json_line,
-    data_from_csv_text,
     decomposition_to_dict,
     graph_from_dict,
     graph_to_dict,
     hdp_spec_from_dict,
     hdp_spec_json,
-    hdp_spec_to_dict,
     likelihood_from_dict,
     load_data_csv,
     load_json,
-    mass_str,
     measure_from_dict,
     measure_json,
-    measure_to_dict,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from collections.abc import Callable
 
 from ._record import record
 from .errors import OutsideDomain
-from .measures import DiscreteMeasure, ProductSpace, marginalize
+from .measures import DiscreteMeasure, ProductSpace
 from .rng import _as_index, scalars, stream
 
 
@@ -125,10 +125,6 @@ def _weighted_draw(keys, weights):
     return draw
 
 
-def _discrete_sampler(measure):
-    return _weighted_draw(measure.mass, measure.mass.values())
-
-
 def sample_dp(params, cfg, replicate=0):
     """One stick-breaking draw, truncated by leftover mass or atom budget.
 
@@ -200,57 +196,10 @@ def atoms_to_measure(theta):
     return DiscreteMeasure(theta.space, agg)
 
 
-def marginal_atoms(theta, keep):
-    """Project every atom onto the variables in ``keep``; weights carry over."""
-    if theta.space is None:
-        raise TypeError("only draws from a discrete base can be projected")
-    sub = theta.space.subspace(keep)
-    atoms = tuple(map(theta.space.projector(sub.variables), theta.atoms))
-    return WeightedAtoms(atoms, theta.weights, theta.truncation_residual, sub)
-
-
 def sample_from_atoms(theta, rng, size):
     """Independent draws from a sampled measure."""
     draw = _weighted_draw(theta.atoms, theta.weights)
     return [draw(rng) for _ in range(size)]
-
-
-def finite_partition_law(params, partition):
-    """Scaled base masses over a finite partition of the whole space.
-
-    Under the prior, the vector of measures of these events is jointly
-    Dirichlet with exactly these numbers as its parameters.
-    """
-    if not isinstance(params.base, DiscreteMeasure):
-        raise TypeError("finite partition laws require a discrete base")
-    space = params.base.space
-    events = []
-    seen = {}
-    for k, event in enumerate(partition):
-        cell = set()
-        for assignment in event:
-            x = space.as_tuple(assignment)
-            if x in seen:
-                raise ValueError(
-                    f"assignment {x!r} appears in events {seen[x] + 1} and {k + 1}"
-                )
-            seen[x] = k
-            cell.add(x)
-        events.append(cell)
-    if len(seen) != space.size():
-        raise ValueError("events must cover the whole space")
-    return tuple(
-        params.nu * math.fsum(params.base.mass.get(x, 0.0) for x in sorted(cell, key=space.sort_key))
-        for cell in events
-    )
-
-
-def dp_marginal(params, keep):
-    """Prior for the projection onto a variable subset: same precision,
-    marginalized base."""
-    if not isinstance(params.base, DiscreteMeasure):
-        raise TypeError("marginal priors require a discrete base")
-    return DPParams(params.nu, marginalize(params.base, keep))
 
 
 def _coerce_data(space, data):

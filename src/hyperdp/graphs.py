@@ -29,12 +29,6 @@ class Graph:
         except (KeyError, TypeError):
             raise UnknownVertex(f"unknown vertex {v!r}") from None
 
-    def has_edge(self, u, v):
-        i, j = self.index(u), self.index(v)
-        if i == j:
-            return False
-        return (u, v) in self.edges if i < j else (v, u) in self.edges
-
     def neighbors(self):
         adj = {v: set() for v in self.vertices}
         for u, v in self.edges:
@@ -118,18 +112,18 @@ def is_decomposable(g):
     return _visited_cliques(g) is not None
 
 
-def _reachable(g, start, blocked):
-    """``start`` and every vertex a path from it reaches outside ``blocked``."""
+def _reachable(g, start):
+    """``start`` and every vertex a path from it reaches."""
     adj = g.neighbors()
     seen = frontier = set(start)
     while frontier:
-        frontier = {u for v in frontier for u in adj[v]} - seen - blocked
+        frontier = {u for v in frontier for u in adj[v]} - seen
         seen |= frontier
     return seen
 
 
 def is_connected(g):
-    return bool(g.vertices) and len(_reachable(g, g.vertices[:1], set())) == len(g.vertices)
+    return bool(g.vertices) and len(_reachable(g, g.vertices[:1])) == len(g.vertices)
 
 
 def maximal_cliques(g):
@@ -209,15 +203,3 @@ def perfect_ordering(g):
     if not is_connected(g):
         raise NotConnected("graph is not connected")
     return _decomposition(g, _junction_order(cliques))
-
-
-def separates(g, a, b, c):
-    """True iff every path from the set ``a`` to the set ``b`` meets ``c``."""
-    aset, bset, cset = set(a), set(b), set(c)
-    for v in aset | bset | cset:
-        g.index(v)
-    if not aset or not bset:
-        raise ValueError("both endpoint sets must be nonempty")
-    if aset & cset or bset & cset:
-        raise ValueError("endpoint sets must be disjoint from the separating set")
-    return not _reachable(g, aset, cset) & bset

@@ -230,10 +230,6 @@ def uniform_measure(space):
     return DiscreteMeasure(space, {x: w for x in space.assignments()})
 
 
-def point_mass(space, assignment):
-    return DiscreteMeasure(space, {space.as_tuple(assignment): 1.0})
-
-
 def scale_measure(m, factor):
     factor = float(factor)
     if factor < 0.0 or not math.isfinite(factor):
@@ -473,14 +469,6 @@ def combine_clique_bases(decomp, bases, tol=CONSISTENCY_TOL):
         except Inconsistent as exc:
             return pairs, combined, exc
     return pairs, combined, None
-
-
-def markov_combination_seq(decomp, bases, tol=CONSISTENCY_TOL):
-    """Fold clique bases along a perfect ordering into one joint measure."""
-    _, combined, failure = combine_clique_bases(decomp, bases, tol)
-    if failure is not None:
-        raise failure
-    return combined
 
 
 def is_markov(theta, decomp, tol=CONSISTENCY_TOL):

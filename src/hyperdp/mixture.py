@@ -24,7 +24,7 @@ import math
 import operator
 
 from ._record import record
-from .dp import ContinuousBase, DPParams, _discrete_sampler, _weighted_draw, dp_posterior
+from .dp import ContinuousBase, DPParams, _weighted_draw, dp_posterior
 from .errors import ZeroMass
 from .measures import DiscreteMeasure
 from .rng import stream, uniforms
@@ -72,7 +72,10 @@ def sample_partition(a, base, n, cfg, replicate=0):
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
     rng = stream(cfg.seed, replicate)
-    draw = _discrete_sampler(base) if isinstance(base, DiscreteMeasure) else base.sampler
+    if isinstance(base, DiscreteMeasure):
+        draw = _weighted_draw(base.mass, base.mass.values())
+    else:
+        draw = base.sampler
     values = []
     for i in range(n):
         if rng.random() * (a + i) < a:
@@ -136,6 +139,8 @@ def gibbs_chain(data, likelihood, a, base, sweeps, cfg, replicate=0):
         raise ValueError(f"sweeps must be nonnegative, got {sweeps!r}")
     if not isinstance(base, DiscreteMeasure):
         raise TypeError("collapsed reassignment requires a discrete base")
+    if not base.is_probability():
+        raise ValueError("a discrete base must be a probability measure")
     rng = uniforms(cfg.seed, replicate)
     support = list(base.mass)
     start = _weighted_draw(range(len(support)), base.mass.values())(rng)

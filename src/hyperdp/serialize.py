@@ -5,25 +5,20 @@ a serialize/parse round trip is bit exact on any platform.  All emitted
 key orders are fixed by construction, which keeps byte-level output
 deterministic.
 
-``measure_json`` writes every measure the command line prints;
-``measure_to_dict`` is the dict form for library callers;
+``measure_json`` writes every measure the command line prints and
+``measure_from_dict`` reads one back from its parsed JSON;
 ``read_csv_columns`` parses every data CSV, with LF, CRLF or CR line endings.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import math
 
 from .graphs import build_graph
 from .measures import DiscreteMeasure, ProductSpace, _projector
-
-
-def mass_str(value):
-    return repr(float(value))
 
 
 def graph_to_dict(g):
@@ -43,20 +38,6 @@ def decomposition_to_dict(decomp):
         "separators": [list(s) for s in decomp.separators],
         "histories": [list(h) for h in decomp.histories],
         "residuals": [list(r) for r in decomp.residuals],
-    }
-
-
-def measure_to_dict(m):
-    return {
-        "variables": list(m.space.variables),
-        "domains": {v: list(dom) for v, dom in zip(m.space.variables, m.space.domains)},
-        "points": [
-            {
-                "assignment": dict(zip(m.space.variables, x)),
-                "mass": mass_str(v),
-            }
-            for x, v in m.mass.items()
-        ],
     }
 
 
@@ -84,8 +65,11 @@ def object_json(fields):
 
 
 def measure_json(m):
-    """``json.dumps(measure_to_dict(m))``, written a column at a time and
-    formatted in one ``%`` pass over every cell's category texts and mass."""
+    """The JSON object of ``m``: its ``variables``, its ``domains``, and a
+    ``points`` list of each cell's ``assignment`` object and its ``mass`` as
+    the float's ``repr``, in cell order, with the bytes ``json.dumps`` writes.
+    It is written a column at a time and formatted in one ``%`` pass over
+    every cell's category texts and mass."""
     variables = m.space.variables
     head = json.dumps(
         {
@@ -104,7 +88,7 @@ def measure_json(m):
 
 
 def measure_from_dict(obj):
-    """The measure of a ``measure_to_dict`` object; repeated points add up.
+    """The measure of a parsed ``measure_json`` object; repeated points add up.
 
     The points are read a column at a time (``_columnar_cells``), and
     ``DiscreteMeasure``'s columnar check takes their categories and
@@ -161,16 +145,10 @@ def _point_cells(space, points):
     return mass
 
 
-def hdp_spec_to_dict(graph, nu, clique_bases):
-    return {
-        "graph": graph_to_dict(graph),
-        "nu": float(nu),
-        "clique_bases": [measure_to_dict(b) for b in clique_bases],
-    }
-
-
 def hdp_spec_json(graph, nu, clique_bases):
-    """``json.dumps(hdp_spec_to_dict(graph, nu, clique_bases))``."""
+    """The JSON object of a spec: its ``graph`` as ``graph_to_dict``, ``nu``
+    as a float and its ``clique_bases`` as ``measure_json`` objects, with the
+    bytes ``json.dumps`` writes."""
     return object_json(
         {
             "graph": json.dumps(graph_to_dict(graph)),
@@ -212,9 +190,21 @@ class _Fields(dict):
         raise ValueError(f"input has no {key!r} key")
 
 
+def _input_object(pairs):
+    """The ``_Fields`` of one object's key-value pairs.  A key listed twice
+    is a ValueError that names it; an object without one costs a single
+    length comparison."""
+    obj = _Fields(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ValueError(f"input repeats the key {repeated!r}")
+    return obj
+
+
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=_Fields)
+        return json.load(fh, object_pairs_hook=_input_object)
 
 
 def _category_parser(domain, var):
@@ -271,13 +261,6 @@ def load_csv_columns(path, columns, parsers):
     """``read_csv_columns`` of the file at ``path``, without a UTF-8 byte-order mark."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return read_csv_columns(fh, columns, parsers)
-
-
-def data_from_csv_text(text, space):
-    """Observations from CSV with one column per variable; a cell is matched
-    against each category's text, so numeric and string categories round trip."""
-    parsers = map(_category_parser, space.domains, space.variables)
-    return read_csv_columns(io.StringIO(text, newline=""), space.variables, parsers)
 
 
 def load_data_csv(path, space):

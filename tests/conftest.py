@@ -21,6 +21,7 @@ from hyperdp import (
     build_graph,
     build_hdp,
     dp_posterior,
+    graph_to_dict,
     marginalize,
     normalize,
     perfect_ordering,
@@ -158,30 +159,6 @@ def walk_is_connected(g):
                 seen.add(u)
                 stack.append(u)
     return len(seen) == len(g.vertices)
-
-
-def walk_separates(g, a, b, c):
-    """Oracle for ``graphs.separates``: a depth-first walk from ``a`` that
-    stops at the first vertex of ``b``."""
-    aset, bset, cset = set(a), set(b), set(c)
-    for v in aset | bset | cset:
-        g.index(v)
-    if not aset or not bset:
-        raise ValueError("both endpoint sets must be nonempty")
-    if aset & cset or bset & cset:
-        raise ValueError("endpoint sets must be disjoint from the separating set")
-    adj = g.neighbors()
-    seen = set(aset)
-    stack = list(aset)
-    while stack:
-        v = stack.pop()
-        if v in bset:
-            return False
-        for u in adj[v]:
-            if u not in seen and u not in cset:
-                seen.add(u)
-                stack.append(u)
-    return True
 
 
 @st.composite
@@ -446,6 +423,28 @@ def looped_measure_from_dict(obj):
             raise ValueError(f"point {k} {point!r}: mass must be finite and nonnegative")
         mass[x] = mass.get(x, 0.0) + v
     return DiscreteMeasure(space, mass)
+
+
+def measure_to_dict(m):
+    """Oracle for ``serialize.measure_json``: the dict form of a measure,
+    whose ``json.dumps`` is the bytes it writes."""
+    return {
+        "variables": list(m.space.variables),
+        "domains": {v: list(dom) for v, dom in zip(m.space.variables, m.space.domains)},
+        "points": [
+            {"assignment": dict(zip(m.space.variables, x)), "mass": repr(float(v))}
+            for x, v in m.mass.items()
+        ],
+    }
+
+
+def hdp_spec_to_dict(graph, nu, clique_bases):
+    """Oracle for ``serialize.hdp_spec_json``: the dict form of a spec."""
+    return {
+        "graph": graph_to_dict(graph),
+        "nu": float(nu),
+        "clique_bases": [measure_to_dict(b) for b in clique_bases],
+    }
 
 
 def looped_glue(cells, at, grouped, arrange, mass=None):

@@ -1016,6 +1016,52 @@ def test_mixture_rejects_bad_precision_and_sweeps(tmp_path, flags, detail):
     assert out["error"] == "ValueError" and detail in out["detail"]
 
 
+def test_mixture_refuses_a_base_that_is_not_a_probability_measure(tmp_path):
+    # the chain weighs a * g + count, so a base of total 2 would run another chain
+    doubled = json.loads((SEEDED_SPECS / "mixture_base.json").read_text(encoding="utf-8"))
+    for point in doubled["points"]:
+        point["mass"] = repr(2.0 * float(point["mass"]))
+    base = write_json(tmp_path, "base.json", doubled)
+    want = {"error": "ValueError", "detail": "a discrete base must be a probability measure"}
+    for argv in (
+        ["mixture", "--data", SEEDED_SPECS / "mixture_data.csv", "--base", base, "--a", "1"],
+        ["sample", "--base", base, "--nu", "2"],
+    ):
+        proc = run_cli(*argv, "--seed", "1")
+        assert (proc.returncode, json.loads(proc.stdout)) == (1, want), argv[0]
+
+
+def _repeat_key(tmp_path, name, obj, key):
+    """``obj`` written as JSON with its first ``key`` listed twice, the
+    first time with the value "0.5"."""
+    text = json.dumps(obj)
+    assert f'"{key}": ' in text
+    path = tmp_path / name
+    path.write_text(text.replace(f'"{key}": ', f'"{key}": "0.5", "{key}": ', 1), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("key", ["mass", "nu", "prob"])
+def test_a_repeated_key_in_an_input_object_is_named(tmp_path, key):
+    if key == "mass":
+        argv = ["combine", "--mu", _repeat_key(tmp_path, "mu.json", UNIFORM_IJ, key),
+                "--lambda", write_json(tmp_path, "lam.json", COPY_JK)]
+    elif key == "nu":
+        spec = {"graph": PATH_GRAPH, "nu": 4.0, "clique_bases": [UNIFORM_IJ, COPY_JK]}
+        argv = ["build-hdp", "--spec", _repeat_key(tmp_path, "spec.json", spec, key)]
+    else:
+        base = measure_dict(("X",), {"X": (0, 1)}, {(0,): 0.5, (1,): 0.5})
+        entries = [{"x": {"X": c}, "pi": {"X": c}, "prob": 1.0} for c in (0, 1)]
+        data = tmp_path / "data.csv"
+        data.write_text("X\n0\n1\n", encoding="utf-8")
+        argv = ["mixture", "--data", data, "--base", write_json(tmp_path, "base.json", base),
+                "--likelihood", _repeat_key(tmp_path, "lik.json", {"entries": entries}, key),
+                "--a", "1", "--seed", "1"]
+    proc = run_cli(*argv)
+    assert proc.returncode == 1, proc.stdout
+    assert json.loads(proc.stdout) == {"error": "ValueError", "detail": f"input repeats the key {key!r}"}
+
+
 def test_mixture_zero_sweeps_prints_the_start_state(tmp_path):
     base = write_json(
         tmp_path, "base.json",

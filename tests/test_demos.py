@@ -1,7 +1,10 @@
 """Every script in ``demos/`` runs to completion without writing to stderr
-and leaves nothing behind in the temporary directory."""
+and leaves nothing behind in the temporary directory, and every name the
+package exports is reached from outside the tests."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PACKAGE = ROOT / "src" / "hyperdp"
 
 
 def test_demos_are_found():
@@ -32,3 +36,31 @@ def test_demo_runs_cleanly(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert list(tmpdir.iterdir()) == []
+
+
+def _code_names(path):
+    """Every name ``path`` reads, imports or takes as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_exported_name_is_reached_from_outside_the_tests():
+    # a public function that only its own tests call is a path to delete,
+    # or to move into tests/ as an oracle
+    init = PACKAGE / "__init__.py"
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    reached = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    for path in [*PACKAGE.glob("*.py"), *DEMOS]:
+        if path != init:
+            reached.update(_code_names(path))
+    assert sorted(exported - reached) == []

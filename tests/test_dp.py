@@ -25,10 +25,8 @@ from hyperdp import (
     WeightedAtoms,
     atoms_to_measure,
     bayes_cdf,
-    dp_marginal,
     dp_posterior,
-    finite_partition_law,
-    marginal_atoms,
+    marginalize,
     sample_dp,
     sample_from_atoms,
     stream,
@@ -259,6 +257,8 @@ def test_weighted_atoms_validation():
         WeightedAtoms(((0,), (1,)), (1.0, 0.0), 0.0)
     with pytest.raises(ValueError):
         WeightedAtoms(((0,), (1,)), (0.6, 0.6), 0.0)
+    with pytest.raises(ValueError, match="sum to one"):
+        WeightedAtoms(((0,), (1,)), (0.5, 0.5 + 1e-9), 0.0)
     # a NaN weight makes the sum NaN too, which no sum check can catch
     with pytest.raises(ValueError, match="strictly positive"):
         WeightedAtoms(((0,), (1,)), (math.nan, 1.0), 0.0)
@@ -308,6 +308,15 @@ def test_atom_budget_folds_leftover():
     assert abs(math.fsum(theta.weights) - 1.0) <= 1e-12
     # a nu this large cannot spend the stick in four breaks
     assert theta.truncation_residual > 1e-12
+
+
+def test_a_leftover_equal_to_eps_breaks_another_stick():
+    params = DPParams(2.0, one_var_base([0.5, 0.5]))
+    first = sample_dp(params, SamplerConfig(seed=12))
+    eps = 1.0 - first.weights[0]  # the leftover after the first stick, to the bit
+    theta = sample_dp(params, SamplerConfig(seed=12, eps=eps))
+    assert theta.weights[:2] == first.weights[:2]
+    assert len(theta.weights) == 3
 
 
 # Stick lengths -log(1 - V), V ~ Beta(1, nu), are Exp(nu), so the breaks
@@ -370,8 +379,6 @@ def test_continuous_base_draws():
     assert len(set(theta.atoms)) == len(theta.atoms)
     with pytest.raises(TypeError):
         atoms_to_measure(theta)
-    with pytest.raises(TypeError):
-        marginal_atoms(theta, ("X",))
 
 
 MIXED_SPACE = ProductSpace.from_domains(
@@ -489,15 +496,6 @@ def test_atoms_to_measure_aggregates():
     assert m.mass == {(0,): 0.5, (1,): 0.5}
 
 
-def test_marginal_atoms_projects():
-    sp = ProductSpace.from_domains(("I", "J"), {"I": (0, 1), "J": (0, 1)})
-    theta = WeightedAtoms(((0, 1), (1, 1)), (0.4, 0.6), 0.0, sp)
-    proj = marginal_atoms(theta, ("J",))
-    assert proj.atoms == ((1,), (1,))
-    assert proj.weights == (0.4, 0.6)
-    assert proj.space.variables == ("J",)
-
-
 def test_marginal_atoms_mean_matches_marginal_prior():
     sp = ProductSpace.from_domains(("I", "J"), {"I": (0, 1), "J": (0, 1)})
     base = DiscreteMeasure(sp, {(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.4})
@@ -506,8 +504,8 @@ def test_marginal_atoms_mean_matches_marginal_prior():
     vals = np.empty(reps)
     for r in range(reps):
         theta = sample_dp(params, SamplerConfig(seed=500), replicate=r)
-        vals[r] = atoms_to_measure(marginal_atoms(theta, ("J",))).mass_at((0,))
-    want = dp_marginal(params, ("J",)).base.mass_at((0,))
+        vals[r] = marginalize(atoms_to_measure(theta), ("J",)).mass_at((0,))
+    want = marginalize(params.base, ("J",)).mass_at((0,))
     assert want == pytest.approx(0.4)
     assert abs(vals.mean() - want) < 3 * math.sqrt(0.25 / (params.nu + 1) / reps)
 
@@ -552,22 +550,6 @@ def test_sample_from_atoms_frequencies():
     for atom, p in zip(theta.atoms, theta.weights):
         freq = sum(1 for d in draws if d == atom) / len(draws)
         assert abs(freq - p) < 3 * math.sqrt(p * (1 - p) / 2000)
-
-
-def test_finite_partition_law():
-    sp = ProductSpace.from_domains(("I", "J"), {"I": (0, 1), "J": (0, 1)})
-    params = DPParams(8.0, uniform_measure(sp))
-    law = finite_partition_law(params, [[(0, 0), (0, 1)], [(1, 0), (1, 1)]])
-    assert law == (4.0, 4.0)
-    with pytest.raises(ValueError, match="events 1 and 2"):
-        finite_partition_law(params, [[(0, 0)], [(0, 0), (1, 1)], [(0, 1), (1, 0)]])
-    with pytest.raises(ValueError, match="cover"):
-        finite_partition_law(params, [[(0, 0)], [(1, 1)]])
-
-
-def test_dp_marginal_requires_discrete_base():
-    with pytest.raises(TypeError):
-        dp_marginal(DPParams(1.0, ContinuousBase(sampler=lambda rng: rng.random())), ("X",))
 
 
 # ---------------------------------------------------------------- posterior

@@ -17,7 +17,6 @@ from hyperdp import (
     mcs_order,
     ordering_from_cliques,
     perfect_ordering,
-    separates,
 )
 from hyperdp import graphs
 
@@ -28,7 +27,6 @@ from conftest import (
     ranked_junction_order,
     scan_mcs_order,
     walk_is_connected,
-    walk_separates,
 )
 
 
@@ -79,24 +77,6 @@ def oracle_maximal_cliques(g):
     }
 
 
-def oracle_paths_avoid(g, start, goals, blocked):
-    """Path existence by exhaustive depth-first enumeration."""
-    adj = g.neighbors()
-    goals = set(goals)
-    blocked = set(blocked)
-
-    def walk(v, visited):
-        if v in goals:
-            return True
-        return any(
-            walk(u, visited | {u})
-            for u in adj[v]
-            if u not in visited and u not in blocked
-        )
-
-    return any(walk(s, {s}) for s in start if s not in blocked)
-
-
 def assert_valid_decomposition(g, decomp):
     """Re-derive every invariant of a perfect ordering from scratch."""
     assert set(decomp.cliques) == set(maximal_cliques(g))
@@ -122,8 +102,6 @@ def assert_valid_decomposition(g, decomp):
 def test_build_graph_normalizes_edges():
     g = build_graph(("a", "b", "c"), [("b", "a"), ("a", "b"), ("c", "c")])
     assert g.edges == frozenset({("a", "b")})
-    assert g.has_edge("b", "a")
-    assert not g.has_edge("a", "c")
 
 
 def test_index_behaves_like_tuple_index():
@@ -269,8 +247,8 @@ def test_ordering_from_explicit_cliques_chain():
 
 
 @settings(max_examples=300, deadline=None)
-@given(chordal_graphs(), st.data())
-def test_clique_sweep_matches_bron_kerbosch(g, data):
+@given(chordal_graphs())
+def test_clique_sweep_matches_bron_kerbosch(g):
     """The graph layer against the oracles it replaced, on chordal graphs
     whose declaration order is permuted."""
     assert mcs_order(g) == scan_mcs_order(g)
@@ -283,12 +261,6 @@ def test_clique_sweep_matches_bron_kerbosch(g, data):
         want = ordering_from_cliques(g, ranked_junction_order(g, oracle))
         for field in ("vertices", "cliques", "separators", "histories", "residuals"):
             assert getattr(got, field) == getattr(want, field)
-    # each vertex goes to a, b, c or none of them
-    n = len(g.vertices)
-    roles = data.draw(st.lists(st.sampled_from("abc-"), min_size=n, max_size=n))
-    a, b, c = ({v for v, r in zip(g.vertices, roles) if r == role} for role in "abc")
-    if a and b:
-        assert separates(g, a, b, c) == walk_separates(g, a, b, c)
 
 
 def test_perfect_ordering_runs_one_search(monkeypatch):
@@ -328,50 +300,3 @@ def test_mcs_breaks_ties_by_declaration_order():
     assert mcs_order(g) == ["x", "y", "z"]
     g2 = build_graph(("z", "y", "x"), [("x", "y"), ("y", "z")])
     assert mcs_order(g2) == ["z", "y", "x"]
-
-
-# ----------------------------------------------------------------- separation
-
-
-def test_separates_examples(path_graph):
-    assert separates(path_graph, {"I"}, {"K"}, {"J"})
-    assert not separates(path_graph, {"I"}, {"K"}, set())
-
-
-def test_separates_validation(path_graph):
-    with pytest.raises(ValueError):
-        separates(path_graph, set(), {"K"}, {"J"})
-    with pytest.raises(ValueError):
-        separates(path_graph, {"I", "J"}, {"K"}, {"J"})
-    with pytest.raises(UnknownVertex):
-        separates(path_graph, {"Q"}, {"K"}, {"J"})
-
-
-def test_separates_agrees_with_path_enumeration():
-    rng = np.random.default_rng(7)
-    pairs5 = list(itertools.combinations(range(5), 2))
-    for _ in range(25):
-        edges = [p for p in pairs5 if rng.random() < 0.5]
-        g = build_graph(tuple(range(5)), edges)
-        verts = set(g.vertices)
-        for a, b in itertools.combinations(sorted(verts), 2):
-            others = sorted(verts - {a, b})
-            for k in range(len(others) + 1):
-                for c in itertools.combinations(others, k):
-                    expected = not oracle_paths_avoid(g, {a}, {b}, set(c))
-                    assert separates(g, {a}, {b}, set(c)) == expected
-
-
-def test_separation_is_monotone_in_the_blocking_set():
-    # once a set separates, any superset (still disjoint from A, B) does too
-    g = build_graph(tuple(range(6)), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)])
-    a, b = {0}, {5}
-    others = sorted(set(g.vertices) - a - b)
-    for k in range(len(others) + 1):
-        for c in itertools.combinations(others, k):
-            if not separates(g, a, b, set(c)):
-                continue
-            for extra in others:
-                if extra in c:
-                    continue
-                assert separates(g, a, b, set(c) | {extra})

@@ -89,6 +89,9 @@ def test_refinement_tolerance_boundary(space_jk):
     )
     assert check_refinement(base, ("J",), ("J", "K")).passed
     assert not check_refinement(base, ("J",), ("J", "K"), tol=1e-15).passed
+    # top = (1 - tol) * total exactly: a group on the bound passes
+    even = DiscreteMeasure(space_jk, {(0, 0): 0.5, (0, 1): 0.5})
+    assert check_refinement(even, ("J",), ("J", "K"), tol=0.5).passed
 
 
 def test_refinement_validates_arguments(copy_jk):

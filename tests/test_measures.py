@@ -35,15 +35,14 @@ from hyperdp import (
     is_markov,
     marginalize,
     markov_combination,
-    markov_combination_seq,
     normalize,
     ordering_from_cliques,
     perfect_ordering,
-    point_mass,
     scale_measure,
     uniform_measure,
 )
 from hyperdp import measures
+from hyperdp.measures import combine_clique_bases
 
 from conftest import (
     dense_is_markov,
@@ -84,7 +83,7 @@ def oracle_pairwise_ci(theta, graph, tol=1e-9):
     callers feed it positive ones.
     """
     for u, v in itertools.combinations(graph.vertices, 2):
-        if graph.has_edge(u, v):
+        if (u, v) in graph.edges:  # edges are pairs in declaration order, as here
             continue
         rest = [w for w in graph.vertices if w not in (u, v)]
         _, p_rest = oracle_marginal(theta, rest)
@@ -384,8 +383,6 @@ def test_uniform_point_scale():
     u = uniform_measure(sp)
     assert u.is_probability()
     assert all(v == pytest.approx(1 / 6) for v in u.mass.values())
-    p = point_mass(sp, {"A": 1, "B": 2})
-    assert p.mass == {(1, 2): 1.0}
     doubled = scale_measure(u, 2.0)
     assert doubled.total == pytest.approx(2.0)
     assert scale_measure(u, 0.0).mass == {}
@@ -752,7 +749,8 @@ def test_combination_commutes_with_normalization(seed):
 
 
 def test_seq_combination_frozen_example(path_decomp, uniform_ij, copy_jk):
-    got = markov_combination_seq(path_decomp, [uniform_ij, copy_jk])
+    _, got, failure = combine_clique_bases(path_decomp, [uniform_ij, copy_jk])
+    assert failure is None
     assert got.mass == {
         (0, 0, 0): 0.25,
         (0, 1, 1): 0.25,
@@ -763,15 +761,16 @@ def test_seq_combination_frozen_example(path_decomp, uniform_ij, copy_jk):
 
 def test_seq_combination_validates_inputs(path_decomp, uniform_ij, copy_jk, space_ij):
     with pytest.raises(ValueError):
-        markov_combination_seq(path_decomp, [uniform_ij])
+        combine_clique_bases(path_decomp, [uniform_ij])
     with pytest.raises(DomainMismatch):
-        markov_combination_seq(path_decomp, [uniform_ij, uniform_ij])
+        combine_clique_bases(path_decomp, [uniform_ij, uniform_ij])
     skewed = DiscreteMeasure(
         ProductSpace.from_domains(("J", "K"), {"J": (0, 1), "K": (0, 1)}),
         {(0, 0): 0.7, (1, 0): 0.3},
     )
-    with pytest.raises(Inconsistent, match="bases 1 and 2"):
-        markov_combination_seq(path_decomp, [uniform_ij, skewed])
+    _, combined, failure = combine_clique_bases(path_decomp, [uniform_ij, skewed])
+    assert combined is None
+    assert isinstance(failure, Inconsistent) and "bases 1 and 2" in str(failure)
 
 
 def test_seq_combination_is_order_invariant():
@@ -789,7 +788,9 @@ def test_seq_combination_is_order_invariant():
         for order in orders:
             decomp = ordering_from_cliques(graph, order)
             bases = [marginalize(joint, c) for c in decomp.cliques]
-            results.append(markov_combination_seq(decomp, bases))
+            _, combined, failure = combine_clique_bases(decomp, bases)
+            assert failure is None
+            results.append(combined)
         # fold order also permutes the output variables, so compare by name
         for x in joint.space.assignments():
             cell = dict(zip(joint.space.variables, x))
@@ -844,7 +845,8 @@ def test_is_markov_agrees_with_independence_oracle():
             raw = normalize(random_joint(rng, graph.vertices, [2] * len(graph.vertices)))
             assert is_markov(raw, decomp) == oracle_pairwise_ci(raw, graph)
             bases = [marginalize(raw, c) for c in decomp.cliques]
-            markovized = markov_combination_seq(decomp, bases)
+            _, markovized, failure = combine_clique_bases(decomp, bases)
+            assert failure is None
             assert is_markov(markovized, decomp)
             assert oracle_pairwise_ci(markovized, graph)
 
@@ -910,7 +912,9 @@ def markov_check_cases(draw):
     if kind == "joint":
         return joint, decomp, tol
     bases = [marginalize(joint, c) for c in decomp.cliques]
-    combined = _reordered(markov_combination_seq(decomp, bases), variables)
+    _, combined, failure = combine_clique_bases(decomp, bases)
+    assert failure is None
+    combined = _reordered(combined, variables)
     if kind == "mixed":
         share = draw(st.sampled_from([1e-13, 1e-10, 1e-6, 1e-2]))
         combined = DiscreteMeasure(

@@ -297,6 +297,21 @@ def test_gibbs_chain_rejects_bad_precision_and_sweeps():
     assert final[0] == final[1] and history == []
 
 
+def test_gibbs_chain_refuses_a_base_that_is_not_a_probability_measure():
+    with pytest.raises(ValueError, match="^a discrete base must be a probability measure$"):
+        gibbs_chain([(0,)], noisy_likelihood, 1.0, one_var_base([1.0, 1.0]), 1, SamplerConfig(seed=3))
+
+
+def test_draw_candidate_stops_at_the_last_position():
+    # the running sums reach the fsum total at position 0 and u * total
+    # rounds up to it: the draw is the last position, not one past it
+    class Stub:
+        def random(self):
+            return 1.0 - 2.0**-53
+
+    assert mixture._draw_candidate([1.0, 1e-16, 1e-16], Stub(), "abc") == 2
+
+
 def _outcome(chain, *args, log=None):
     """The chain's result, or its error's class and text, and ``log`` with
     the weights of each draw the chain began appended: a failure must come
