@@ -10,40 +10,36 @@ name appears in the JSON output), 2 I/O errors, among them a stdout that
 cannot be written (help text too): a closed pipe or a full disk gives one
 ``hyperdp: cannot write output: ...`` line on stderr and no traceback.
 
+``COMMANDS`` holds each command's help line, handler, flags and the
+package modules it loads.  ``main`` builds the subparser of the command
+that ``argv`` names alone, and handlers reach the library through the
+package root, which imports a module at the first use of one of its names.
+
 ``main(argv)`` runs one command and returns its exit code.  ``run()``,
 the entry point of the ``hyperdp`` script and ``python -m hyperdp``,
-freezes the heap that import built, so the collector's full passes skip
-it, calls ``main``, flushes stdout and stderr and ends the process with
-``os._exit``: the interpreter's teardown (clear every module, collect,
-free every object) only delays the exit of a process whose output is
-written.  What escapes ``main`` (argparse's ``SystemExit``, a traceback,
-``KeyboardInterrupt``) still takes the normal exit path.
+imports the command's modules and freezes the heap that import built, so
+the collector's full passes skip it, calls ``main``, flushes stdout and
+stderr and ends the process with ``os._exit``: the interpreter's teardown
+(clear every module, collect, free every object) only delays the exit of
+a process whose output is written.  What escapes ``main`` (argparse's
+``SystemExit``, a traceback, ``KeyboardInterrupt``) still takes the
+normal exit path.
 """
-
-from __future__ import annotations
 
 import argparse
 import functools
 import gc
+import importlib
 import json
 import math
 import os
 import re
 import sys
 
-from .dp import DPParams, SamplerConfig, bayes_cdf, dp_posterior, sample_dp
-from .errors import HyperDPError, NotConnected, NotDecomposable
-from .graphs import is_connected, perfect_ordering
-from .hdp import (
-    audit_hdp,
-    build_hdp,
-    hdp_posterior,
-    verify_sample_markov,
-    verify_sample_refinement,
-)
-from .measures import CONSISTENCY_TOL, is_consistent, markov_combination
-from .mixture import gibbs_chain, identity_likelihood
-from .reconcile import KINDS, ReconcileStrategy, reconcile, suggested_gamma
+import hyperdp
+
+from ._record import record
+from .errors import HyperDPError
 from . import serialize as ser
 
 # short aliases of the reconcile.KINDS names that differ from them
@@ -64,7 +60,7 @@ class _Failure(Exception):
 
 
 def _sampler_config(args):
-    return SamplerConfig(seed=args.seed, eps=args.eps, max_atoms=args.max_atoms)
+    return hyperdp.SamplerConfig(seed=args.seed, eps=args.eps, max_atoms=args.max_atoms)
 
 
 def _report_budget_hits(residuals, cfg):
@@ -80,7 +76,7 @@ def _report_budget_hits(residuals, cfg):
 
 
 def _replicate_line(params, cfg, seed, replicate):
-    theta = sample_dp(params, cfg, replicate)
+    theta = hyperdp.sample_dp(params, cfg, replicate)
     return ser.atoms_to_json_line(theta, seed, replicate), theta.truncation_residual
 
 
@@ -130,11 +126,11 @@ def cmd_check_graph(args):
     # perfect_ordering sweeps once, then walks once if the graph is chordal;
     # only a graph that is not chordal needs a walk of its own
     try:
-        decomp = perfect_ordering(g)
-    except NotConnected:  # also the graph with no vertices
+        decomp = hyperdp.perfect_ordering(g)
+    except hyperdp.NotConnected:  # also the graph with no vertices
         out = {"decomposable": True, "connected": False}
-    except NotDecomposable:
-        out = {"decomposable": False, "connected": is_connected(g)}
+    except hyperdp.NotDecomposable:
+        out = {"decomposable": False, "connected": hyperdp.is_connected(g)}
     else:
         out = {"decomposable": True, "connected": True, **ser.decomposition_to_dict(decomp)}
     return json.dumps(out)
@@ -143,13 +139,13 @@ def cmd_check_graph(args):
 def cmd_combine(args):
     mu = ser.measure_from_dict(ser.load_json(args.mu))
     lam = ser.measure_from_dict(ser.load_json(args.lam))
-    return ser.measure_json(markov_combination(mu, lam, args.tol))
+    return ser.measure_json(hyperdp.markov_combination(mu, lam, args.tol))
 
 
 def cmd_check_consistency(args):
     mu = ser.measure_from_dict(ser.load_json(args.mu))
     lam = ser.measure_from_dict(ser.load_json(args.lam))
-    report = is_consistent(mu, lam, args.tol)
+    report = hyperdp.is_consistent(mu, lam, args.tol)
     out = report.as_dict()
     out["tol"] = args.tol
     return json.dumps(out)
@@ -157,20 +153,20 @@ def cmd_check_consistency(args):
 
 def cmd_sample(args):
     base = ser.measure_from_dict(ser.load_json(args.base))
-    _sample_lines(DPParams(args.nu, base), args)
+    _sample_lines(hyperdp.DPParams(args.nu, base), args)
 
 
 def cmd_posterior(args):
     base = ser.measure_from_dict(ser.load_json(args.base))
-    params = DPParams(args.nu, base)
+    params = hyperdp.DPParams(args.nu, base)
     data = ser.load_data_csv(args.data, base.space)
-    post = dp_posterior(params, data)
+    post = hyperdp.dp_posterior(params, data)
     return ser.object_json({"nu": json.dumps(post.nu), "base": ser.measure_json(post.base)})
 
 
 def cmd_build_hdp(args):
     graph, nu, bases = ser.hdp_spec_from_dict(ser.load_json(args.spec))
-    spec = build_hdp(graph, bases, nu)
+    spec = hyperdp.build_hdp(graph, bases, nu)
     return ser.object_json(
         {
             "nu": json.dumps(spec.nu),
@@ -182,15 +178,15 @@ def cmd_build_hdp(args):
 
 def cmd_sample_hdp(args):
     graph, nu, bases = ser.hdp_spec_from_dict(ser.load_json(args.spec))
-    spec = build_hdp(graph, bases, nu)
+    spec = hyperdp.build_hdp(graph, bases, nu)
     _sample_lines(spec.combined, args)
 
 
 def cmd_posterior_hdp(args):
     graph, nu, bases = ser.hdp_spec_from_dict(ser.load_json(args.spec))
-    spec = build_hdp(graph, bases, nu)
+    spec = hyperdp.build_hdp(graph, bases, nu)
     data = ser.load_data_csv(args.data, spec.combined.base.space)
-    post = hdp_posterior(spec, data)
+    post = hyperdp.hdp_posterior(spec, data)
     return ser.hdp_spec_json(post.graph, post.nu, post.clique_bases)
 
 
@@ -199,18 +195,20 @@ def cmd_diagnose(args):
         raise ValueError("--samples must be at least 0")
     cfg = _sampler_config(args)
     graph, nu, bases = ser.hdp_spec_from_dict(ser.load_json(args.spec))
-    audit = audit_hdp(graph, bases)
+    audit = hyperdp.audit_hdp(graph, bases)
     checks = list(audit.checks)
     if audit.failure is None and args.samples > 0:
         decomp = audit.decomposition
-        params = DPParams(nu, audit.combined)
-        draws = [sample_dp(params, cfg, r) for r in range(args.samples)]
+        params = hyperdp.DPParams(nu, audit.combined)
+        draws = [hyperdp.sample_dp(params, cfg, r) for r in range(args.samples)]
         _report_budget_hits([t.truncation_residual for t in draws], cfg)
         blocks = list(zip(decomp.separators, decomp.cliques[1:]))
         passing = {
-            "sampled measures factorize": sum(verify_sample_markov(t, decomp) for t in draws),
+            "sampled measures factorize": sum(
+                hyperdp.verify_sample_markov(t, decomp) for t in draws
+            ),
             "sampled atoms respect degeneracy": sum(
-                all(verify_sample_refinement(t, s, c) for s, c in blocks) for t in draws
+                all(hyperdp.verify_sample_refinement(t, s, c) for s, c in blocks) for t in draws
             ),
         }
         checks += [
@@ -234,8 +232,8 @@ def cmd_reconcile(args):
     kind = _STRATEGY_ALIASES.get(args.strategy, args.strategy)
     gamma = args.gamma
     if kind == "weighted-average" and gamma is None:
-        gamma = suggested_gamma(mu, lam)
-    result = reconcile(mu, lam, ReconcileStrategy(kind, gamma))
+        gamma = hyperdp.suggested_gamma(mu, lam)
+    result = hyperdp.reconcile.reconcile(mu, lam, hyperdp.ReconcileStrategy(kind, gamma))
     out = {"strategy": json.dumps(kind)}
     if isinstance(result, tuple):
         out["mu"], out["lambda"] = map(ser.measure_json, result)
@@ -253,9 +251,9 @@ def cmd_mixture(args):
         table = ser.load_json(args.likelihood)
         likelihood = ser.likelihood_from_dict(table, base.space, base.space)
     else:
-        likelihood = identity_likelihood
-    cfg = SamplerConfig(seed=args.seed)
-    values, history = gibbs_chain(data, likelihood, args.a, base, args.sweeps, cfg)
+        likelihood = hyperdp.identity_likelihood
+    cfg = hyperdp.SamplerConfig(seed=args.seed)
+    values, history = hyperdp.gibbs_chain(data, likelihood, args.a, base, args.sweeps, cfg)
     labels = {}
     assignments = [labels.setdefault(v, len(labels)) for v in values]
     sizes = [0] * len(labels)
@@ -334,23 +332,45 @@ def cmd_cdf_estimate(args):
     base = ser.measure_from_dict(ser.load_json(args.base))
     if len(base.space.variables) != 1:
         raise ValueError("cdf estimates need a base over exactly one variable")
-    params = DPParams(args.nu, base)
+    params = hyperdp.DPParams(args.nu, base)
     data = [x for (x,) in ser.load_csv_columns(args.data, base.space.variables, [_finite_float])]
     if args.t is not None:
-        return json.dumps({"t": args.t, "estimate": bayes_cdf(params, data, args.t)})
+        return json.dumps({"t": args.t, "estimate": hyperdp.bayes_cdf(params, data, args.t)})
     grid = _parse_grid(args.t_grid)
-    points = [{"t": t, "estimate": bayes_cdf(params, data, t)} for t in grid]
+    points = [{"t": t, "estimate": hyperdp.bayes_cdf(params, data, t)} for t in grid]
     if args.plot_csv:
         lines = ["t,estimate"] + [f"{p['t']!r},{p['estimate']!r}" for p in points]
         _write_text(args.plot_csv, "\n".join(lines) + "\n")
     return json.dumps({"points": points})
 
 
-def _add_sampling_flags(p):
+@record
+class _Command:
+    """A row of the command table: ``flags`` adds the command's arguments to its
+    subparser, and the command loads ``modules`` beyond those ``cli`` imports."""
+
+    help: str
+    handler: object
+    flags: object
+    modules: tuple
+
+
+COMMANDS = {}  # name -> _Command, in the order that --help lists them
+_DP = ("measures", "dp")
+_HDP = (*_DP, "graphs", "hdp")
+
+
+def _command(name, help, handler, modules):
+    """Enter ``name`` in ``COMMANDS``, with the decorated function as its flags."""
+    return lambda flags: COMMANDS.setdefault(name, _Command(help, handler, flags, modules)).flags
+
+
+def _sampling_flags(p):
     p.add_argument("--replicates", type=int, default=1, help="number of draws")
     p.add_argument("--seed", type=int, required=True, help="64-bit stream seed")
-    p.add_argument("--eps", type=float, default=SamplerConfig.eps, help="leftover-mass cutoff")
-    p.add_argument("--max-atoms", type=int, default=SamplerConfig.max_atoms, help="atoms per draw")
+    sampler = hyperdp.SamplerConfig
+    p.add_argument("--eps", type=float, default=sampler.eps, help="leftover-mass cutoff")
+    p.add_argument("--max-atoms", type=int, default=sampler.max_atoms, help="atoms per draw")
     p.add_argument(
         "--parallel",
         type=int,
@@ -361,82 +381,83 @@ def _add_sampling_flags(p):
     )
 
 
-class _Parser(argparse.ArgumentParser):
-    def _print_message(self, message, file=None):  # argparse's own drops an OSError
-        if message:
-            print(message, end="", file=file or sys.stderr, flush=True)
-
-
-def build_parser():
-    parser = _Parser(
-        prog="hyperdp",
-        description="Dirichlet process priors with graph-structured base measures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-graph", help="decomposability report for a graph JSON")
+@_command("check-graph", "decomposability report for a graph JSON", cmd_check_graph, ("graphs",))
+def _check_graph_flags(p):
     p.add_argument("graph", help="graph JSON: {vertices: [...], edges: [[u, v], ...]}")
-    p.set_defaults(func=cmd_check_graph)
 
-    p = sub.add_parser("combine", help="fuse two consistent measures")
+
+@_command("combine", "fuse two consistent measures", cmd_combine, ("measures",))
+def _combine_flags(p):
     p.add_argument("--mu", required=True, help="first measure JSON")
     p.add_argument("--lambda", dest="lam", required=True, help="second measure JSON")
-    p.add_argument("--tol", type=float, default=CONSISTENCY_TOL)
-    p.set_defaults(func=cmd_combine)
+    p.add_argument("--tol", type=float, default=hyperdp.measures.CONSISTENCY_TOL)
 
-    p = sub.add_parser("check-consistency", help="agreement report for two measures")
+
+@_command(
+    "check-consistency", "agreement report for two measures", cmd_check_consistency, ("measures",)
+)
+def _check_consistency_flags(p):
     p.add_argument("--mu", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--tol", type=float, default=CONSISTENCY_TOL)
-    p.set_defaults(func=cmd_check_consistency)
+    p.add_argument("--tol", type=float, default=hyperdp.measures.CONSISTENCY_TOL)
 
-    p = sub.add_parser(
-        "sample",
-        help="stick-breaking draws; JSONL, one "
-        '{"atoms", "weights", "residual", "seed", "replicate"} object per line',
-    )
+
+@_command(
+    "sample",
+    'stick-breaking draws; JSONL, one {"atoms", "weights", "residual", "seed", "replicate"} '
+    "object per line",
+    cmd_sample,
+    (*_DP, "rng"),
+)
+def _sample_flags(p):
     p.add_argument("--base", required=True, help="base measure JSON")
     p.add_argument("--nu", type=float, required=True, help="precision")
-    _add_sampling_flags(p)
-    p.set_defaults(func=cmd_sample)
+    _sampling_flags(p)
 
-    p = sub.add_parser("posterior", help="conjugate update of one process")
+
+@_command("posterior", "conjugate update of one process", cmd_posterior, _DP)
+def _posterior_flags(p):
     p.add_argument("--base", required=True)
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--data", required=True, help="CSV, one column per variable")
-    p.set_defaults(func=cmd_posterior)
 
-    p = sub.add_parser("build-hdp", help="validate clique bases and fuse them")
+
+@_command("build-hdp", "validate clique bases and fuse them", cmd_build_hdp, _HDP)
+def _build_hdp_flags(p):
     p.add_argument(
         "--spec",
         required=True,
         help="spec JSON: {graph, nu, clique_bases: [measure, ...]} in perfect order",
     )
-    p.set_defaults(func=cmd_build_hdp)
 
-    p = sub.add_parser("sample-hdp", help="draws from a graph-structured prior")
+
+@_command("sample-hdp", "draws from a graph-structured prior", cmd_sample_hdp, (*_HDP, "rng"))
+def _sample_hdp_flags(p):
     p.add_argument("--spec", required=True)
-    _add_sampling_flags(p)
-    p.set_defaults(func=cmd_sample_hdp)
+    _sampling_flags(p)
 
-    p = sub.add_parser("posterior-hdp", help="clique-wise conjugate update")
+
+@_command("posterior-hdp", "clique-wise conjugate update", cmd_posterior_hdp, _HDP)
+def _posterior_hdp_flags(p):
     p.add_argument("--spec", required=True)
     p.add_argument("--data", required=True, help="CSV, one column per vertex variable")
-    p.set_defaults(func=cmd_posterior_hdp)
 
-    p = sub.add_parser("diagnose", help="full validation report for a spec")
+
+@_command("diagnose", "full validation report for a spec", cmd_diagnose, (*_HDP, "rng"))
+def _diagnose_flags(p):
     p.add_argument("--spec", required=True)
     p.add_argument("--samples", type=int, default=0, help="extra sampled-draw checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=SamplerConfig.eps)
-    p.add_argument("--max-atoms", type=int, default=SamplerConfig.max_atoms)
-    p.set_defaults(func=cmd_diagnose)
+    p.add_argument("--eps", type=float, default=hyperdp.SamplerConfig.eps)
+    p.add_argument("--max-atoms", type=int, default=hyperdp.SamplerConfig.max_atoms)
 
-    p = sub.add_parser("reconcile", help="merge two disagreeing measures")
+
+@_command("reconcile", "merge two disagreeing measures", cmd_reconcile, ("measures", "reconcile"))
+def _reconcile_flags(p):
     p.add_argument("--mu", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument(
-        "--strategy", required=True, choices=sorted({*KINDS, *_STRATEGY_ALIASES})
+        "--strategy", required=True, choices=sorted({*hyperdp.reconcile.KINDS, *_STRATEGY_ALIASES})
     )
     p.add_argument(
         "--gamma",
@@ -445,9 +466,12 @@ def build_parser():
         help="mixing weight; for weighted-average (alias average) it defaults to the "
         "mass-proportional one",
     )
-    p.set_defaults(func=cmd_reconcile)
 
-    p = sub.add_parser("mixture", help="latent-class assignment by collapsed sweeps")
+
+@_command(
+    "mixture", "latent-class assignment by collapsed sweeps", cmd_mixture, (*_DP, "rng", "mixture")
+)
+def _mixture_flags(p):
     p.add_argument("--data", required=True, help="CSV, one column per variable")
     p.add_argument("--base", required=True, help="base measure JSON")
     p.add_argument("--a", type=float, required=True, help="precision")
@@ -464,11 +488,10 @@ def build_parser():
         default=None,
         help="write a per-sweep class-count histogram (columns: n_classes,sweeps)",
     )
-    p.set_defaults(func=cmd_mixture)
 
-    p = sub.add_parser(
-        "cdf-estimate", help="posterior-mean distribution function estimates"
-    )
+
+@_command("cdf-estimate", "posterior-mean distribution function estimates", cmd_cdf_estimate, _DP)
+def _cdf_estimate_flags(p):
     p.add_argument("--base", required=True, help="one-variable base measure JSON")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--data", required=True, help="CSV with the variable's column")
@@ -479,14 +502,38 @@ def build_parser():
         default=None,
         help="write the grid estimates (columns: t,estimate)",
     )
-    p.set_defaults(func=cmd_cdf_estimate)
 
+
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):  # argparse's own drops an OSError
+        if message:
+            print(message, end="", file=file or sys.stderr, flush=True)
+
+
+def build_parser(names=None):
+    """The parser with the subparsers of the commands ``names``, by default
+    all of them.  With fewer, the usage line still lists every command."""
+    parser = _Parser(
+        prog="hyperdp",
+        description="Dirichlet process priors with graph-structured base measures.",
+    )
+    metavar = None if names is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if names is None else names:
+        command = COMMANDS[name]
+        p = sub.add_parser(name, help=command.help)
+        command.flags(p)
+        p.set_defaults(func=command.handler)
     return parser
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    # help, a missing or an unknown command get every subparser, and so
+    # argparse's own text
+    names = argv[:1] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(names).parse_args(argv)
         code, text = 0, args.func(args)
     except _Failure as failure:
         code, text = 1, failure.text
@@ -510,8 +557,12 @@ def main(argv=None):
 
 def run():
     """Run ``main`` on ``sys.argv`` and end the process with its exit code."""
+    argv = sys.argv[1:]
+    if argv and argv[0] in COMMANDS:  # so that the freeze takes what these imports build
+        for module in COMMANDS[argv[0]].modules:
+            importlib.import_module(f"hyperdp.{module}")
     gc.freeze()
-    code = main()
+    code = main(argv)
     for stream in filter(None, (sys.stdout, sys.stderr)):
         try:
             stream.flush()

@@ -16,7 +16,6 @@ from collections.abc import Callable
 from ._record import record
 from .errors import OutsideDomain
 from .measures import DiscreteMeasure, ProductSpace
-from .rng import _as_index, scalars, stream
 
 
 @record
@@ -62,6 +61,8 @@ class SamplerConfig:
     max_atoms: int = 10_000
 
     def __post_init__(self):
+        from .rng import _as_index  # here and in sample_dp, so exact commands skip rng
+
         if not (0.0 < self.eps < 1.0):
             raise ValueError("eps must lie strictly between 0 and 1")
         if _as_index("max_atoms", self.max_atoms) < 1:
@@ -143,6 +144,8 @@ def sample_dp(params, cfg, replicate=0):
     after the loop as ``(w >> 11) * 2**-53``: numpy's ``random()`` makes
     that double of the same word, so the atoms are ``_weighted_draw``'s.
     """
+    from .rng import scalars, stream
+
     rng = stream(cfg.seed, replicate)
     base = params.base
     if isinstance(base, DiscreteMeasure):

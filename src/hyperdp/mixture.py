@@ -24,7 +24,7 @@ import math
 import operator
 
 from ._record import record
-from .dp import ContinuousBase, DPParams, _weighted_draw, dp_posterior
+from .dp import DPParams, _weighted_draw, dp_posterior
 from .errors import ZeroMass
 from .measures import DiscreteMeasure
 from .rng import stream, uniforms
@@ -45,13 +45,10 @@ class UrnState:
 
     def __post_init__(self):
         _check_precision(self.a)
+        DPParams(self.a, self.base)  # a probability measure or a continuous base
         if isinstance(self.base, DiscreteMeasure):
-            if not self.base.is_probability():
-                raise ValueError("a discrete base must be a probability measure")
             for x in self.drawn:
                 self.base.space.as_tuple(x)
-        elif not isinstance(self.base, ContinuousBase):
-            raise TypeError("base must be a DiscreteMeasure or a ContinuousBase")
 
 
 def urn_predictive(state):
@@ -71,6 +68,7 @@ def sample_partition(a, base, n, cfg, replicate=0):
     _check_precision(a)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
+    DPParams(a, base)  # a probability measure or a continuous base
     rng = stream(cfg.seed, replicate)
     if isinstance(base, DiscreteMeasure):
         draw = _weighted_draw(base.mass, base.mass.values())
@@ -139,8 +137,7 @@ def gibbs_chain(data, likelihood, a, base, sweeps, cfg, replicate=0):
         raise ValueError(f"sweeps must be nonnegative, got {sweeps!r}")
     if not isinstance(base, DiscreteMeasure):
         raise TypeError("collapsed reassignment requires a discrete base")
-    if not base.is_probability():
-        raise ValueError("a discrete base must be a probability measure")
+    DPParams(a, base)  # a probability measure
     rng = uniforms(cfg.seed, replicate)
     support = list(base.mass)
     start = _weighted_draw(range(len(support)), base.mass.values())(rng)

@@ -17,9 +17,6 @@ import itertools
 import json
 import math
 
-from .graphs import build_graph
-from .measures import DiscreteMeasure, ProductSpace, _projector
-
 
 def graph_to_dict(g):
     return {
@@ -29,6 +26,8 @@ def graph_to_dict(g):
 
 
 def graph_from_dict(obj):
+    from .graphs import build_graph  # here, so that a command that reads no graph skips it
+
     return build_graph(obj["vertices"], [tuple(e) for e in obj["edges"]])
 
 
@@ -96,6 +95,8 @@ def measure_from_dict(obj):
     rejects a point or a point is repeated, so an error names the first
     bad point and repeated points merge in first-seen order.
     """
+    from .measures import DiscreteMeasure, ProductSpace  # here, as check-graph reads no measure
+
     space = ProductSpace.from_domains(obj["variables"], obj["domains"])
     points = list(obj["points"])
     cells = _columnar_cells(space, points)
@@ -111,10 +112,15 @@ def _columnar_cells(space, points):
     """``{assignment tuple: float mass}`` of ``points``, or None unless each
     is a JSON object whose mass ``float`` reads and whose assignment is an
     object naming each variable once, and no two name the same assignment."""
+    from .measures import _projector
+
     try:
         assignments = [p["assignment"] for p in points]
-        masses = list(map(float, [p["mass"] for p in points]))
+        column = [p["mass"] for p in points]
+        masses = list(map(float, column))
     except (KeyError, TypeError, ValueError, ArithmeticError):
+        return None
+    if bool in set(map(type, column)):  # float takes JSON's true and false
         return None
     if not set(map(type, assignments)) <= {dict, _Fields}:
         return None
@@ -128,6 +134,15 @@ def _columnar_cells(space, points):
     return cells if len(cells) == len(keys) else None
 
 
+def _number(value, field, *args):
+    """``float(value)``; a JSON ``true`` or ``false`` is a ValueError that names
+    the field, ``field.format(*args)``, formatted only then."""
+    if isinstance(value, bool):
+        field = field.format(*args)
+        raise ValueError(f"{field} is the JSON boolean {json.dumps(value)}, not a number")
+    return float(value)
+
+
 def _point_cells(space, points):
     """``points`` checked one by one, so that an error names the first bad
     point; repeated assignments are merged in first-seen order."""
@@ -137,7 +152,7 @@ def _point_cells(space, points):
         if not isinstance(x, dict):
             raise ValueError(f"point {k} {point!r}: the assignment must be a JSON object")
         x = space.as_tuple(x)
-        v = float(point["mass"])
+        v = _number(point["mass"], "point {} {!r}: mass", k, point)
         # checked per point: merging duplicates first could hide a negative mass
         if v < 0.0 or not math.isfinite(v):
             raise ValueError(f"point {k} {point!r}: mass must be finite and nonnegative")
@@ -161,7 +176,7 @@ def hdp_spec_json(graph, nu, clique_bases):
 def hdp_spec_from_dict(obj):
     """Parse the raw pieces; validation happens when they are assembled."""
     graph = graph_from_dict(obj["graph"])
-    nu = float(obj["nu"])
+    nu = _number(obj["nu"], "nu")
     bases = [measure_from_dict(b) for b in obj["clique_bases"]]
     return graph, nu, bases
 
@@ -277,7 +292,7 @@ def likelihood_from_dict(obj, data_space, base_space):
             raise ValueError(f"likelihood entry {k} {entry!r}: x and pi must be JSON objects")
         x = data_space.as_tuple(x)
         pi = base_space.as_tuple(pi)
-        prob = float(entry["prob"])
+        prob = _number(entry["prob"], "likelihood entry {} {!r}: prob", k, entry)
         if prob < 0.0 or not math.isfinite(prob):
             raise ValueError(f"likelihood entry {k} {entry!r}: prob must be finite and nonnegative")
         if (x, pi) in table:

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hyperdp
 from hyperdp import cli, graphs, measures
 
 
@@ -299,13 +300,13 @@ def test_sample_writes_each_draw_before_making_the_next(monkeypatch, capsys):
     argv = ["sample", "--base", str(golden / "specs" / "mixture_base.json"), "--nu", "2",
             "--replicates", "5", "--seed", "3"]
     written = []  # what stdout has received each time a draw starts
-    sample_dp = cli.sample_dp
+    sample_dp = hyperdp.sample_dp  # the handler looks the name up in the package root
 
     def spy(params, cfg, replicate=0):
         written.append(capsys.readouterr().out)
         return sample_dp(params, cfg, replicate)
 
-    monkeypatch.setattr(cli, "sample_dp", spy)
+    monkeypatch.setattr(hyperdp, "sample_dp", spy)
     assert cli.main(argv) == 0
     written.append(capsys.readouterr().out)
     assert written[0] == ""
@@ -615,8 +616,7 @@ def test_diagnose_checks_each_pair_of_bases_once(good_spec, monkeypatch, capsys)
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (cli, measures):
-        monkeypatch.setattr(module, "is_consistent", counted)
+    monkeypatch.setattr(measures, "is_consistent", counted)  # cli holds no copy of the name
     assert cli.main(["diagnose", "--spec", str(good_spec)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
     # one check of the only pair, one inside the Markov combination step
@@ -1062,6 +1062,42 @@ def test_a_repeated_key_in_an_input_object_is_named(tmp_path, key):
     assert json.loads(proc.stdout) == {"error": "ValueError", "detail": f"input repeats the key {key!r}"}
 
 
+def _bool_payload(capsys, argv, where, value):
+    assert cli.main([str(a) for a in argv]) == 1
+    detail = f"{where} is the JSON boolean {json.dumps(value)}, not a number"
+    assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "detail": detail}
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_a_boolean_nu_is_named(tmp_path, capsys, value):
+    # float() took it: "nu": true built a prior with nu = 1.0
+    spec = {"graph": PATH_GRAPH, "nu": value, "clique_bases": [UNIFORM_IJ, COPY_JK]}
+    argv = ["build-hdp", "--spec", write_json(tmp_path, "spec.json", spec)]
+    _bool_payload(capsys, argv, "nu", value)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_a_boolean_mass_is_named(tmp_path, capsys, value):
+    mu = json.loads(json.dumps(UNIFORM_IJ))
+    mu["points"][1]["mass"] = value
+    argv = ["combine", "--mu", write_json(tmp_path, "mu.json", mu),
+            "--lambda", write_json(tmp_path, "lam.json", COPY_JK)]
+    _bool_payload(capsys, argv, f"point 2 {mu['points'][1]!r}: mass", value)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_a_boolean_likelihood_prob_is_named(tmp_path, capsys, value):
+    base = measure_dict(("X",), {"X": (0, 1)}, {(0,): 0.5, (1,): 0.5})
+    entries = [{"x": {"X": c}, "pi": {"X": c}, "prob": 1.0} for c in (0, 1)]
+    entries[1]["prob"] = value
+    data = tmp_path / "data.csv"
+    data.write_text("X\n0\n1\n", encoding="utf-8")
+    argv = ["mixture", "--data", data, "--base", write_json(tmp_path, "base.json", base),
+            "--likelihood", write_json(tmp_path, "lik.json", {"entries": entries}),
+            "--a", "1", "--seed", "1"]
+    _bool_payload(capsys, argv, f"likelihood entry 2 {entries[1]!r}: prob", value)
+
+
 def test_mixture_zero_sweeps_prints_the_start_state(tmp_path):
     base = write_json(
         tmp_path, "base.json",
@@ -1361,6 +1397,100 @@ def test_mixture_draws_without_numpy_or_a_process_pool():
     assert _loaded_modules(runs, ["numpy", "concurrent.futures"]) == [[], [], []]
 
 
+def _package_modules_loaded(code):
+    """The ``hyperdp`` modules loaded after running ``code`` in a fresh interpreter."""
+    script = code + "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('hyperdp'))))"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import contextlib, io, json, sys\n" + script],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_import_hyperdp_loads_no_submodule():
+    assert _package_modules_loaded("import hyperdp") == {"hyperdp"}
+
+
+def test_each_command_loads_exactly_the_modules_of_its_table_entry(tmp_path):
+    # run() imports an entry's modules before it freezes the heap; a module
+    # the command needs and the entry lacks would be built after the freeze
+    base = measure_dict(("X",), {"X": (0, 1)}, {(0,): 0.5, (1,): 0.5})
+    base = write_json(tmp_path, "base.json", base)
+    data = tmp_path / "x.csv"
+    data.write_text("X\n0\n1\n", encoding="utf-8")
+    spec, mu = SEEDED_SPECS / "good.json", SEEDED_SPECS / "reconcile_mu.json"
+    ij = write_json(tmp_path, "ij.json", UNIFORM_IJ)
+    jk = write_json(tmp_path, "jk.json", UNIFORM_JK)
+    runs = {
+        "check-graph": [SEEDED_SPECS / "graph_square.json"],
+        "combine": ["--mu", ij, "--lambda", jk],
+        "check-consistency": ["--mu", ij, "--lambda", jk],
+        "sample": ["--base", base, "--nu", "2", "--seed", "1"],
+        "posterior": ["--base", base, "--nu", "2", "--data", data],
+        "build-hdp": ["--spec", spec],
+        "sample-hdp": ["--spec", spec, "--seed", "1"],
+        "posterior-hdp": ["--spec", spec, "--data", SEEDED_SPECS / "good_data.csv"],
+        "diagnose": ["--spec", spec, "--samples", "1"],
+        "reconcile": ["--mu", mu, "--lambda", SEEDED_SPECS / "reconcile_lambda_disagree.json",
+                      "--strategy", "average"],
+        "mixture": ["--data", data, "--base", base, "--a", "1", "--sweeps", "1", "--seed", "1"],
+        "cdf-estimate": ["--base", base, "--nu", "2", "--data", data, "--t", "0.5"],
+    }
+    assert list(runs) == list(cli.COMMANDS)
+    cli_own = _package_modules_loaded("import hyperdp.cli")
+    assert cli_own == {"hyperdp", "hyperdp.cli", "hyperdp._record", "hyperdp.errors",
+                       "hyperdp.serialize"}
+    for name, args in runs.items():
+        argv = [name, *map(str, args)]
+        loaded = _package_modules_loaded(
+            "import hyperdp.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert hyperdp.cli.main({argv!r}) == 0"
+        )
+        entry = {f"hyperdp.{m}" for m in cli.COMMANDS[name].modules}
+        assert loaded - cli_own == entry, name
+    assert not {"mixture", "reconcile"} & set(cli.COMMANDS["posterior-hdp"].modules)
+
+
+def _parity_cases():
+    """Help and usage-error argv for each command and for the top parser."""
+    cases = [[], ["-h"], ["--help"], ["no-such-command"], ["--no-such-flag"]]
+    for name, parser in cli.build_parser()._subparsers._group_actions[0].choices.items():
+        actions = parser._actions[1:]  # after -h
+        filled = [name]  # every required argument, with a value its type takes
+        for a in actions:
+            if a.required:
+                filled += [*a.option_strings[:1], "1" if a.type else "x"]
+        cases += [[name, "--help"], [name], [*filled, "extra"], [*filled, "--no-such-flag"]]
+        cases += [[*filled, a.option_strings[0], "x"] for a in actions if a.type in (int, float)]
+        cases += [[*filled, a.option_strings[0], "no-such-choice"] for a in actions if a.choices]
+    return cases
+
+
+PARITY_CASES = _parity_cases()
+
+
+@pytest.mark.parametrize("argv", PARITY_CASES, ids=lambda argv: " ".join(argv) or "no-argument")
+def test_the_table_driven_parser_says_what_the_full_parser_says(monkeypatch, capsys, argv):
+    # main builds only the subparser its argv names; each help text, usage
+    # error and exit code must be the full parser's, byte for byte
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = []
+    for parse in (cli.main, cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as exit_:
+            parse(argv)
+        outcomes.append((exit_.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_the_parity_cases_cover_every_kind_of_usage_error():
+    kinds = {" ".join(c[1:]) for c in PARITY_CASES if c[:1] == ["reconcile"]}
+    assert {"--help", "", "--mu x --lambda x --strategy x extra",
+            "--mu x --lambda x --strategy x --gamma x",
+            "--mu x --lambda x --strategy x --strategy no-such-choice"} <= kinds
+    assert {c[0] for c in PARITY_CASES if c and c[0] in cli.COMMANDS} == set(cli.COMMANDS)
+
+
 # ------------------------------------------------------------ process exit
 
 SPECS = pathlib.Path(__file__).parent / "golden" / "specs"
@@ -1406,6 +1536,34 @@ def test_python_m_hyperdp_skips_teardown_unless_main_raises(good_spec, bad_spec)
     usage = _run_module_with_exit_hook("build-hdp")
     assert usage.returncode == 2
     assert usage.stderr.endswith("teardown\n") and "usage: hyperdp" in usage.stderr
+
+
+@pytest.mark.parametrize("command", ["check-graph", "posterior-hdp", "reconcile", "mixture"])
+def test_run_freezes_the_modules_of_the_command_table_entry(command):
+    # gc.freeze() runs after the command's imports, so the collector's full
+    # passes skip what they built; the spy reports what was loaded by then
+    argv = {
+        "check-graph": [SPECS / "graph_square.json"],
+        "posterior-hdp": ["--spec", SPECS / "good.json", "--data", SPECS / "good_data.csv"],
+        "reconcile": ["--mu", SPECS / "reconcile_mu.json", "--lambda",
+                      SPECS / "reconcile_lambda_disagree.json", "--strategy", "kl"],
+        "mixture": ["--data", SPECS / "mixture_data.csv", "--base", SPECS / "mixture_base.json",
+                    "--a", "1", "--sweeps", "1", "--seed", "1"],
+    }[command]
+    script = f"""
+import gc, runpy, sys
+freeze = gc.freeze
+def spy():
+    sys.stderr.write(" ".join(sorted(m for m in sys.modules if m.startswith("hyperdp."))))
+    freeze()
+gc.freeze = spy
+sys.argv = ["hyperdp", {command!r}, *{list(map(str, argv))!r}]
+runpy.run_module("hyperdp", run_name="__main__", alter_sys=True)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    frozen = set(proc.stderr.split())
+    assert {f"hyperdp.{m}" for m in cli.COMMANDS[command].modules} <= frozen
 
 
 def _env(unbuffered):

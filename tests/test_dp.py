@@ -371,6 +371,35 @@ def test_partition_moments_match_dirichlet_law():
     assert abs(vals.var() - 0.05) < 0.10 * 0.05
 
 
+def _beta_moments(a, b):
+    """Mean, variance and fourth central moment of Beta(a, b), from its raw
+    moments E[X^k] = prod_{i<k} (a + i) / (a + b + i)."""
+    raw = [1.0]
+    for i in range(4):
+        raw.append(raw[-1] * (a + i) / (a + b + i))
+    m = raw[1]
+    return m, raw[2] - m * m, raw[4] - 4 * m * raw[3] + 6 * m * m * raw[2] - 3 * m**4
+
+
+@pytest.mark.parametrize("nu", [0.5, 4.0], ids=["two-call-fraction", "beta-fraction"])
+def test_theta_of_a_set_has_the_dirichlet_moments(nu):
+    # theta(A) ~ Beta(nu g(A), nu (1 - g(A))): mean g(A), variance
+    # g(A) (1 - g(A)) / (nu + 1).  g(A) = 0.7 on a base that is not uniform.
+    # Bands are 4 sigma of the sample mean and of the sample variance over
+    # 4000 draws: 0.0237 and 0.0092 at nu = 0.5, 0.0130 and 0.0035 at nu = 4.
+    base = one_var_base([0.2, 0.3, 0.5])
+    inside = {(0,), (2,)}
+    mean, var, mu4 = _beta_moments(nu * 0.7, nu * 0.3)
+    assert math.isclose(var, 0.7 * 0.3 / (nu + 1))
+    reps, params, cfg = 4000, DPParams(nu, base), SamplerConfig(seed=7)
+    vals = np.array([
+        sum(w for x, w in zip(theta.atoms, theta.weights) if x in inside)
+        for theta in (sample_dp(params, cfg, r) for r in range(reps))
+    ])
+    assert abs(vals.mean() - mean) < 4 * math.sqrt(var / reps)
+    assert abs(vals.var() - var) < 4 * math.sqrt((mu4 - var * var) / reps)
+
+
 def test_continuous_base_draws():
     base = ContinuousBase(sampler=lambda rng: float(rng.random()))
     theta = sample_dp(DPParams(5.0, base), SamplerConfig(seed=11))
@@ -464,7 +493,7 @@ def _scripted_draw(monkeypatch, nu, **scripts):
     the first atom is (0,) and the folded one is (1,).
     """
     rng = _ScriptedStream(**{"bit_generator.random_raw": [0, 2**64 - 1]}, **scripts)
-    monkeypatch.setattr("hyperdp.dp.stream", lambda seed, replicate=0: rng)
+    monkeypatch.setattr("hyperdp.rng.stream", lambda seed, replicate=0: rng)
     theta = sample_dp(DPParams(nu, one_var_base([0.5, 0.5])), SamplerConfig(seed=1, max_atoms=2))
     return theta, rng.calls
 

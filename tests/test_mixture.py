@@ -126,6 +126,12 @@ def test_sample_partition_precision_extremes():
         sample_partition(0.0, distinct_base(), 3, cfg)
 
 
+def test_sample_partition_refuses_a_base_that_is_not_a_probability_measure():
+    # it drew from the running sums of any masses, as if they were normalized
+    with pytest.raises(ValueError, match="^a discrete base must be a probability measure$"):
+        sample_partition(1.0, one_var_base([1.0, 1.0]), 3, SamplerConfig(seed=3))
+
+
 def test_expected_clusters_values():
     assert expected_clusters(1.0, 3) == pytest.approx(1 + 1 / 2 + 1 / 3)
     assert expected_clusters(2.0, 1) == 1.0
