@@ -16,8 +16,9 @@ from importlib import import_module as _import_module
 _HOME = {
     name: module
     for module, names in {
-        "dp": "ContinuousBase DPParams SamplerConfig WeightedAtoms atoms_to_measure bayes_cdf "
-        "dp_posterior sample_dp sample_from_atoms",
+        "algebra": "ConsistencyReport condition is_consistent is_markov marginalize "
+        "markov_combination",
+        "dp": "ContinuousBase DPParams SamplerConfig bayes_cdf dp_posterior",
         "errors": "DomainMismatch DuplicateVertex HyperDPError Inconsistent NotConnected "
         "NotDecomposable NotMarkov ObservationViolatesSupport OutsideDomain "
         "RefinementViolated UnknownVariable UnknownVertex ZeroConditional ZeroMass",
@@ -25,13 +26,13 @@ _HOME = {
         "maximal_cliques mcs_order ordering_from_cliques perfect_ordering",
         "hdp": "HDPAudit HDPSpec RefinementReport SeparatorCheck audit_hdp build_hdp "
         "check_refinement hdp_posterior sample_hdp verify_sample_markov verify_sample_refinement",
-        "measures": "ConsistencyReport DiscreteMeasure ProductSpace condition is_consistent "
-        "is_markov marginalize markov_combination normalize scale_measure uniform_measure",
+        "measures": "DiscreteMeasure ProductSpace normalize scale_measure uniform_measure",
         "mixture": "UrnState expected_clusters gibbs_chain identity_likelihood "
         "sample_partition urn_predictive",
         "reconcile": "ReconcileStrategy complete_via kl_compromise rescale suggested_gamma "
         "weighted_average",
         "rng": "stream",
+        "stick": "WeightedAtoms atoms_to_measure sample_dp sample_from_atoms",
         "serialize": "atoms_to_json_line decomposition_to_dict graph_from_dict graph_to_dict "
         "hdp_spec_from_dict hdp_spec_json likelihood_from_dict load_data_csv load_json "
         "measure_from_dict measure_json",

@@ -16,7 +16,15 @@ from __future__ import annotations
 import functools
 
 from ._record import record
-from .dp import ContinuousBase, DPParams, _coerce_data, _posterior, atoms_to_measure, sample_dp
+from .algebra import (
+    _check_tol,
+    _grouped,
+    combine_clique_bases,
+    is_markov,
+    marginalize,
+    markov_combination,
+)
+from .dp import ContinuousBase, DPParams, _coerce_data, _posterior
 from .errors import (
     Inconsistent,
     NotConnected,
@@ -26,15 +34,7 @@ from .errors import (
     RefinementViolated,
 )
 from .graphs import perfect_ordering
-from .measures import (
-    CONSISTENCY_TOL,
-    _check_tol,
-    _grouped,
-    combine_clique_bases,
-    is_markov,
-    marginalize,
-    markov_combination,
-)
+from .measures import CONSISTENCY_TOL
 
 DEGENERACY_TOL = 1e-12
 
@@ -248,11 +248,15 @@ def build_hdp(graph, clique_bases, nu, tol=CONSISTENCY_TOL, strict=False):
 
 def sample_hdp(spec, cfg, replicate=0):
     """One draw from the prior; same truncation contract as ``sample_dp``."""
+    from .stick import sample_dp  # here, so that commands that draw nothing skip the sampler
+
     return sample_dp(spec.combined, cfg, replicate)
 
 
 def verify_sample_markov(theta, decomp, tol=CONSISTENCY_TOL):
     """Aggregate a draw's atoms and test the clique factorization."""
+    from .stick import atoms_to_measure
+
     return is_markov(atoms_to_measure(theta), decomp, tol)
 
 

@@ -4,7 +4,7 @@ Every strategy degrades gracefully: on inputs that are already
 consistent each one reproduces the plain combination (the rescalers
 return the inputs themselves).  The completions, the weighted average
 and the KL compromise each check their conditionals on grouped tables,
-then glue cells in ``measures._glue`` (the average in one pass), so
+then glue cells in ``algebra._glue`` (the average in one pass), so
 ``condition-on-a`` on consistent inputs runs ``markov_combination``'s loop.
 """
 
@@ -13,19 +13,9 @@ from __future__ import annotations
 import math
 
 from ._record import record
+from .algebra import _glue, _grouped, _overlap_law, _union_space, is_consistent
 from .errors import Inconsistent, ZeroConditional, ZeroMass
-from .measures import (
-    CONSISTENCY_TOL,
-    DiscreteMeasure,
-    _glue,
-    _grouped,
-    _ordered_measure,
-    _overlap_law,
-    _projector,
-    _union_space,
-    is_consistent,
-    scale_measure,
-)
+from .measures import CONSISTENCY_TOL, DiscreteMeasure, _ordered_measure, _projector, scale_measure
 
 KINDS = (
     "rescale-min",

@@ -28,6 +28,7 @@ def graph_to_dict(g):
 def graph_from_dict(obj):
     from .graphs import build_graph  # here, so that a command that reads no graph skips it
 
+    _refuse_infinite(obj["vertices"], "the graph's vertex list")
     return build_graph(obj["vertices"], [tuple(e) for e in obj["edges"]])
 
 
@@ -98,6 +99,8 @@ def measure_from_dict(obj):
     from .measures import DiscreteMeasure, ProductSpace  # here, as check-graph reads no measure
 
     space = ProductSpace.from_domains(obj["variables"], obj["domains"])
+    for var, domain in zip(space.variables, space.domains):
+        _refuse_infinite(domain, f"the domain of {var!r}")
     points = list(obj["points"])
     cells = _columnar_cells(space, points)
     if cells is not None:
@@ -132,6 +135,13 @@ def _columnar_cells(space, points):
     except (KeyError, TypeError, ValueError):  # a variable missing, a category unhashable
         return None
     return cells if len(cells) == len(keys) else None
+
+
+def _refuse_infinite(values, owner):
+    """Refuse a float that is not finite, as JSON has no such number."""
+    bad = [v for v in values if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"{owner} has {bad[0]!r}, which is not a finite number")
 
 
 def _number(value, field, *args):
@@ -217,9 +227,14 @@ def _input_object(pairs):
     return obj
 
 
+def _refuse_constant(name):
+    """``parse_constant`` of every input: ``json.load`` takes ``NaN`` and ``Infinity``."""
+    raise ValueError(f"input has {name}, which is not a JSON number")
+
+
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=_input_object)
+        return json.load(fh, object_pairs_hook=_input_object, parse_constant=_refuse_constant)
 
 
 def _category_parser(domain, var):
@@ -281,6 +296,12 @@ def load_csv_columns(path, columns, parsers):
 def load_data_csv(path, space):
     parsers = map(_category_parser, space.domains, space.variables)
     return load_csv_columns(path, space.variables, parsers)
+
+
+def write_text(path, text):
+    """Write ``text`` to the file at ``path`` in UTF-8, its line ends as they are."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def likelihood_from_dict(obj, data_space, base_space):

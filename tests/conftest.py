@@ -26,8 +26,9 @@ from hyperdp import (
     normalize,
     perfect_ordering,
 )
+from hyperdp.algebra import _check_tol, _sup_gap, _union_space, is_consistent
 from hyperdp.dp import _coerce_data
-from hyperdp.measures import CONSISTENCY_TOL, _check_tol, _sup_gap, _union_space, is_consistent
+from hyperdp.measures import CONSISTENCY_TOL
 from hyperdp.rng import stream
 
 
@@ -411,13 +412,16 @@ def looped_measure_from_dict(obj):
     replaced.  Each point's assignment must be a JSON object and goes
     through ``as_tuple``, and its mass through ``float``, in turn, so an
     error names the first bad point; repeated points are merged in
-    first-seen order."""
+    first-seen order.  A JSON ``true`` or ``false`` is not a number."""
     space = ProductSpace.from_domains(obj["variables"], obj["domains"])
     mass = {}
     for k, point in enumerate(obj["points"], start=1):
         if not isinstance(point["assignment"], dict):
             raise ValueError(f"point {k} {point!r}: the assignment must be a JSON object")
         x = space.as_tuple(point["assignment"])
+        if point["mass"] is True or point["mass"] is False:
+            text = "true" if point["mass"] else "false"
+            raise ValueError(f"point {k} {point!r}: mass is the JSON boolean {text}, not a number")
         v = float(point["mass"])
         if v < 0.0 or not math.isfinite(v):
             raise ValueError(f"point {k} {point!r}: mass must be finite and nonnegative")
@@ -448,7 +452,7 @@ def hdp_spec_to_dict(graph, nu, clique_bases):
 
 
 def looped_glue(cells, at, grouped, arrange, mass=None):
-    """Oracle for ``measures._glue``: the per-cell loop it replaced, which
+    """Oracle for ``algebra._glue``: the per-cell loop it replaced, which
     divides once per output cell and calls ``mass(c, w, wo, d)`` there."""
     groups, totals = grouped
     glued = {}
@@ -631,7 +635,7 @@ def assembled_kl_compromise(mu, lam):
 
 
 def rekeyed_overlap_law(m, overlap, total):
-    """Oracle for ``measures._overlap_law``: normalize, marginalize, re-key.
+    """Oracle for ``algebra._overlap_law``: normalize, marginalize, re-key.
 
     ``marginalize`` keys cells in the measure's own variable order, so
     two measures that list the shared variables differently are only
@@ -653,11 +657,11 @@ def outcome(fn, *args):
 
 
 # Grouping and gluing as they were written out by hand before the shared
-# ``measures._grouped`` / ``measures._glue`` loops.
+# ``algebra._grouped`` / ``algebra._glue`` loops.
 
 
 def looped_condition(m, given):
-    """Oracle for ``measures.condition``: filter every cell, then group."""
+    """Oracle for ``algebra.condition``: filter every cell, then group."""
     given = dict(given)
     checks = []
     for var, val in given.items():
@@ -677,7 +681,7 @@ def looped_condition(m, given):
 
 
 def assembled_markov_combination(mu, lam, tol=CONSISTENCY_TOL):
-    """Oracle for ``measures.markov_combination``."""
+    """Oracle for ``algebra.markov_combination``."""
     report = is_consistent(mu, lam, tol)
     if not report.consistent:
         failing = (

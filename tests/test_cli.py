@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperdp
-from hyperdp import cli, graphs, measures
+from hyperdp import _cli_cdf, _cli_draws, algebra, cli, graphs
 
 
 def run_cli(*argv):
@@ -350,7 +350,7 @@ def test_parallel_workers_are_capped(tmp_path, monkeypatch, capsys):
     serial = capsys.readouterr().out
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     assert cli.main([*argv, "--parallel", str(10**6)]) == 0
-    assert created == [min(3, cli.os.cpu_count() or 1)] and chunks == [1]
+    assert created == [min(3, _cli_draws.os.cpu_count() or 1)] and chunks == [1]
     assert capsys.readouterr().out == serial
 
 
@@ -610,13 +610,13 @@ def test_diagnose_inconsistent_carries_the_build_hdp_report(tmp_path, spec):
 
 def test_diagnose_checks_each_pair_of_bases_once(good_spec, monkeypatch, capsys):
     calls = []
-    original = measures.is_consistent
+    original = algebra.is_consistent
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(measures, "is_consistent", counted)  # cli holds no copy of the name
+    monkeypatch.setattr(algebra, "is_consistent", counted)  # cli holds no copy of the name
     assert cli.main(["diagnose", "--spec", str(good_spec)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
     # one check of the only pair, one inside the Markov combination step
@@ -943,9 +943,9 @@ def _bits(values):
 def test_t_grid_matches_numpy_linspace_bit_for_bit(lo, hi, steps):
     with np.errstate(all="ignore"):  # an overflowing span is part of the contract
         expected = _bits(np.linspace(lo, hi, steps).tolist())
-    assert _bits(cli._linspace(lo, hi, steps)) == expected
+    assert _bits(_cli_cdf._linspace(lo, hi, steps)) == expected
     if hi > lo:
-        assert _bits(cli._parse_grid(f"{lo!r}:{hi!r}:{steps}")) == expected
+        assert _bits(_cli_cdf._parse_grid(f"{lo!r}:{hi!r}:{steps}")) == expected
 
 
 @pytest.mark.parametrize(
@@ -1096,6 +1096,37 @@ def test_a_boolean_likelihood_prob_is_named(tmp_path, capsys, value):
             "--likelihood", write_json(tmp_path, "lik.json", {"entries": entries}),
             "--a", "1", "--seed", "1"]
     _bool_payload(capsys, argv, f"likelihood entry 2 {entries[1]!r}: prob", value)
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("NaN", "input has NaN, which is not a JSON number"),
+        ("Infinity", "input has Infinity, which is not a JSON number"),
+        ("-Infinity", "input has -Infinity, which is not a JSON number"),
+        ("1e400", "the domain of 'X' has inf, which is not a finite number"),
+        ("-1e400", "the domain of 'X' has -inf, which is not a finite number"),
+    ],
+)
+def test_a_category_that_is_not_a_finite_number_is_named(tmp_path, capsys, text, detail):
+    # each passed posterior with exit 0, and the base it printed held NaN or
+    # Infinity, which is not JSON
+    base = json.dumps(measure_dict(("X",), {"X": ("c", 1)}, {(1,): 1.0}))
+    path = tmp_path / "base.json"
+    path.write_text(base.replace('"c"', text), encoding="utf-8")
+    data = tmp_path / "data.csv"
+    data.write_text("X\n1\n", encoding="utf-8")
+    assert cli.main(["posterior", "--base", str(path), "--nu", "1", "--data", str(data)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "detail": detail}
+
+
+def test_a_vertex_that_is_not_a_finite_number_is_named(tmp_path, capsys):
+    # check-graph printed the cliques [[Infinity, "A"]], which is not JSON
+    path = tmp_path / "graph.json"
+    path.write_text('{"vertices": ["A", 1e400], "edges": [["A", 1e400]]}', encoding="utf-8")
+    assert cli.main(["check-graph", str(path)]) == 1
+    detail = "the graph's vertex list has inf, which is not a finite number"
+    assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "detail": detail}
 
 
 def test_mixture_zero_sweeps_prints_the_start_state(tmp_path):
@@ -1249,7 +1280,7 @@ def test_a_cdf_cell_that_is_not_a_plain_decimal_names_its_line(tmp_path, capsys,
 def test_a_cdf_cell_reads_every_plain_decimal_form(tmp_path, capsys):
     forms = ["-2", "+1", ".5", "5.", "1E+3", "2e-1", "007"]
     values = [-2.0, 1.0, 0.5, 5.0, 1000.0, 0.2, 7.0]
-    assert [cli._finite_float(c).hex() for c in forms] == [v.hex() for v in values]
+    assert [_cli_cdf._finite_float(c).hex() for c in forms] == [v.hex() for v in values]
     outputs = []
     for cells in (forms, map(repr, values)):
         data = tmp_path / "data.csv"
@@ -1398,8 +1429,12 @@ def test_mixture_draws_without_numpy_or_a_process_pool():
 
 
 def _package_modules_loaded(code):
-    """The ``hyperdp`` modules loaded after running ``code`` in a fresh interpreter."""
-    script = code + "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('hyperdp'))))"
+    """The ``hyperdp`` modules, and ``numpy`` if it is, loaded after running
+    ``code`` in a fresh interpreter."""
+    script = code + (
+        "\nprint(json.dumps(sorted(m for m in sys.modules"
+        " if m.startswith('hyperdp') or m == 'numpy')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", "import contextlib, io, json, sys\n" + script],
         capture_output=True, text=True,
@@ -1439,17 +1474,25 @@ def test_each_command_loads_exactly_the_modules_of_its_table_entry(tmp_path):
     }
     assert list(runs) == list(cli.COMMANDS)
     cli_own = _package_modules_loaded("import hyperdp.cli")
-    assert cli_own == {"hyperdp", "hyperdp.cli", "hyperdp._record", "hyperdp.errors",
-                       "hyperdp.serialize"}
+    assert cli_own == {"hyperdp", "hyperdp.cli", "hyperdp._record", "hyperdp.errors"}
+    command_modules = {f"hyperdp.{c.module}" for c in cli.COMMANDS.values()}
+    loads = {}
     for name, args in runs.items():
         argv = [name, *map(str, args)]
-        loaded = _package_modules_loaded(
+        loads[name] = _package_modules_loaded(
             "import hyperdp.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert hyperdp.cli.main({argv!r}) == 0"
-        )
-        entry = {f"hyperdp.{m}" for m in cli.COMMANDS[name].modules}
-        assert loaded - cli_own == entry, name
-    assert not {"mixture", "reconcile"} & set(cli.COMMANDS["posterior-hdp"].modules)
+        ) - cli_own
+        command = cli.COMMANDS[name]
+        entry = {f"hyperdp.{m}" for m in (command.module, "serialize", *command.modules)}
+        assert loads[name] - {"numpy"} == entry, name
+        # a run compiles its own command module and no other family's handlers
+        assert loads[name] & command_modules == {f"hyperdp.{command.module}"}, name
+    assert not {"hyperdp.algebra", "hyperdp.stick"} & loads["mixture"]
+    assert not {"hyperdp.mixture", "hyperdp.reconcile", "hyperdp.stick", "numpy"} & loads[
+        "posterior-hdp"
+    ]
+    assert not {"hyperdp.stick", "hyperdp.graphs", "hyperdp.hdp"} & loads["reconcile"]
 
 
 def _parity_cases():

@@ -32,7 +32,7 @@ from hyperdp import (
     stream,
     uniform_measure,
 )
-from hyperdp import dp as dp_module
+from hyperdp import stick
 from hyperdp.dp import _weighted_draw
 from hyperdp.rng import _LANES, _blocks, _key, _round_keys, scalars, uniforms
 
@@ -344,8 +344,8 @@ def test_draws_from_one_base_build_its_lookup_table_once(monkeypatch):
         built.append(len(built))
         return lookup_table(keys, weights)
 
-    lookup_table = dp_module._lookup_table
-    monkeypatch.setattr(dp_module, "_lookup_table", counted)
+    lookup_table = stick._lookup_table
+    monkeypatch.setattr(stick, "_lookup_table", counted)
     base = one_var_base([0.25, 0.25, 0.5])
     params, cfg = DPParams(3.0, base), SamplerConfig(seed=5)
     draws = [sample_dp(params, cfg, r) for r in range(20)]
@@ -398,6 +398,24 @@ def test_theta_of_a_set_has_the_dirichlet_moments(nu):
     ])
     assert abs(vals.mean() - mean) < 4 * math.sqrt(var / reps)
     assert abs(vals.var() - var) < 4 * math.sqrt((mu4 - var * var) / reps)
+
+
+def test_atom_keys_follow_the_base_by_a_chi_square_test():
+    # each atom's key is an independent draw from the base, whatever its
+    # weight, so the atoms per key are multinomial with the base's masses.
+    # Over 5 keys the statistic x is chi-square with 4 degrees of freedom,
+    # whose tail is exp(-x / 2) (1 + x / 2); the bound is a tail of 1e-4,
+    # x < 23.5.  About 18,000 atoms: at least 900 expected per key.
+    masses = [0.05, 0.1, 0.15, 0.3, 0.4]
+    params, cfg = DPParams(100.0, one_var_base(masses)), SamplerConfig(seed=11)
+    counts = [0] * len(masses)
+    for r in range(8):
+        for (key,) in sample_dp(params, cfg, r).atoms:
+            counts[key] += 1
+    n = sum(counts)
+    assert n > 10_000
+    x = sum((c - n * g) ** 2 / (n * g) for c, g in zip(counts, masses))
+    assert math.exp(-x / 2) * (1 + x / 2) > 1e-4, (counts, x)
 
 
 def test_continuous_base_draws():

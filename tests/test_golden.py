@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from hyperdp.cli import _STRATEGY_ALIASES
+from hyperdp._cli_reconcile import _STRATEGY_ALIASES
 from hyperdp.reconcile import KINDS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

@@ -43,8 +43,9 @@ from hyperdp import (
     verify_sample_markov,
     verify_sample_refinement,
 )
-from hyperdp import hdp, measures, reconcile
-from hyperdp.measures import CONSISTENCY_TOL, _sup_gap
+from hyperdp import algebra, hdp, reconcile
+from hyperdp.algebra import _sup_gap
+from hyperdp.measures import CONSISTENCY_TOL
 
 from conftest import assembled_markov_combination, chordal_graphs, reaudited_hdp_posterior
 
@@ -279,7 +280,7 @@ def test_the_fold_recheck_alone_catches_overlap_drift(monkeypatch):
     # the fold keeps all the mass, so without the re-check inside
     # markov_combination the drifting chain would build
     monkeypatch.setattr(
-        measures,
+        algebra,
         "markov_combination",
         lambda mu, lam, tol: assembled_markov_combination(mu, lam, tol=1.0),
     )
@@ -451,8 +452,8 @@ def test_factorization_checks_never_walk_the_product_space(monkeypatch):
 
 def test_every_cell_assembly_runs_the_one_join(monkeypatch):
     # the Markov combination and the reconcile strategies build their cells
-    # through measures._glue and nothing else
-    glue, calls, hook_calls = measures._glue, [], []
+    # through algebra._glue and nothing else
+    glue, calls, hook_calls = algebra._glue, [], []
 
     def counted(cells, at, grouped, arrange, mass=None):
         if mass is not None:
@@ -465,7 +466,7 @@ def test_every_cell_assembly_runs_the_one_join(monkeypatch):
         calls.append(glue(cells, at, grouped, arrange, mass))
         return calls[-1]
 
-    for module in (measures, reconcile):
+    for module in (algebra, reconcile):
         monkeypatch.setattr(module, "_glue", counted)
     _, (_, mu, lam) = _copy_flip_chain(4)
 
@@ -479,7 +480,7 @@ def test_every_cell_assembly_runs_the_one_join(monkeypatch):
             return reconcile.weighted_average(a, b, 0.3)
 
     builds = [
-        (measures.markov_combination, 1),
+        (algebra.markov_combination, 1),
         (lambda a, b: reconcile.complete_via(a, b, "A"), 1),
         (lambda a, b: reconcile.complete_via(a, b, "B"), 1),
         (reconcile.kl_compromise, 2),
@@ -701,7 +702,7 @@ def test_posterior_checks_each_row_once_and_audits_nothing_again(monkeypatch):
         raise AssertionError("the posterior was audited again")
 
     for name in ("combine_clique_bases", "is_consistent", "markov_combination", "is_markov"):
-        for module in (hdp, measures):
+        for module in (hdp, algebra):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     as_tuple = ProductSpace.as_tuple

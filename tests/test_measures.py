@@ -41,8 +41,8 @@ from hyperdp import (
     scale_measure,
     uniform_measure,
 )
-from hyperdp import measures
-from hyperdp.measures import combine_clique_bases
+from hyperdp import algebra, measures
+from hyperdp.algebra import combine_clique_bases
 
 from conftest import (
     dense_is_markov,
@@ -627,10 +627,10 @@ def _law_bits(law, m, overlap):
 def test_overlap_law_matches_the_rekeyed_marginal(case):
     mu, lam, overlap = case
     for m in (mu, lam):
-        assert _law_bits(measures._overlap_law, m, overlap) == _law_bits(
+        assert _law_bits(algebra._overlap_law, m, overlap) == _law_bits(
             rekeyed_overlap_law, m, overlap
         )
-    with mock.patch.object(measures, "_overlap_law", rekeyed_overlap_law):
+    with mock.patch.object(algebra, "_overlap_law", rekeyed_overlap_law):
         want = is_consistent(mu, lam)
     got = is_consistent(mu, lam)
     assert got == want

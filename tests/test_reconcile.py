@@ -36,7 +36,7 @@ from hyperdp import (
     uniform_measure,
     weighted_average,
 )
-from hyperdp import measures as measures_module
+from hyperdp import algebra as algebra_module
 from hyperdp import reconcile as reconcile_module
 from hyperdp.reconcile import reconcile
 from hyperdp.serialize import measure_json
@@ -388,7 +388,7 @@ def _per_cell_glue(cells, at, grouped, arrange, mass=None):
 def printed_per_cell(fn, *args):
     """``printed(fn, *args)`` with ``_per_cell_glue`` as the one join."""
     with pytest.MonkeyPatch.context() as patch:
-        for module in (measures_module, reconcile_module):
+        for module in (algebra_module, reconcile_module):
             patch.setattr(module, "_glue", _per_cell_glue)
         return printed(fn, *args)
 
