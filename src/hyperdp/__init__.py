@@ -18,22 +18,23 @@ _HOME = {
     for module, names in {
         "algebra": "ConsistencyReport condition is_consistent is_markov marginalize "
         "markov_combination",
-        "dp": "ContinuousBase DPParams SamplerConfig bayes_cdf dp_posterior",
+        "dp": "ContinuousBase DPParams bayes_cdf dp_posterior",
         "errors": "DomainMismatch DuplicateVertex HyperDPError Inconsistent NotConnected "
         "NotDecomposable NotMarkov ObservationViolatesSupport OutsideDomain "
         "RefinementViolated UnknownVariable UnknownVertex ZeroConditional ZeroMass",
         "graphs": "CliqueDecomposition Graph build_graph is_connected is_decomposable "
         "maximal_cliques mcs_order ordering_from_cliques perfect_ordering",
         "hdp": "HDPAudit HDPSpec RefinementReport SeparatorCheck audit_hdp build_hdp "
-        "check_refinement hdp_posterior sample_hdp verify_sample_markov verify_sample_refinement",
+        "check_refinement hdp_posterior",
         "measures": "DiscreteMeasure ProductSpace normalize scale_measure uniform_measure",
         "mixture": "UrnState expected_clusters gibbs_chain identity_likelihood "
         "sample_partition urn_predictive",
         "reconcile": "ReconcileStrategy complete_via kl_compromise rescale suggested_gamma "
         "weighted_average",
-        "rng": "stream",
-        "stick": "WeightedAtoms atoms_to_measure sample_dp sample_from_atoms",
-        "serialize": "atoms_to_json_line decomposition_to_dict graph_from_dict graph_to_dict "
+        "rng": "SamplerConfig stream",
+        "stick": "WeightedAtoms atoms_to_json_line atoms_to_measure sample_dp sample_from_atoms "
+        "sample_hdp verify_sample_markov verify_sample_refinement",
+        "serialize": "decomposition_to_dict graph_from_dict graph_to_dict "
         "hdp_spec_from_dict hdp_spec_json likelihood_from_dict load_data_csv load_json "
         "measure_from_dict measure_json",
     }.items()

@@ -29,7 +29,7 @@ def _report_budget_hits(residuals, cfg):
 
 def _replicate_line(params, cfg, seed, replicate):
     theta = hyperdp.sample_dp(params, cfg, replicate)
-    return ser.atoms_to_json_line(theta, seed, replicate), theta.truncation_residual
+    return hyperdp.atoms_to_json_line(theta, seed, replicate), theta.truncation_residual
 
 
 def _write_lines(results, cfg):

@@ -3,18 +3,17 @@ check, the Markov combination and the factorization check.
 
 Cells are grouped in one place, ``_group`` (split a ``{key: mass}``
 dict by two projections of its keys; ``_grouped`` takes them by
-variable), and glued in one place, ``_glue`` (extend each cell by a
+variable and sums each group), and glued in one place, ``_glue`` (extend each cell by a
 conditional law given the overlap).  Marginals, conditionals, overlap
-laws, the Markov combination, every union-cell strategy of
-``reconcile`` and the degeneracy check of ``hdp`` are built from these
-two loops.  ``is_markov`` reads its clique tables from ``_group`` but
+laws, the Markov combination, the join of clique bases in ``hdp``,
+every union-cell strategy of ``reconcile`` and the degeneracy check of
+``hdp`` are built from these two loops.  ``is_markov`` reads its clique tables from ``_group`` but
 joins them as a list of keys: that join carries no masses, and it can
 be far larger than the support.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from ._record import record
@@ -30,22 +29,21 @@ from .measures import (
 
 
 def _grouped(m, key_vars, rest_vars):
-    """``_group`` on the cells of ``m``, projected on ``key_vars`` and ``rest_vars``."""
-    return _group(m.mass, m.space.projector(key_vars), m.space.projector(rest_vars))
+    """``_group`` on the cells of ``m``, projected on ``key_vars`` and
+    ``rest_vars``, and ``totals``, the ``fsum`` of each group's masses."""
+    groups = _group(m.mass, m.space.projector(key_vars), m.space.projector(rest_vars))
+    return groups, {c: math.fsum(w for _, w in g) for c, g in groups.items()}
 
 
 def _group(cells, key, rest):
-    """Split ``cells``, a ``{key: mass}`` dict, by the projections ``key`` of their keys.
-
-    Returns ``(groups, totals)``: ``groups`` maps each value (in order of
-    first appearance) to its cells' ``(rest(x), mass)`` pairs, in
-    ``cells``' order; ``totals`` maps it to the ``fsum`` of those masses.
-    """
+    """Split ``cells``, a ``{key: mass}`` dict, by the projections ``key`` of
+    their keys: each value (in order of first appearance) maps to its cells'
+    ``(rest(x), mass)`` pairs, in ``cells``' order.  It takes no totals, as
+    some callers read none."""
     groups = {}
     for x, w in cells.items():
         groups.setdefault(key(x), []).append((rest(x), w))
-    totals = {c: math.fsum(w for _, w in g) for c, g in groups.items()}
-    return groups, totals
+    return groups
 
 
 def _glue(cells, at, grouped, arrange, mass=None):
@@ -91,7 +89,7 @@ def condition(m, given):
         if val not in m.space.domain(var):
             raise ValueError(f"value {val!r} is not in the domain of {var!r}")
     sub = m.space.subspace(v for v in m.space.variables if v not in given)
-    groups, _ = _grouped(m, tuple(given), sub.variables)
+    groups = _group(m.mass, m.space.projector(tuple(given)), m.space.projector(sub.variables))
     cells = groups.get(tuple(given.values()))
     if cells is None:
         raise ZeroConditional(f"conditioning event {given!r} has zero mass")
@@ -131,9 +129,15 @@ def _overlap_law(m, overlap, total):
     the order in which ``m``'s support first reaches them.  Each value
     sums ``normalize``'s per-cell quotients, bit for bit.
     """
+    return _law(m.mass, m.space.projector(overlap), total)
+
+
+def _law(cells, at, total):
+    """``_overlap_law`` of the ``{key: mass}`` dict ``cells`` of total mass
+    ``total``, whose keys ``at`` projects on the overlap."""
     if total <= 0.0:
         raise ZeroMass("cannot normalize a measure with zero total mass")
-    groups, _ = _grouped(m, overlap, ())
+    groups = _group(cells, at, _projector(()))
     return {c: math.fsum(w / total for _, w in g) for c, g in groups.items()}
 
 
@@ -156,16 +160,32 @@ def is_consistent(mu, lam, tol=CONSISTENCY_TOL):
     ``tol`` must be finite and nonnegative.
     """
     _check_tol(tol)
-    lam_vars = set(lam.space.variables)
-    overlap = tuple(v for v in mu.space.variables if v in lam_vars)
-    for v in overlap:
-        if mu.space.domain(v) != lam.space.domain(v):
-            raise DomainMismatch(f"overlap variable {v!r} has mismatched domains")
+    overlap = _overlap(mu.space, lam.space)
     tm, tl = mu.total, lam.total
+    return _consistency(
+        overlap, tm, tl, lambda: (_overlap_law(mu, overlap, tm), _overlap_law(lam, overlap, tl)),
+        tol,
+    )
+
+
+def _overlap(mu, lam):
+    """The variables of space ``mu`` that space ``lam`` shares, in ``mu``'s order;
+    a shared variable with two domains raises."""
+    lam_vars = set(lam.variables)
+    overlap = tuple(v for v in mu.variables if v in lam_vars)
+    for v in overlap:
+        if mu.domain(v) != lam.domain(v):
+            raise DomainMismatch(f"overlap variable {v!r} has mismatched domains")
+    return overlap
+
+
+def _consistency(overlap, tm, tl, laws, tol):
+    """The report of two measures of totals ``tm`` and ``tl``; ``laws()`` gives
+    their overlap laws, and is called only when both totals are positive."""
     mass_gap = abs(tm - tl)
     equal_mass = mass_gap <= tol * max(tm, tl)
     if tm > 0.0 and tl > 0.0:
-        marginal_gap = _sup_gap(_overlap_law(mu, overlap, tm), _overlap_law(lam, overlap, tl))
+        marginal_gap = _sup_gap(*laws())
         proportional = marginal_gap <= tol
     else:
         # a zero measure is proportional only to another zero measure
@@ -202,48 +222,6 @@ def markov_combination(mu, lam, tol=CONSISTENCY_TOL):
     return _ordered_measure(union, _glue(mu.mass, at, _grouped(lam, report.overlap, extra), tuple))
 
 
-def combine_clique_bases(decomp, bases, tol=CONSISTENCY_TOL):
-    """Check clique bases pairwise and fold them along a perfect ordering.
-
-    Raises unless there is one discrete base per clique, on exactly its
-    clique.  Returns ``(pairs, combined, failure)``: ``pairs`` holds an
-    ``(i, j, report)`` consistency triple for every pair of bases, in
-    lexicographic order; ``failure`` is the ``Inconsistent`` error of the
-    first failing pair, in which case ``combined`` is None.  Gaps each
-    pair keeps within ``tol`` can still add up along the fold; then
-    ``failure`` is the error ``markov_combination`` raised, and
-    ``combined`` is the fold up to that step.
-    """
-    if len(bases) != len(decomp.cliques):
-        raise ValueError(
-            f"{len(decomp.cliques)} cliques but {len(bases)} base measures"
-        )
-    for k, (clique, base) in enumerate(zip(decomp.cliques, bases), start=1):
-        if not isinstance(base, DiscreteMeasure):
-            raise TypeError("clique bases must be discrete measures")
-        if set(base.space.variables) != set(clique):
-            raise DomainMismatch(
-                f"base {k} is not defined on exactly the clique {clique!r}"
-            )
-    pairs = [
-        (i, j, is_consistent(bases[i], bases[j], tol))
-        for i, j in itertools.combinations(range(len(bases)), 2)
-    ]
-    for i, j, report in pairs:
-        if not report.consistent:
-            failure = Inconsistent(
-                f"clique bases {i + 1} and {j + 1} are not consistent", report, (i + 1, j + 1)
-            )
-            return pairs, None, failure
-    combined = bases[0]
-    for base in bases[1:]:
-        try:
-            combined = markov_combination(combined, base, tol)
-        except Inconsistent as exc:
-            return pairs, combined, exc
-    return pairs, combined, None
-
-
 def is_markov(theta, decomp, tol=CONSISTENCY_TOL):
     """Does the measure factorize over the decomposition's cliques?
 
@@ -273,14 +251,14 @@ def is_markov(theta, decomp, tol=CONSISTENCY_TOL):
     # tables are keyed in the decomposition's own variable order
     clique_at = list(map(theta.space.projector, decomp.cliques))
     sep_at = list(map(theta.space.projector, decomp.separators))
-    clique_mass = [_group(theta.mass, at, _projector(()))[1] for at in clique_at]
-    sep_mass = [_group(theta.mass, at, _projector(()))[1] for at in sep_at]
+    clique_mass = [_grouped(theta, c, ())[1] for c in decomp.cliques]
+    sep_mass = [_grouped(theta, s, ())[1] for s in decomp.separators]
     # rows hold values of the variables in ``order``, the history so far
     order = decomp.cliques[0]
     rows = list(clique_mass[0])
     steps = zip(decomp.separators, decomp.residuals, decomp.cliques[1:], clique_mass[1:])
     for sep, res, clique, mass in steps:
-        allowed, _ = _group(mass, within(clique, sep), within(clique, res))
+        allowed = _group(mass, within(clique, sep), within(clique, res))
         at = within(order, sep)
         rows = [row + r for row in rows for r, _ in allowed.get(at(row), ())]
         order += res

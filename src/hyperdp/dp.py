@@ -1,20 +1,19 @@
-"""Dirichlet process engine: parameters, conjugate posteriors, weighted draws.
+"""Dirichlet process engine: parameters and conjugate posteriors.
 
 Base measures are either exact discrete measures or opaque continuous
 sampling oracles; every exactness claim applies to the discrete case
-only.  The stick-breaking sampler is in ``stick``.
+only.  The stick-breaking sampler is in ``stick``, weighted draws in ``rng``.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
+import collections
 import math
 from collections.abc import Callable
 
 from ._record import record
 from .errors import OutsideDomain
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _ordered_measure
 
 
 @record
@@ -51,53 +50,33 @@ class DPParams:
             raise TypeError("base must be a DiscreteMeasure or a ContinuousBase")
 
 
-@record
-class SamplerConfig:
-    """Seed and truncation policy for stick-breaking draws."""
+def _counted(space, data):
+    """The rows of ``data`` checked against ``space``, as a ``_tally`` of their
+    counts: each distinct row is checked once, so an error names the first bad
+    row.  Rows that cannot be hashed, such as dicts, are checked one by one."""
 
-    seed: int
-    eps: float = 1e-10
-    max_atoms: int = 10_000
-
-    def __post_init__(self):
-        from .rng import _as_index  # here and in sample_dp, so exact commands skip rng
-
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError("eps must lie strictly between 0 and 1")
-        if _as_index("max_atoms", self.max_atoms) < 1:
-            raise ValueError("max_atoms must be at least 1")
-
-
-def _lookup_table(keys, weights):
-    """``keys`` with the last one listed twice, and the running sums ``cum``
-    of ``weights``: ``keys[bisect_right(cum, u * cum[-1])]`` is the key of
-    the first sum above ``u`` times the total, and a ``u`` of 1 or more
-    lands on the last key."""
-    keys = list(keys)
-    keys.append(keys[-1])
-    return keys, list(itertools.accumulate(weights))
-
-
-def _weighted_draw(keys, weights):
-    """Sampler of ``keys`` with chances proportional to ``weights``:
-    ``draw(rng)`` looks ``rng.random()`` up in ``_lookup_table``."""
-    keys, cum = _lookup_table(keys, weights)
-    total = cum[-1]
-    bisect_right = bisect.bisect_right
-
-    def draw(rng):
-        return keys[bisect_right(cum, rng.random() * total)]
-
-    return draw
-
-
-def _coerce_data(space, data):
-    out = []
-    for obs in data:
+    def check(obs):
         try:
-            out.append(space.as_tuple(obs))
+            return space.as_tuple(obs)
         except (ValueError, KeyError) as exc:
             raise OutsideDomain(f"observation {obs!r} is outside the base's space: {exc}") from None
+
+    rows = list(data)
+    try:
+        counts = collections.Counter(rows)
+    except TypeError:
+        counts = collections.Counter(map(check, rows))
+    return _tally(counts, check)
+
+
+def _tally(counts, key):
+    """``{key(x): count}`` of a ``{x: count}`` table, in order of first
+    appearance, equal keys' counts added; a key keeps the object first seen:
+    ``1``, ``True`` and ``1.0`` are equal but print differently."""
+    out = {}
+    for x, c in counts.items():
+        y = key(x)
+        out[y] = out.get(y, 0) + c
     return out
 
 
@@ -110,20 +89,25 @@ def dp_posterior(params, data):
     """
     if not isinstance(params.base, DiscreteMeasure):
         raise TypeError("exact posterior updates require a discrete base")
-    return _posterior(params, _coerce_data(params.base.space, data))
-
-
-def _posterior(params, obs):
-    """``dp_posterior`` of rows already checked against the base's space."""
-    n = len(obs)
-    if n == 0:
+    counts = _counted(params.base.space, data)
+    if not counts:
         return params
-    scale = params.nu + n
-    mass = {x: params.nu * v for x, v in params.base.mass.items()}
-    for x in obs:
-        mass[x] = mass.get(x, 0.0) + 1.0
-    posterior = DiscreteMeasure(params.base.space, {x: v / scale for x, v in mass.items()})
-    return DPParams(scale, posterior)
+    return DPParams(params.nu + sum(counts.values()), _posterior(params.nu, params.base, counts))
+
+
+def _posterior(nu, base, counts):
+    """The base of ``dp_posterior`` for a ``_counted`` table.  A row's cell
+    adds 1.0 once per count, in turn: ``nu * g + count`` can round otherwise."""
+    mass = {x: nu * v for x, v in base.mass.items()}
+    for x, c in counts.items():
+        v = mass.get(x, 0.0)
+        for _ in range(c):
+            v += 1.0
+        mass[x] = v
+    scale = nu + sum(counts.values())
+    # rows off the support append cells that the full check must sort
+    build = DiscreteMeasure if len(mass) > len(base.mass) else _ordered_measure
+    return build(base.space, {x: v / scale for x, v in mass.items()})
 
 
 def _base_cdf(base, t):

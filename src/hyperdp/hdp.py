@@ -4,28 +4,36 @@ A prior here is a plain Dirichlet process whose base measure is the
 combination of per-clique bases along a perfect ordering.  ``audit_hdp``
 is the one place that checks what makes the clique marginals of a draw
 behave like coupled Dirichlet processes: a decomposable connected
-graph, pairwise consistency, a fold that keeps the bases' mass,
-factorization of the combined base, and degeneracy of every
+graph, pairwise consistency, a join of the bases that keeps their
+mass, factorization of the combined base, and degeneracy of every
 clique-given-separator conditional.  ``build_hdp`` raises the audit's
 failure; ``hyperdp diagnose`` prints its report; ``hdp_posterior`` reruns
-only its degeneracy stage, on the conjugate update of the combined base.
+only its degeneracy stage, on the conjugate update of the combined base
+from one count table of the distinct rows.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 
 from ._record import record
 from .algebra import (
     _check_tol,
+    _consistency,
+    _glue,
     _grouped,
-    combine_clique_bases,
+    _law,
+    _overlap,
+    _overlap_law,
     is_markov,
     marginalize,
     markov_combination,
 )
-from .dp import ContinuousBase, DPParams, _coerce_data, _posterior
+from .dp import ContinuousBase, DPParams, _counted, _posterior, _tally
 from .errors import (
+    DomainMismatch,
     Inconsistent,
     NotConnected,
     NotDecomposable,
@@ -34,7 +42,7 @@ from .errors import (
     RefinementViolated,
 )
 from .graphs import perfect_ordering
-from .measures import CONSISTENCY_TOL
+from .measures import CONSISTENCY_TOL, DiscreteMeasure, ProductSpace, _ordered_measure, _projector
 
 DEGENERACY_TOL = 1e-12
 
@@ -91,38 +99,25 @@ def check_refinement(base, separator, clique, tol=DEGENERACY_TOL):
     passes outright, since equal separator draws then never happen.
     """
     _check_tol(tol)
-    separator = tuple(separator)
-    clique = tuple(clique)
+    separator, clique = tuple(separator), tuple(clique)
     if isinstance(base, ContinuousBase):
         if not base.atoms_distinct:
-            raise ValueError(
-                "cannot audit a continuous base that does not declare distinct atoms"
-            )
-        return RefinementReport(
-            (SeparatorCheck(separator, clique, True, None, None),)
-        )
+            raise ValueError("cannot audit a continuous base that does not declare distinct atoms")
+        return RefinementReport((SeparatorCheck(separator, clique, True),))
     if not set(separator) <= set(clique):
         raise ValueError("the separator must be a subset of the clique")
     clique_m = marginalize(base, clique)
     sep_space = clique_m.space.subspace(separator)
     groups, totals = _grouped(clique_m, sep_space.variables, clique_m.space.variables)
-    witness = None
-    conditional = None
-    passed = True
     for key in sorted(groups, key=sep_space.sort_key):
-        entries = groups[key]
-        total = totals[key]
-        top = max(w for _, w in entries)
-        if top < (1.0 - tol) * total:
-            passed = False
+        entries, total = groups[key], totals[key]
+        if max(w for _, w in entries) < (1.0 - tol) * total:
             witness = dict(zip(sep_space.variables, key))
-            conditional = {
-                repr(x): w / total for x, w in entries
-            }
-            break
-    return RefinementReport(
-        (SeparatorCheck(separator, clique, passed, witness, conditional),)
-    )
+            check = SeparatorCheck(
+                separator, clique, False, witness, {repr(x): w / total for x, w in entries}
+            )
+            return RefinementReport((check,))
+    return RefinementReport((SeparatorCheck(separator, clique, True),))
 
 
 @record
@@ -140,6 +135,81 @@ class HDPAudit:
     failure: Exception | None = None
 
 
+def combine_clique_bases(decomp, bases, tol=CONSISTENCY_TOL):
+    """Check clique bases pairwise and join them along a perfect ordering.
+
+    Raises unless there is one discrete base per clique, on exactly its
+    clique, and one domain per shared variable.  Returns ``(pairs, combined,
+    failure)``: ``pairs`` yields an ``(i, j, report)`` triple per pair of
+    bases, lexicographically, as it is read; ``failure`` is the error of the
+    first failing pair, and then ``combined`` is None.  Pair gaps within
+    ``tol`` can add up along the join, so each step is checked too: at the
+    first that fails, ``failure`` is its error and ``combined`` the join so far.
+    """
+    if len(bases) != len(decomp.cliques):
+        raise ValueError(f"{len(decomp.cliques)} cliques but {len(bases)} base measures")
+    holders = {}  # variable -> the positions of the bases on it, in order
+    for k, (clique, base) in enumerate(zip(decomp.cliques, bases)):
+        if not isinstance(base, DiscreteMeasure):
+            raise TypeError("clique bases must be discrete measures")
+        if set(base.space.variables) != set(clique):
+            raise DomainMismatch(f"base {k + 1} is not defined on exactly the clique {clique!r}")
+        for v in clique:
+            holders.setdefault(v, []).append(k)
+    totals, laws = [base.total for base in bases], {}  # (base, overlap) -> law, built once
+
+    def law(k, overlap):
+        if (k, overlap) not in laws:
+            laws[k, overlap] = _overlap_law(bases[k], overlap, totals[k])
+        return laws[k, overlap]
+
+    def report(i, j):
+        overlap = _overlap(bases[i].space, bases[j].space)
+        return _consistency(
+            overlap, totals[i], totals[j], lambda: (law(i, overlap), law(j, overlap)), tol
+        )
+
+    def pairs():
+        for i, j in itertools.combinations(range(len(bases)), 2):
+            yield linked.get((i, j)) or (i, j, report(i, j))
+
+    shared = {p for ks in holders.values() for p in itertools.combinations(ks, 2)}
+    linked = {p: (*p, report(*p)) for p in sorted(shared)}
+    # The pairs sharing no variable pass if the extreme totals pass the mass bound at
+    # the smaller (at the larger, a pair nearer to them can fail by rounding) and the
+    # laws of the empty overlap spread within tol; else every pair is checked in turn.
+    low, high = min(totals), max(totals)
+    spread = [math.fsum(w / t for w in b.mass.values()) for b, t in zip(bases, totals)]
+    scanned = high - low <= tol * low and max(spread) - min(spread) <= tol
+    for i, j, r in linked.values() if scanned else pairs():
+        if not r.consistent:
+            failure = Inconsistent(
+                f"clique bases {i + 1} and {j + 1} are not consistent", r, (i + 1, j + 1)
+            )
+            return pairs(), None, failure
+    cells, failure = bases[0].mass, None
+    position = {v: p for p, v in enumerate(bases[0].space.variables)}
+    domains = list(bases[0].space.domains)
+    for k in range(1, len(bases)):
+        space = bases[k].space
+        overlap = tuple(sorted((v for v in space.variables if v in position), key=position.get))
+        at, tm = _projector(tuple(map(position.get, overlap))), math.fsum(cells.values())
+        step = _consistency(
+            overlap, tm, totals[k], lambda: (_law(cells, at, tm), law(k, overlap)), tol
+        )
+        if not step.consistent:
+            failure = Inconsistent("the join of the clique bases drifted from the next one", step)
+            break
+        extra = tuple(v for v in space.variables if v not in position)
+        cells = _glue(cells, at, _grouped(bases[k], overlap, extra), tuple)
+        for v in extra:
+            position[v] = len(position)
+            domains.append(space.domain(v))
+    if cells is bases[0].mass:
+        return pairs(), bases[0], failure
+    return pairs(), _ordered_measure(ProductSpace(tuple(position), tuple(domains)), cells), failure
+
+
 def audit_hdp(graph, clique_bases, tol=CONSISTENCY_TOL, strict=False):
     """Check a spec stage by stage: the graph, every pair of clique bases
     (a sequence in perfect order) for consistency, the mass of their
@@ -150,18 +220,24 @@ def audit_hdp(graph, clique_bases, tol=CONSISTENCY_TOL, strict=False):
     A malformed spec (wrong base count, a base that is not discrete, not
     on its clique, or not a probability measure) raises instead.
     """
+    checks, decomp, combined, failure = _audit(graph, clique_bases, tol, strict)
+    return HDPAudit(tuple(checks), decomp, combined, failure)
+
+
+def _audit(graph, clique_bases, tol, strict):
+    """The fields of ``audit_hdp``'s record, with the checks as an iterator:
+    a pair's entry is made only when it is read, and ``build_hdp`` reads none."""
     _check_tol(tol)
     try:
         decomp = perfect_ordering(graph)
     except (NotDecomposable, NotConnected) as exc:
-        return HDPAudit(({"name": "graph", "passed": False, "detail": str(exc)},), failure=exc)
-    checks = [{"name": "graph", "passed": True}]
+        return [{"name": "graph", "passed": False, "detail": str(exc)}], None, None, exc
     pairs, combined, failure = combine_clique_bases(decomp, clique_bases, tol)
     # only now is every base known to be a DiscreteMeasure
     for k, base in enumerate(clique_bases, start=1):
         if not base.is_probability():
             raise ValueError(f"clique base {k} is not a probability measure")
-    checks += [
+    paired = (
         {
             "name": f"consistency of clique bases {i + 1} and {j + 1}",
             "passed": report.consistent,
@@ -169,7 +245,9 @@ def audit_hdp(graph, clique_bases, tol=CONSISTENCY_TOL, strict=False):
             "mass_gap": report.mass_gap,
         }
         for i, j, report in pairs
-    ]
+    )
+    later = []  # the entries after the pairs'
+    checks = itertools.chain([{"name": "graph", "passed": True}], paired, later)
     if combined is not None and (failure is not None or not combined.is_probability()):
         # every pair passed, but their gaps added up along the fold
         report = failure.report if failure else None
@@ -179,16 +257,16 @@ def audit_hdp(graph, clique_bases, tol=CONSISTENCY_TOL, strict=False):
             kept = "their overlap marginals proportional"
             change = f"drifted their overlap marginals {report.marginal_gap:.3e} apart"
         detail = f"folding the clique bases {change}, although every pair of them is consistent"
-        checks.append(
+        later.append(
             {"name": f"fold of the clique bases keeps {kept}", "passed": False, "detail": detail}
         )
         failure = Inconsistent(detail, report)
     if failure is not None:
-        return HDPAudit(tuple(checks), decomp, failure=failure)
+        return checks, decomp, None, failure
     factorizes = is_markov(combined, decomp, tol)
-    checks.append({"name": "combined base factorizes over the cliques", "passed": factorizes})
-    blocks, report, failure = _degeneracy(combined, decomp, strict)
-    for (kind, _, _), c in zip(blocks, report.checks):
+    later.append({"name": "combined base factorizes over the cliques", "passed": factorizes})
+    kinds, report, failure = _degeneracy(combined, decomp, clique_bases, strict=strict)
+    for kind, c in zip(kinds, report.checks):
         entry = {
             "name": f"degenerate completion of {kind} {list(c.clique)} given separator "
             f"{list(c.separator)}",
@@ -197,31 +275,36 @@ def audit_hdp(graph, clique_bases, tol=CONSISTENCY_TOL, strict=False):
         if not c.passed:
             entry["witness"] = c.witness
             entry["conditional"] = c.conditional
-        checks.append(entry)
+        later.append(entry)
     if failure is None and not factorizes:
         failure = NotMarkov("internal error: the combined base does not factorize")
-    return HDPAudit(tuple(checks), decomp, combined, failure)
+    return checks, decomp, combined, failure
 
 
-def _degeneracy(combined, decomp, strict=False):
-    """The degeneracy stage of ``audit_hdp``: the (kind, separator, block)
-    triples it checks, their RefinementReport, and its failure or None."""
-    blocks = [
-        (kind, sep, block)
-        for sep, clique, history in zip(decomp.separators, decomp.cliques[1:], decomp.histories)
-        for kind, block in (("clique", clique), ("history", history))[: 2 if strict else 1]
-    ]
-    report = RefinementReport(
-        tuple(check_refinement(combined, sep, block).checks[0] for _, sep, block in blocks)
-    )
-    failure = None
-    if not report.passed:
-        w = report.first_witness()
-        failure = RefinementViolated(
-            f"a separator value admits multiple completions (witness {w!r})",
-            report,
-        )
-    return blocks, report, failure
+def _degeneracy(combined, decomp, bases, seen=None, strict=False):
+    """The degeneracy stage of ``audit_hdp``: the kind of each block it
+    checks, their RefinementReport, and its failure or None.  On each
+    clique, the support of ``combined`` projects into the cells of the
+    clique's base in ``bases`` and the clique values ``seen`` holds for it,
+    if given: a clique on which these pin each separator value passes
+    without ``check_refinement`` grouping ``combined``."""
+    kinds, checks = [], []
+    steps = zip(decomp.separators, decomp.cliques[1:], decomp.histories, bases[1:])
+    for t, (sep, clique, history, base) in enumerate(steps, start=1):
+        values = {*base.mass, *(seen[t] if seen else ())}
+        pinned = len(set(map(base.space.projector(sep), values))) == len(values)
+        for kind, block in (("clique", clique), ("history", history))[: 2 if strict else 1]:
+            if kind == "clique" and pinned:
+                checks.append(SeparatorCheck(sep, block, True))
+            else:
+                checks.append(check_refinement(combined, sep, block).checks[0])
+            kinds.append(kind)
+    report = RefinementReport(tuple(checks))
+    if report.passed:
+        return kinds, report, None
+    w = report.first_witness()
+    message = f"a separator value admits multiple completions (witness {w!r})"
+    return kinds, report, RefinementViolated(message, report)
 
 
 def build_hdp(graph, clique_bases, nu, tol=CONSISTENCY_TOL, strict=False):
@@ -234,77 +317,42 @@ def build_hdp(graph, clique_bases, nu, tol=CONSISTENCY_TOL, strict=False):
     block against its separator.
     """
     bases = tuple(clique_bases)
-    audit = audit_hdp(graph, bases, tol, strict)
-    if audit.failure is not None:
-        raise audit.failure
+    _, decomp, combined, failure = _audit(graph, bases, tol, strict)
+    if failure is not None:
+        raise failure
     return HDPSpec(
         graph=graph,
-        decomposition=audit.decomposition,
+        decomposition=decomp,
         clique_bases=bases,
         nu=float(nu),
-        combined=DPParams(nu, audit.combined),
+        combined=DPParams(nu, combined),
     )
-
-
-def sample_hdp(spec, cfg, replicate=0):
-    """One draw from the prior; same truncation contract as ``sample_dp``."""
-    from .stick import sample_dp  # here, so that commands that draw nothing skip the sampler
-
-    return sample_dp(spec.combined, cfg, replicate)
-
-
-def verify_sample_markov(theta, decomp, tol=CONSISTENCY_TOL):
-    """Aggregate a draw's atoms and test the clique factorization."""
-    from .stick import atoms_to_measure
-
-    return is_markov(atoms_to_measure(theta), decomp, tol)
-
-
-def verify_sample_refinement(theta, separator, clique):
-    """Do atoms that share a separator value share the whole clique value?
-
-    Then the separator values and the clique values group the weights
-    into the same masses, which is the degeneracy condition on a draw.
-    """
-    if theta.space is None:
-        raise TypeError("only draws from a discrete base can be audited")
-    separator = tuple(separator)
-    clique = tuple(clique)
-    if not set(separator) <= set(clique):
-        raise ValueError("the separator must be a subset of the clique")
-    s_at, c_at = theta.space.projector(separator), theta.space.projector(clique)
-    completion = {}
-    for atom in theta.atoms:
-        c = c_at(atom)
-        if completion.setdefault(s_at(atom), c) != c:
-            return False
-    return True
 
 
 def hdp_posterior(spec, data):
     """Conjugate update: the combined base absorbs one unit of mass per
-    observation, each clique base the observations' projections.  The
-    posterior is again such a prior (Ferguson 1973), so only degeneracy is
-    checked again: a row that gives a separator value a second completion
-    raises ObservationViolatesSupport.
+    observation, each clique base the observations' projections, from one
+    table of the distinct rows and their counts.  The posterior is again
+    such a prior (Ferguson 1973), so only degeneracy is checked again: a
+    row that gives a separator value a second completion raises
+    ObservationViolatesSupport.
     """
     space = spec.combined.base.space
-    obs = _coerce_data(space, data)
-    if not obs:
+    counts = _counted(space, data)
+    if not counts:
         return spec
-    bases = []
-    for base in spec.clique_bases:
-        projected = list(map(space.projector(base.space.variables), obs))
-        bases.append(_posterior(DPParams(spec.nu, base), projected).base)
-    combined = _posterior(spec.combined, obs)
-    _, _, failure = _degeneracy(combined.base, spec.decomposition)
+    projected = [_tally(counts, space.projector(b.space.variables)) for b in spec.clique_bases]
+    bases = tuple(map(functools.partial(_posterior, spec.nu), spec.clique_bases, projected))
+    nu, base = spec.combined.nu, spec.combined.base
+    combined = DPParams(nu + sum(counts.values()), _posterior(nu, base, counts))
+    _, _, failure = _degeneracy(combined.base, spec.decomposition, spec.clique_bases, projected)
     if failure is not None:
         # the fold of the clique bases names the witness by their own
         # values: 1, True and 1.0 are equal but print differently
         fold = functools.reduce(markov_combination, bases)
-        failure = _degeneracy(fold, spec.decomposition)[2] or failure
+        failure = _degeneracy(fold, spec.decomposition, bases)[2] or failure
         raise ObservationViolatesSupport(
             f"observations contradict the degeneracy structure of the base ({failure})",
             failure.report,
         )
-    return HDPSpec(spec.graph, spec.decomposition, tuple(bases), combined.nu, combined)
+    return HDPSpec(spec.graph, spec.decomposition, bases, combined.nu, combined)

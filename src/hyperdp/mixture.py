@@ -24,10 +24,10 @@ import math
 import operator
 
 from ._record import record
-from .dp import DPParams, _weighted_draw, dp_posterior
+from .dp import DPParams, dp_posterior
 from .errors import ZeroMass
 from .measures import DiscreteMeasure
-from .rng import stream, uniforms
+from .rng import _weighted_draw, stream, uniforms
 
 
 def _check_precision(a):
@@ -94,8 +94,8 @@ def expected_clusters(a, n):
 
 def _draw_candidate(weights, rng, support):
     """Position of the first running sum of ``weights`` above ``u`` times
-    their ``fsum``, or the last position: the partial sums of an
-    ``acc += w`` walk.  Weights are checked by their sum and minimum; only
+    their ``fsum``, or the last position of positive weight: the partial
+    sums of an ``acc += w`` walk.  Weights are checked by their sum and minimum; only
     a failing check scans them, so the first one that is not finite and
     nonnegative is named by its ``support`` value."""
     try:
@@ -117,7 +117,10 @@ def _draw_candidate(weights, rng, support):
             "table does not cover the data"
         )
     cum = list(itertools.accumulate(weights))
-    return bisect.bisect_right(cum, rng.random() * total, 0, len(cum) - 1)
+    j = bisect.bisect_right(cum, rng.random() * total, 0, len(cum) - 1)
+    while not weights[j]:  # the clamp took a trailing zero weight: the last positive one
+        j -= 1
+    return j
 
 
 def gibbs_chain(data, likelihood, a, base, sweeps, cfg, replicate=0):

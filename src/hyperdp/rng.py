@@ -11,16 +11,21 @@ same Philox blocks in plain Python for callers that only need
 for bit, without importing numpy.
 
 Seeds and replicates are integers in [0, 2**64); anything else is a
-``ValueError``, so no two pairs share a key.
+``ValueError``, so no two pairs share a key.  ``SamplerConfig`` holds a
+sampler's seed and truncation policy, and ``_weighted_draw`` looks a
+uniform up in the running sums of ``_lookup_table``.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
 import struct
 import types
+
+from ._record import record
 
 _MASK64 = (1 << 64) - 1
 
@@ -40,6 +45,21 @@ _LOW64 = _MASK64 * _ONES  # the low 64 bits of every lane
 _TOP53 = int.from_bytes(((1 << 53) - 1).to_bytes(8, "little") * (4 * _LANES), "little")
 _WORDS = struct.Struct(f"<{4 * _LANES}Q").unpack
 _SCALE = (2.0**-53).__mul__
+
+
+@record
+class SamplerConfig:
+    """Seed and truncation policy for stick-breaking draws."""
+
+    seed: int
+    eps: float = 1e-10
+    max_atoms: int = 10_000
+
+    def __post_init__(self):
+        if not (0.0 < self.eps < 1.0):
+            raise ValueError("eps must lie strictly between 0 and 1")
+        if _as_index("max_atoms", self.max_atoms) < 1:
+            raise ValueError("max_atoms must be at least 1")
 
 
 def _key(seed, replicate):
@@ -132,3 +152,26 @@ def uniforms(seed, replicate=0):
     # numpy's Philox bumps its counter before each block, so the first block is counter 1
     draws = itertools.chain.from_iterable(map(batch, itertools.count(1, _LANES)))
     return types.SimpleNamespace(random=draws.__next__)
+
+
+def _lookup_table(keys, weights):
+    """``keys`` with the last one listed twice, and the running sums ``cum``
+    of ``weights``: ``keys[bisect_right(cum, u * cum[-1])]`` is the key of
+    the first sum above ``u`` times the total, and a ``u`` of 1 or more
+    lands on the last key."""
+    keys = list(keys)
+    keys.append(keys[-1])
+    return keys, list(itertools.accumulate(weights))
+
+
+def _weighted_draw(keys, weights):
+    """Sampler of ``keys`` with chances proportional to ``weights``:
+    ``draw(rng)`` looks ``rng.random()`` up in ``_lookup_table``."""
+    keys, cum = _lookup_table(keys, weights)
+    total = cum[-1]
+    bisect_right = bisect.bisect_right
+
+    def draw(rng):
+        return keys[bisect_right(cum, rng.random() * total)]
+
+    return draw

@@ -191,23 +191,6 @@ def hdp_spec_from_dict(obj):
     return graph, nu, bases
 
 
-def atoms_to_json_line(theta, seed, replicate):
-    """One draw as a compact JSON line with reproducibility metadata.
-
-    The same bytes as ``json.dumps`` of the whole record.  A discrete
-    draw repeats few distinct atom objects, so each is encoded once.
-    """
-    if theta.space is None:
-        atoms = json.dumps(theta.atoms)
-    else:
-        atoms = "[" + ", ".join(_texts_by_identity(theta.atoms)) + "]"
-    return (
-        f'{{"atoms": {atoms}, "weights": {json.dumps(theta.weights)}, '
-        f'"residual": {json.dumps(theta.truncation_residual)}, '
-        f'"seed": {json.dumps(seed)}, "replicate": {json.dumps(replicate)}}}'
-    )
-
-
 class _Fields(dict):
     """A JSON object of an input file: a key it lacks is a ValueError."""
 
@@ -258,7 +241,8 @@ def _category_parser(domain, var):
 def read_csv_columns(fh, columns, parsers):
     """The records of the CSV file ``fh`` (opened with ``newline=""``), each the tuple
     of its ``columns`` cells passed through their ``parsers``, which are read once
-    the header names every column.  Blank lines are skipped but counted; a parser's
+    the header names every column.  Each distinct row is parsed once, at its first
+    line, and its record shared.  Blank lines are skipped but counted; a parser's
     ValueError and a ``csv.Error`` become a ValueError that starts ``line N: ``."""
     rows = csv.reader(fh)
     try:
@@ -272,16 +256,19 @@ def read_csv_columns(fh, columns, parsers):
         for c in columns:
             if header.count(c) > 1:
                 raise ValueError(f"line {rows.line_num}: the header repeats column {c!r}")
-        width = len(header)
-        records = []
+        width, records, parsed = len(header), [], {}
         for row in filter(None, rows):
             if len(row) != width:
                 more = "more" if len(row) > width else "fewer"
                 raise ValueError(f"line {rows.line_num}: {more} cells than the header's {width}")
-            try:
-                records.append(tuple([parse(row[i]) for parse, i in fields]))
-            except ValueError as exc:
-                raise ValueError(f"line {rows.line_num}: {exc}") from None
+            text = tuple(row)
+            record = parsed.get(text)
+            if record is None:
+                try:
+                    record = parsed[text] = tuple([parse(row[i]) for parse, i in fields])
+                except ValueError as exc:
+                    raise ValueError(f"line {rows.line_num}: {exc}") from None
+            records.append(record)
     except csv.Error as exc:
         raise ValueError(f"line {rows.line_num}: {exc}") from None
     return records

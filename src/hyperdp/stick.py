@@ -1,14 +1,17 @@
-"""Stick-breaking draws from a Dirichlet process, and what is read off them."""
+"""Stick-breaking draws from a Dirichlet process or a graph-structured prior,
+and what is read off them: their measure, their checks and their JSON line."""
 
 from __future__ import annotations
 
 import bisect
 import functools
+import json
 import math
 
 from ._record import record
-from .dp import _lookup_table, _weighted_draw
-from .measures import DiscreteMeasure, ProductSpace
+from .measures import CONSISTENCY_TOL, DiscreteMeasure, ProductSpace
+from .rng import _lookup_table, _weighted_draw
+from .serialize import _texts_by_identity
 
 
 @record
@@ -122,3 +125,53 @@ def sample_from_atoms(theta, rng, size):
     """Independent draws from a sampled measure."""
     draw = _weighted_draw(theta.atoms, theta.weights)
     return [draw(rng) for _ in range(size)]
+
+
+def sample_hdp(spec, cfg, replicate=0):
+    """One draw from the prior; same truncation contract as ``sample_dp``."""
+    return sample_dp(spec.combined, cfg, replicate)
+
+
+def verify_sample_markov(theta, decomp, tol=CONSISTENCY_TOL):
+    """Aggregate a draw's atoms and test the clique factorization."""
+    from .algebra import is_markov  # here, so that `sample`, which checks no draw, skips algebra
+
+    return is_markov(atoms_to_measure(theta), decomp, tol)
+
+
+def verify_sample_refinement(theta, separator, clique):
+    """Do atoms that share a separator value share the whole clique value?
+
+    Then the separator values and the clique values group the weights
+    into the same masses, which is the degeneracy condition on a draw.
+    """
+    if theta.space is None:
+        raise TypeError("only draws from a discrete base can be audited")
+    separator = tuple(separator)
+    clique = tuple(clique)
+    if not set(separator) <= set(clique):
+        raise ValueError("the separator must be a subset of the clique")
+    s_at, c_at = theta.space.projector(separator), theta.space.projector(clique)
+    completion = {}
+    for atom in theta.atoms:
+        c = c_at(atom)
+        if completion.setdefault(s_at(atom), c) != c:
+            return False
+    return True
+
+
+def atoms_to_json_line(theta, seed, replicate):
+    """One draw as a compact JSON line with reproducibility metadata.
+
+    The same bytes as ``json.dumps`` of the whole record.  A discrete
+    draw repeats few distinct atom objects, so each is encoded once.
+    """
+    if theta.space is None:
+        atoms = json.dumps(theta.atoms)
+    else:
+        atoms = "[" + ", ".join(_texts_by_identity(theta.atoms)) + "]"
+    return (
+        f'{{"atoms": {atoms}, "weights": {json.dumps(theta.weights)}, '
+        f'"residual": {json.dumps(theta.truncation_residual)}, '
+        f'"seed": {json.dumps(seed)}, "replicate": {json.dumps(replicate)}}}'
+    )

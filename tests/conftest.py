@@ -1,4 +1,5 @@
 import bisect
+import csv
 import itertools
 import math
 
@@ -20,14 +21,20 @@ from hyperdp import (
     ZeroMass,
     build_graph,
     build_hdp,
-    dp_posterior,
     graph_to_dict,
     marginalize,
     normalize,
     perfect_ordering,
 )
-from hyperdp.algebra import _check_tol, _sup_gap, _union_space, is_consistent
-from hyperdp.dp import _coerce_data
+from hyperdp.algebra import (
+    _check_tol,
+    _sup_gap,
+    _union_space,
+    is_consistent,
+    markov_combination,
+)
+from hyperdp.errors import OutsideDomain
+from hyperdp.hdp import RefinementReport, check_refinement
 from hyperdp.measures import CONSISTENCY_TOL
 from hyperdp.rng import stream
 
@@ -285,7 +292,7 @@ def _draw_candidate(candidates, weights, rng):
         acc += w
         if u < acc:
             return cand
-    return candidates[-1]
+    return [cand for cand, w in zip(candidates, weights) if w > 0.0][-1]
 
 
 def _gibbs_weights(i, assignments, data, likelihood, a, base):
@@ -322,6 +329,16 @@ def beta_variate(rng, a, b):
         y = rng.standard_gamma(b)
         if x + y > 0.0:
             return x / (x + y)
+
+
+def beta_moments(a, b):
+    """Mean, variance and fourth central moment of Beta(a, b), from its raw
+    moments E[X^k] = prod_{i<k} (a + i) / (a + b + i)."""
+    raw = [1.0]
+    for i in range(4):
+        raw.append(raw[-1] * (a + i) / (a + b + i))
+    m = raw[1]
+    return m, raw[2] - m * m, raw[4] - 4 * m * raw[3] + 6 * m * m * raw[2] - 3 * m**4
 
 
 def _atom_index(cum, u):
@@ -710,6 +727,18 @@ def assembled_markov_combination(mu, lam, tol=CONSISTENCY_TOL):
     return DiscreteMeasure(union, out)
 
 
+def _coerce_data(space, data):
+    """The rows of ``data`` checked one by one, as the conjugate updates did
+    before they counted each distinct row once (``dp._counted``)."""
+    out = []
+    for obs in data:
+        try:
+            out.append(space.as_tuple(obs))
+        except (ValueError, KeyError) as exc:
+            raise OutsideDomain(f"observation {obs!r} is outside the base's space: {exc}") from None
+    return out
+
+
 def reaudited_hdp_posterior(spec, data, tol=CONSISTENCY_TOL):
     """Oracle for ``hdp.hdp_posterior``, as it was written before it took
     the conjugate update of the combined base directly.
@@ -727,7 +756,7 @@ def reaudited_hdp_posterior(spec, data, tol=CONSISTENCY_TOL):
     for clique, base in zip(spec.decomposition.cliques, spec.clique_bases):
         idx = tuple(space.index(v) for v in base.space.variables)
         projected = [tuple(x[i] for i in idx) for x in obs]
-        new_bases.append(dp_posterior(DPParams(spec.nu, base), projected).base)
+        new_bases.append(looped_dp_posterior(DPParams(spec.nu, base), projected).base)
     try:
         posterior = build_hdp(spec.graph, new_bases, spec.nu + len(obs), tol)
     except RefinementViolated as exc:
@@ -736,7 +765,7 @@ def reaudited_hdp_posterior(spec, data, tol=CONSISTENCY_TOL):
             f"({exc})",
             exc.report,
         ) from exc
-    direct = dp_posterior(spec.combined, obs).base
+    direct = looped_dp_posterior(spec.combined, obs).base
     fused = posterior.combined.base
     gap = _sup_gap(direct.mass, fused.mass)
     if gap > 1e-12:
@@ -744,3 +773,111 @@ def reaudited_hdp_posterior(spec, data, tol=CONSISTENCY_TOL):
             f"internal error: clique-wise posterior deviates from the direct one by {gap:.3e}"
         )
     return posterior
+
+
+# The pairwise loop and the fold that ``hdp.combine_clique_bases`` replaced
+# with one table of overlap laws, a scan and one join; the degeneracy stage
+# that checked every block on the combined base; and the per-row loops of
+# the conjugate update and of the CSV reader that now take each distinct
+# row once.
+
+
+def folded_clique_bases(decomp, bases, tol=CONSISTENCY_TOL):
+    """Oracle for ``hdp.combine_clique_bases``: ``is_consistent`` on every
+    pair, in lexicographic order, then ``markov_combination`` folded along
+    the perfect ordering.  ``pairs`` is a list."""
+    if len(bases) != len(decomp.cliques):
+        raise ValueError(
+            f"{len(decomp.cliques)} cliques but {len(bases)} base measures"
+        )
+    for k, (clique, base) in enumerate(zip(decomp.cliques, bases), start=1):
+        if not isinstance(base, DiscreteMeasure):
+            raise TypeError("clique bases must be discrete measures")
+        if set(base.space.variables) != set(clique):
+            raise DomainMismatch(
+                f"base {k} is not defined on exactly the clique {clique!r}"
+            )
+    pairs = [
+        (i, j, is_consistent(bases[i], bases[j], tol))
+        for i, j in itertools.combinations(range(len(bases)), 2)
+    ]
+    for i, j, report in pairs:
+        if not report.consistent:
+            failure = Inconsistent(
+                f"clique bases {i + 1} and {j + 1} are not consistent", report, (i + 1, j + 1)
+            )
+            return pairs, None, failure
+    combined = bases[0]
+    for base in bases[1:]:
+        try:
+            combined = markov_combination(combined, base, tol)
+        except Inconsistent as exc:
+            return pairs, combined, exc
+    return pairs, combined, None
+
+
+def looped_degeneracy(combined, decomp, strict=False):
+    """Oracle for ``hdp._degeneracy``: ``check_refinement`` of the combined
+    base on every block.  Returns the kinds, the report and the failure."""
+    blocks = [
+        (kind, sep, block)
+        for sep, clique, history in zip(decomp.separators, decomp.cliques[1:], decomp.histories)
+        for kind, block in (("clique", clique), ("history", history))[: 2 if strict else 1]
+    ]
+    report = RefinementReport(
+        tuple(check_refinement(combined, sep, block).checks[0] for _, sep, block in blocks)
+    )
+    failure = None
+    if not report.passed:
+        w = report.first_witness()
+        failure = RefinementViolated(
+            f"a separator value admits multiple completions (witness {w!r})",
+            report,
+        )
+    return [kind for kind, _, _ in blocks], report, failure
+
+
+def looped_dp_posterior(params, data):
+    """Oracle for ``dp.dp_posterior``: every row checked, and added to its
+    cell, in turn."""
+    if not isinstance(params.base, DiscreteMeasure):
+        raise TypeError("exact posterior updates require a discrete base")
+    obs = _coerce_data(params.base.space, data)
+    n = len(obs)
+    if n == 0:
+        return params
+    scale = params.nu + n
+    mass = {x: params.nu * v for x, v in params.base.mass.items()}
+    for x in obs:
+        mass[x] = mass.get(x, 0.0) + 1.0
+    posterior = DiscreteMeasure(params.base.space, {x: v / scale for x, v in mass.items()})
+    return DPParams(scale, posterior)
+
+
+def looped_read_csv_columns(fh, columns, parsers):
+    """Oracle for ``serialize.read_csv_columns``: every row parsed in turn."""
+    rows = csv.reader(fh)
+    try:
+        header = next(rows, None)
+        if header is None:
+            raise ValueError("data CSV has no header row")
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"data CSV is missing columns {missing!r}")
+        fields = list(zip(parsers, map(header.index, columns)))
+        for c in columns:
+            if header.count(c) > 1:
+                raise ValueError(f"line {rows.line_num}: the header repeats column {c!r}")
+        width = len(header)
+        records = []
+        for row in filter(None, rows):
+            if len(row) != width:
+                more = "more" if len(row) > width else "fewer"
+                raise ValueError(f"line {rows.line_num}: {more} cells than the header's {width}")
+            try:
+                records.append(tuple([parse(row[i]) for parse, i in fields]))
+            except ValueError as exc:
+                raise ValueError(f"line {rows.line_num}: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"line {rows.line_num}: {exc}") from None
+    return records

@@ -7,7 +7,9 @@ on-disk formats.
 
 import codecs
 import concurrent.futures
+import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -16,6 +18,7 @@ import signal
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -23,7 +26,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperdp
-from hyperdp import _cli_cdf, _cli_draws, algebra, cli, graphs
+from hyperdp import _cli_cdf, _cli_draws, algebra, cli, graphs, hdp
+
+from conftest import hdp_spec_to_dict, measure_to_dict
 
 
 def run_cli(*argv):
@@ -610,16 +615,20 @@ def test_diagnose_inconsistent_carries_the_build_hdp_report(tmp_path, spec):
 
 def test_diagnose_checks_each_pair_of_bases_once(good_spec, monkeypatch, capsys):
     calls = []
-    original = algebra.is_consistent
+    original = hdp._consistency
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(algebra, "is_consistent", counted)  # cli holds no copy of the name
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair was checked through is_consistent")
+
+    monkeypatch.setattr(hdp, "_consistency", counted)  # cli holds no copy of the name
+    monkeypatch.setattr(algebra, "is_consistent", refuse)
     assert cli.main(["diagnose", "--spec", str(good_spec)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
-    # one check of the only pair, one inside the Markov combination step
+    # one check of the only pair, one of the join's only step
     assert len(calls) == 2
 
 
@@ -1774,3 +1783,79 @@ def test_parallel_sampling_leaves_no_process_behind(good_spec):
         os.kill(pid, signal.SIGKILL)
     assert (proc.returncode, err, left) == (0, b"", [])
     assert len(out.splitlines()) == 40
+
+
+# the JSON types of categories: 2 and "2" would collide as CSV text
+ROUND_TRIP_CATEGORIES = (0, 2, 2.5, "a", "b", "ü", True, None)
+
+
+@st.composite
+def printing_inputs(draw):
+    """A joint law on the path A - B - C whose C is a function of B, with
+    categories of every JSON type, so its clique marginals make a spec that
+    passes its audit; a precision, and rows on its support."""
+    domains = {
+        v: tuple(draw(st.lists(st.sampled_from(ROUND_TRIP_CATEGORIES), min_size=1, max_size=3,
+                               unique=True)))
+        for v in "ABC"
+    }
+    pick = {b: draw(st.sampled_from(domains["C"])) for b in domains["B"]}
+    cells = [(a, b, pick[b]) for a in domains["A"] for b in domains["B"]]
+    support = draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(support), max_size=len(support)))
+    space = hyperdp.ProductSpace.from_domains("ABC", domains)
+    joint = hyperdp.DiscreteMeasure(space, {x: w / sum(weights) for x, w in zip(support, weights)})
+    rows = draw(st.lists(st.sampled_from(support), min_size=1, max_size=6))
+    return joint, draw(st.sampled_from([0.5, 3.0])), rows
+
+
+def _printed_measures(out):
+    """Every measure object in a command's parsed output."""
+    if "points" in out:
+        return [out]
+    found = [out[key] for key in ("base", "combined_base", "measure", "mu", "lambda") if key in out]
+    return found + out.get("clique_bases", [])
+
+
+@settings(max_examples=25, deadline=None)
+@given(printing_inputs())
+def test_every_printed_measure_reloads_to_the_same_cells_and_prints_alike(case):
+    joint, nu, rows = case
+    graph = hyperdp.build_graph("ABC", [("A", "B"), ("B", "C")])
+    mu, lam = (hyperdp.marginalize(joint, c) for c in hyperdp.perfect_ordering(graph).cliques)
+    texts = {
+        "mu.json": json.dumps(measure_to_dict(mu)),
+        "lam.json": json.dumps(measure_to_dict(lam)),
+        "spec.json": json.dumps(hdp_spec_to_dict(graph, nu, [mu, lam])),
+        "rows.csv": "A,B,C\n" + "".join(",".join(map(str, x)) + "\n" for x in rows),
+        "rows_ab.csv": "A,B\n" + "".join(f"{a},{b}\n" for a, b, _ in rows),
+    }
+    commands = [
+        ["combine", "--mu", "mu.json", "--lambda", "lam.json"],
+        ["posterior", "--base", "mu.json", "--nu", str(nu), "--data", "rows_ab.csv"],
+        ["build-hdp", "--spec", "spec.json"],
+        ["posterior-hdp", "--spec", "spec.json", "--data", "rows.csv"],
+    ]
+    commands += [
+        ["reconcile", "--mu", "mu.json", "--lambda", "lam.json", "--strategy", kind]
+        for kind in ("average", "kl", "condition-a", "condition-b", "rescale-min")
+    ]
+    printed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in texts.items():
+            pathlib.Path(tmp, name).write_text(text, encoding="utf-8")
+        for argv in commands:
+            argv = [pathlib.Path(tmp, a) if a.endswith((".json", ".csv")) else a for a in argv]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(list(map(str, argv))) == 0, out.getvalue()
+            printed += _printed_measures(json.loads(out.getvalue()))
+    assert len(printed) == 11
+    for obj in printed:
+        m = hyperdp.measure_from_dict(obj)
+        cells = [
+            (repr(tuple(p["assignment"][v] for v in obj["variables"])), p["mass"])
+            for p in obj["points"]
+        ]
+        assert [(repr(x), repr(w)) for x, w in m.mass.items()] == cells
+        assert hyperdp.measure_json(m) == json.dumps(obj)

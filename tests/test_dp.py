@@ -33,10 +33,10 @@ from hyperdp import (
     uniform_measure,
 )
 from hyperdp import stick
-from hyperdp.dp import _weighted_draw
+from hyperdp.rng import _weighted_draw
 from hyperdp.rng import _LANES, _blocks, _key, _round_keys, scalars, uniforms
 
-from conftest import beta_variate, looped_sample_dp
+from conftest import beta_moments, beta_variate, looped_dp_posterior, looped_sample_dp
 
 
 def one_var_base(masses):
@@ -371,16 +371,6 @@ def test_partition_moments_match_dirichlet_law():
     assert abs(vals.var() - 0.05) < 0.10 * 0.05
 
 
-def _beta_moments(a, b):
-    """Mean, variance and fourth central moment of Beta(a, b), from its raw
-    moments E[X^k] = prod_{i<k} (a + i) / (a + b + i)."""
-    raw = [1.0]
-    for i in range(4):
-        raw.append(raw[-1] * (a + i) / (a + b + i))
-    m = raw[1]
-    return m, raw[2] - m * m, raw[4] - 4 * m * raw[3] + 6 * m * m * raw[2] - 3 * m**4
-
-
 @pytest.mark.parametrize("nu", [0.5, 4.0], ids=["two-call-fraction", "beta-fraction"])
 def test_theta_of_a_set_has_the_dirichlet_moments(nu):
     # theta(A) ~ Beta(nu g(A), nu (1 - g(A))): mean g(A), variance
@@ -389,7 +379,7 @@ def test_theta_of_a_set_has_the_dirichlet_moments(nu):
     # 4000 draws: 0.0237 and 0.0092 at nu = 0.5, 0.0130 and 0.0035 at nu = 4.
     base = one_var_base([0.2, 0.3, 0.5])
     inside = {(0,), (2,)}
-    mean, var, mu4 = _beta_moments(nu * 0.7, nu * 0.3)
+    mean, var, mu4 = beta_moments(nu * 0.7, nu * 0.3)
     assert math.isclose(var, 0.7 * 0.3 / (nu + 1))
     reps, params, cfg = 4000, DPParams(nu, base), SamplerConfig(seed=7)
     vals = np.array([
@@ -627,6 +617,43 @@ def test_posterior_rejects_foreign_observations():
         dp_posterior(params, [(7,)])
     with pytest.raises(TypeError):
         dp_posterior(DPParams(1.0, ContinuousBase(sampler=lambda r: r.random())), [(0,)])
+
+
+def test_posterior_adds_each_count_one_unit_at_a_time():
+    # nu * g + 2 rounds up where g + 1.0 + 1.0 does not
+    third = DPParams(1.0, one_var_base([1 / 3, 1 / 3, 1 / 3]))
+    assert 1 / 3 + 1.0 + 1.0 != 1 / 3 + 2
+    assert dp_posterior(third, [(0,), (0,)]).base.mass[(0,)] == (1 / 3 + 1.0 + 1.0) / 3.0
+
+
+def _posterior_cells(update, params, data):
+    """The update's precision and cells, keys as printed, or its error."""
+    try:
+        post = update(params, data)
+    except Exception as exc:  # the differential test compares errors too
+        return type(exc), str(exc)
+    return post.nu, post.base.space, [(repr(x), w) for x, w in post.base.mass.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nu=st.sampled_from([0.5, 1.0, 3.0]),
+    masses=st.sampled_from([[1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]),
+    data=st.lists(
+        st.one_of(
+            st.sampled_from([(0,), (1,), (2,), (True,), (1.0,), (False,), (0.0,), (2.0,)]),
+            st.sampled_from([[1], {"X": 2}, {"X": True}, (7,), {"Y": 0}, (0, 1), ([1],)]),
+        ),
+        max_size=12,
+    ),
+)
+def test_posterior_counts_each_distinct_row_as_the_row_loop_adds_them(nu, masses, data):
+    # 1, True and 1.0 find one cell, which keeps the first of them, and the
+    # first bad row is named whatever rows repeat around it
+    params = DPParams(nu, one_var_base(masses))
+    assert _posterior_cells(dp_posterior, params, data) == _posterior_cells(
+        looped_dp_posterior, params, data
+    )
 
 
 @settings(max_examples=30, deadline=None)

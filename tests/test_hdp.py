@@ -47,7 +47,14 @@ from hyperdp import algebra, hdp, reconcile
 from hyperdp.algebra import _sup_gap
 from hyperdp.measures import CONSISTENCY_TOL
 
-from conftest import assembled_markov_combination, chordal_graphs, reaudited_hdp_posterior
+from conftest import (
+    beta_moments,
+    chordal_graphs,
+    folded_clique_bases,
+    looped_degeneracy,
+    looped_dp_posterior,
+    reaudited_hdp_posterior,
+)
 
 
 @pytest.fixture
@@ -277,18 +284,120 @@ def test_audit_names_overlap_drift_in_the_fold():
 
 
 def test_the_fold_recheck_alone_catches_overlap_drift(monkeypatch):
-    # the fold keeps all the mass, so without the re-check inside
-    # markov_combination the drifting chain would build
+    # the join keeps all the mass, so without the re-check of each step
+    # the drifting chain would build: a tolerance of 1 passes every check
+    consistency = hdp._consistency
     monkeypatch.setattr(
-        algebra,
-        "markov_combination",
-        lambda mu, lam, tol: assembled_markov_combination(mu, lam, tol=1.0),
+        hdp,
+        "_consistency",
+        lambda overlap, tm, tl, laws, tol: consistency(overlap, tm, tl, laws, 1.0),
     )
     spec = build_hdp(*DRIFTING_CHAIN, nu=1.0)
     base_cd = marginalize(spec.combined.base, ("C", "D")).mass
     assert max(abs(base_cd[k] - w) for k, w in DRIFTING_CHAIN[1][2].mass.items()) > (
         CONSISTENCY_TOL
     )
+
+
+@st.composite
+def clique_base_cases(draw):
+    """A decomposition, clique bases for it and a tolerance.
+
+    The bases are the clique marginals of a sparse random joint on a path
+    or a star of 2-5 binary vertices.  Each may be nudged by a drift of a
+    few 1e-10 (which the pairs can pass and the join cannot), scaled, or
+    replaced by an unrelated measure, so that every check fails somewhere.
+    """
+    n = draw(st.integers(2, 5))
+    verts = tuple(f"V{i}" for i in range(n))
+    star = draw(st.booleans())
+    edges = [(verts[0], v) for v in verts[1:]] if star else list(zip(verts, verts[1:]))
+    decomp = perfect_ordering(build_graph(verts, edges))
+    space = ProductSpace.from_domains(verts, {v: (0, 1) for v in verts})
+    cells = list(space.assignments())
+    support = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(support), max_size=len(support)))
+    joint = DiscreteMeasure(space, {x: w / sum(weights) for x, w in zip(support, weights)})
+    bases = []
+    for clique in decomp.cliques:
+        base = marginalize(joint, clique)
+        change = draw(st.sampled_from(["none", "none", "drift", "scale", "replace"]))
+        if change == "drift":
+            # the first cell gains what the last one loses
+            shift = draw(st.sampled_from([1e-10, -3e-10, 6e-10]))
+            cells = dict(base.mass)
+            first, last = list(cells)[0], list(cells)[-1]
+            cells[first] += shift
+            cells[last] = max(cells[last] - shift, 0.0)
+            base = DiscreteMeasure(base.space, cells)
+        elif change == "scale":
+            factor = draw(st.sampled_from([1.0 + 1e-10, 1.5, 0.0]))
+            base = DiscreteMeasure(base.space, {x: w * factor for x, w in base.mass.items()})
+        elif change == "replace":
+            masses = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+            base = DiscreteMeasure(base.space, dict(zip(base.space.assignments(), masses)))
+        bases.append(base)
+    return decomp, bases, draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.6]))
+
+
+def _joined(combine, decomp, bases, tol):
+    """The pair reports, join and failure of a combination, or its error."""
+    try:
+        pairs, combined, failure = combine(decomp, bases, tol)
+    except Exception as exc:  # the differential test compares errors too
+        return type(exc), str(exc)
+    if combined is not None:
+        combined = combined.space, list(combined.mass.items())
+    if failure is not None:
+        text = str(failure) if failure.pair else None  # the join words a drift its own way
+        failure = type(failure), failure.report, failure.pair, text
+    return list(pairs), combined, failure
+
+
+@settings(max_examples=300, deadline=None)
+@given(clique_base_cases())
+def test_join_agrees_with_the_pairwise_fold(case):
+    decomp, bases, tol = case
+    assert _joined(hdp.combine_clique_bases, decomp, bases, tol) == _joined(
+        folded_clique_bases, decomp, bases, tol
+    )
+
+
+def test_the_scan_passes_the_pairs_that_share_nothing_without_their_reports(monkeypatch):
+    # at tol = 0 the scan's bounds are met with equality; the reports of the
+    # other 78 pairs are made only when they are read
+    graph, bases = _copy_flip_chain(15)
+    reports, consistency = [], hdp._consistency
+    monkeypatch.setattr(hdp, "_consistency", lambda *args: reports.append(args) or consistency(*args))
+    glued, glue = [], hdp._glue
+    monkeypatch.setattr(hdp, "_glue", lambda *args: glued.append(args) or glue(*args))
+    pairs, combined, failure = hdp.combine_clique_bases(perfect_ordering(graph), bases, 0.0)
+    assert failure is None and len(combined.mass) == 4
+    # one report per pair that shares a variable, one per step of the one join
+    assert len(reports) == 13 + 13 and len(glued) == 13
+    assert [(i, j) for i, j, _ in pairs] == list(itertools.combinations(range(14), 2))
+    assert len(reports) == 13 + 13 + 78
+
+
+def test_a_pair_between_the_extreme_totals_can_fail_where_the_extreme_pair_passes():
+    # at tol 0.6 the extreme totals (lo, hi) pass their own bound, 0.6 * hi,
+    # but not the scan's, 0.6 * lo; the pair (lo, mid), which shares no
+    # variable, fails by rounding, and only the pairwise fallback finds it
+    lo, mid, hi = 0.667260170837883, 1.6681504270947076, 1.6681504270947078
+    assert hi - lo <= 0.6 * hi and hi - lo > 0.6 * lo and mid - lo > 0.6 * mid
+    graph = build_graph("ABCDE", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E")])
+    decomp = perfect_ordering(graph)
+    bases = [
+        uniform_measure(ProductSpace.from_domains(c, {v: (0, 1) for v in c}))
+        for c in decomp.cliques
+    ]
+    bases = [
+        DiscreteMeasure(b.space, {x: w * t for x, w in b.mass.items()})
+        for b, t in zip(bases, (lo, hi, mid, hi))
+    ]
+    joined = _joined(hdp.combine_clique_bases, decomp, bases, 0.6)
+    assert joined == _joined(folded_clique_bases, decomp, bases, 0.6)
+    assert joined[2][2] == (1, 3)
 
 
 def test_one_clique_spec_on_forty_variables_builds():
@@ -399,6 +508,22 @@ def test_build_hdp_raises_exactly_when_the_audit_fails(case):
     else:
         assert audit.failure is None and not failing
         assert spec.combined.base == audit.combined
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_specs())
+def test_degeneracy_agrees_with_the_check_of_every_block(case):
+    # a clique whose base pins each separator value passes without
+    # grouping the combined base; the others give the same report
+    graph, bases, strict = case
+    decomp = perfect_ordering(graph)
+    _, combined, failure = hdp.combine_clique_bases(decomp, bases)
+    if failure is not None:
+        return
+    kinds, report, failure = hdp._degeneracy(combined, decomp, bases, strict=strict)
+    want = looped_degeneracy(combined, decomp, strict)
+    assert (kinds, report) == want[:2]
+    assert repr(failure) == repr(want[2])
 
 
 def test_star_import_exposes_the_public_names():
@@ -693,7 +818,7 @@ def test_posterior_clique_bases_are_marginals_of_its_base(case):
     assert _sup_gap(combined.mass, fold.mass) <= 1e-12
 
 
-def test_posterior_checks_each_row_once_and_audits_nothing_again(monkeypatch):
+def test_posterior_checks_each_distinct_row_once_and_audits_nothing_again(monkeypatch):
     graph, bases = _copy_flip_chain(15)
     spec = build_hdp(graph, bases, nu=4.0)
     data = [x for _ in range(50) for x in spec.combined.base.mass]
@@ -714,8 +839,55 @@ def test_posterior_checks_each_row_once_and_audits_nothing_again(monkeypatch):
 
     monkeypatch.setattr(ProductSpace, "as_tuple", counted)
     post = hdp_posterior(spec, data)
-    assert len(calls) == len(data) == 200
+    assert len(data) == 200 and calls == list(spec.combined.base.mass)
     assert post.nu == 204.0 and len(post.clique_bases) == 14
+
+
+def test_posterior_clique_cells_keep_the_first_row_that_reaches_them(path_graph):
+    # J and K are 0 on the prior's support, so the rows add the clique cell
+    # J = K = 1, first as True (the first row) and then as 1 (the second)
+    first = DiscreteMeasure(
+        ProductSpace.from_domains(("I", "J"), {"I": (0, 1), "J": (0, 1)}),
+        {(0, 0): 0.5, (1, 0): 0.5},
+    )
+    second = DiscreteMeasure(
+        ProductSpace.from_domains(("J", "K"), {"J": (0, 1), "K": (0, 1)}), {(0, 0): 1.0}
+    )
+    spec = build_hdp(path_graph, [first, second], nu=2.0)
+    data = [(0, True, True), (1, 1, 1)]
+    post = hdp_posterior(spec, data)
+    assert repr(list(post.clique_bases[1].mass)) == "[(0, 0), (True, True)]"
+    assert post.clique_bases[1].mass[1, 1] == 2.0 / 4.0
+    assert _posterior_outcome(hdp_posterior, spec, data) == _posterior_outcome(
+        reaudited_hdp_posterior, spec, data
+    )
+
+
+@pytest.mark.parametrize("rows", [0, 3], ids=["prior", "posterior"])
+def test_clique_marginals_of_draws_have_the_dirichlet_moments(path_spec, rows):
+    # A draw's marginal on a clique C is DP(nu, g_C) (the source paper;
+    # Dawid & Lauritzen 1993), so theta_C(A) is Beta(nu g_C(A), nu (1 - g_C(A))):
+    # mean g_C(A), variance g_C(A) (1 - g_C(A)) / (nu + 1).  A posterior on n
+    # rows is again such a prior, of precision nu + n, on the updated bases.
+    # Bands are 4 sigma of the sample mean and of the sample variance over
+    # 1200 draws: 0.022-0.026 and 0.0063 for the prior (nu = 4), 0.018-0.020
+    # and 0.0040-0.0042 for the posterior (nu = 7).
+    data = [(0, 0, 0), (0, 1, 1), (1, 1, 1)][:rows]
+    spec = hdp_posterior(path_spec, data)
+    assert spec.nu == path_spec.nu + rows
+    assert spec.combined.base == looped_dp_posterior(path_spec.combined, data).base
+    reps, cfg = 1200, SamplerConfig(seed=19)
+    draws = [sample_hdp(spec, cfg, r) for r in range(reps)]
+    space = spec.combined.base.space
+    for base, cell in zip(spec.clique_bases, [(0, 1), (1, 1)]):
+        at, g = space.projector(base.space.variables), base.mass[cell]
+        mean, var, mu4 = beta_moments(spec.nu * g, spec.nu * (1.0 - g))
+        assert math.isclose(mean, g) and math.isclose(var, g * (1.0 - g) / (spec.nu + 1.0))
+        vals = [sum(w for x, w in zip(t.atoms, t.weights) if at(x) == cell) for t in draws]
+        sample_mean = math.fsum(vals) / reps
+        sample_var = math.fsum((v - sample_mean) ** 2 for v in vals) / reps
+        assert abs(sample_mean - mean) < 4 * math.sqrt(var / reps)
+        assert abs(sample_var - var) < 4 * math.sqrt((mu4 - var * var) / reps)
 
 
 def test_posterior_of_a_zero_tolerance_spec_takes_rows_on_its_support(

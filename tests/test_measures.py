@@ -42,7 +42,7 @@ from hyperdp import (
     uniform_measure,
 )
 from hyperdp import algebra, measures
-from hyperdp.algebra import combine_clique_bases
+from hyperdp.hdp import combine_clique_bases
 
 from conftest import (
     dense_is_markov,

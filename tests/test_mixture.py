@@ -318,6 +318,18 @@ def test_draw_candidate_stops_at_the_last_position():
     assert mixture._draw_candidate([1.0, 1e-16, 1e-16], Stub(), "abc") == 2
 
 
+def test_draw_candidate_never_draws_a_trailing_zero_weight():
+    # the clamp to the last position took the trailing zero: the draw is
+    # the last position of positive weight, in the chain and its oracle
+    class Stub:
+        def random(self):
+            return 1.0 - 2.0**-53
+
+    for weights in ([1.0, 1e-16, 1e-16, 0.0], [1.0, 1e-16, 1e-16, 0.0, -0.0]):
+        assert mixture._draw_candidate(weights, Stub(), "abcde") == 2
+        assert conftest._draw_candidate("abcde", weights, Stub()) == "c"
+
+
 def _outcome(chain, *args, log=None):
     """The chain's result, or its error's class and text, and ``log`` with
     the weights of each draw the chain began appended: a failure must come

@@ -24,7 +24,9 @@ from hyperdp import dp, hdp, measures
 # by import path: the package's ``reconcile`` is the function of that name
 MODULES = tuple(
     importlib.import_module(f"hyperdp.{name}")
-    for name in ("algebra", "dp", "graphs", "hdp", "measures", "mixture", "reconcile", "stick")
+    for name in (
+        "algebra", "dp", "graphs", "hdp", "measures", "mixture", "reconcile", "rng", "stick"
+    )
 )
 RECORD_METHODS = {
     "__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__", "__match_args__",

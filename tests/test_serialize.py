@@ -31,7 +31,13 @@ from hyperdp import (
 from hyperdp import serialize
 from hyperdp.serialize import object_json, read_csv_columns
 
-from conftest import equal_twin, hdp_spec_to_dict, looped_measure_from_dict, measure_to_dict
+from conftest import (
+    equal_twin,
+    hdp_spec_to_dict,
+    looped_measure_from_dict,
+    looped_read_csv_columns,
+    measure_to_dict,
+)
 
 
 AWKWARD = [0.1, 1 / 3, 0.30000000000000004, 1e-300, 2e17, 5e-324]
@@ -392,6 +398,39 @@ def test_csv_errors():
     clash = ProductSpace.from_domains(("X",), {"X": (1, "1")})
     with pytest.raises(ValueError, match="collide"):
         csv_rows("X\n1\n", clash)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(
+            ["0,a", "1,b", "1,a", "0,a", "", '"1",b', '"0\n",a', "7,a", "1", "0,a,x", '1,"b"']
+        ),
+        max_size=12,
+    ),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+)
+def test_csv_parses_each_distinct_row_once_as_the_row_loop_reads_them(rows, end):
+    # a row's text is parsed at its first line alone, and an error still
+    # names the line of the first bad row
+    sp = ProductSpace.from_domains(("I", "tag"), {"I": (0, 1), "tag": ("a", "b")})
+    text = end.join(["I,tag", *rows, ""])
+    calls = []
+
+    def counted(parse):
+        return lambda cell: calls.append(cell) or parse(cell)
+
+    def read(reader, wrap=lambda parse: parse):
+        parsers = [wrap(p) for p in map(serialize._category_parser, sp.domains, sp.variables)]
+        try:
+            return reader(io.StringIO(text, newline=""), sp.variables, parsers)
+        except ValueError as exc:
+            return str(exc)
+
+    got, want = read(read_csv_columns, counted), read(looped_read_csv_columns)
+    assert got == want
+    if isinstance(got, list):
+        assert len(calls) == 2 * len(set(got)) <= 2 * len(got)
 
 
 def _csv_module_uses(tree):
