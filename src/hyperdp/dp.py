@@ -22,14 +22,12 @@ class ContinuousBase:
 
     ``sampler`` maps a generator to one draw; ``cdf`` (optional) maps a
     real threshold to cumulative mass and is required only for posterior
-    distribution-function estimates.  ``atoms_distinct`` declares that
-    two draws never coincide, which degeneracy checks may rely on.
+    distribution-function estimates.  The measure is nonatomic, so two
+    draws almost surely never coincide; the degeneracy check relies on it.
     """
 
     sampler: Callable
     cdf: Callable | None = None
-    atoms_distinct: bool = True
-    label: str = "continuous"
 
 
 @record

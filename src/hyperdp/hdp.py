@@ -29,7 +29,6 @@ from .algebra import (
     _overlap_law,
     is_markov,
     marginalize,
-    markov_combination,
 )
 from .dp import ContinuousBase, DPParams, _counted, _posterior, _tally
 from .errors import (
@@ -95,14 +94,12 @@ def check_refinement(base, separator, clique, tol=DEGENERACY_TOL):
 
     For every separator assignment with positive mass, the conditional
     law of the clique must put all its mass (within ``tol``) on a single
-    point.  A declared continuous base with almost-surely distinct atoms
-    passes outright, since equal separator draws then never happen.
+    point.  A continuous base passes outright: it is nonatomic, so its
+    draws are almost surely distinct and equal separator draws never happen.
     """
     _check_tol(tol)
     separator, clique = tuple(separator), tuple(clique)
     if isinstance(base, ContinuousBase):
-        if not base.atoms_distinct:
-            raise ValueError("cannot audit a continuous base that does not declare distinct atoms")
         return RefinementReport((SeparatorCheck(separator, clique, True),))
     if not set(separator) <= set(clique):
         raise ValueError("the separator must be a subset of the clique")
@@ -210,21 +207,21 @@ def combine_clique_bases(decomp, bases, tol=CONSISTENCY_TOL):
     return pairs(), _ordered_measure(ProductSpace(tuple(position), tuple(domains)), cells), failure
 
 
-def audit_hdp(graph, clique_bases, tol=CONSISTENCY_TOL, strict=False):
+def audit_hdp(graph, clique_bases, tol=CONSISTENCY_TOL):
     """Check a spec stage by stage: the graph, every pair of clique bases
     (a sequence in perfect order) for consistency, the mass of their
     fold, factorization of the combined base, and degeneracy of each
-    clique (and, when ``strict``, each running-history block) given its
-    separator.  A failed graph, consistency or fold stage ends the audit.
+    clique given its separator.  A failed graph, consistency or fold
+    stage ends the audit.
 
     A malformed spec (wrong base count, a base that is not discrete, not
     on its clique, or not a probability measure) raises instead.
     """
-    checks, decomp, combined, failure = _audit(graph, clique_bases, tol, strict)
+    checks, decomp, combined, failure = _audit(graph, clique_bases, tol)
     return HDPAudit(tuple(checks), decomp, combined, failure)
 
 
-def _audit(graph, clique_bases, tol, strict):
+def _audit(graph, clique_bases, tol):
     """The fields of ``audit_hdp``'s record, with the checks as an iterator:
     a pair's entry is made only when it is read, and ``build_hdp`` reads none."""
     _check_tol(tol)
@@ -265,10 +262,10 @@ def _audit(graph, clique_bases, tol, strict):
         return checks, decomp, None, failure
     factorizes = is_markov(combined, decomp, tol)
     later.append({"name": "combined base factorizes over the cliques", "passed": factorizes})
-    kinds, report, failure = _degeneracy(combined, decomp, clique_bases, strict=strict)
-    for kind, c in zip(kinds, report.checks):
+    report, failure = _degeneracy(combined, decomp, clique_bases)
+    for c in report.checks:
         entry = {
-            "name": f"degenerate completion of {kind} {list(c.clique)} given separator "
+            "name": f"degenerate completion of clique {list(c.clique)} given separator "
             f"{list(c.separator)}",
             "passed": c.passed,
         }
@@ -281,43 +278,37 @@ def _audit(graph, clique_bases, tol, strict):
     return checks, decomp, combined, failure
 
 
-def _degeneracy(combined, decomp, bases, seen=None, strict=False):
-    """The degeneracy stage of ``audit_hdp``: the kind of each block it
-    checks, their RefinementReport, and its failure or None.  On each
-    clique, the support of ``combined`` projects into the cells of the
-    clique's base in ``bases`` and the clique values ``seen`` holds for it,
-    if given: a clique on which these pin each separator value passes
-    without ``check_refinement`` grouping ``combined``."""
-    kinds, checks = [], []
-    steps = zip(decomp.separators, decomp.cliques[1:], decomp.histories, bases[1:])
-    for t, (sep, clique, history, base) in enumerate(steps, start=1):
-        values = {*base.mass, *(seen[t] if seen else ())}
-        pinned = len(set(map(base.space.projector(sep), values))) == len(values)
-        for kind, block in (("clique", clique), ("history", history))[: 2 if strict else 1]:
-            if kind == "clique" and pinned:
-                checks.append(SeparatorCheck(sep, block, True))
-            else:
-                checks.append(check_refinement(combined, sep, block).checks[0])
-            kinds.append(kind)
+def _degeneracy(combined, decomp, bases):
+    """The degeneracy stage of ``audit_hdp``: the RefinementReport of each
+    clique given its separator, and its failure or None.  A clique passes
+    without ``check_refinement`` grouping ``combined`` when its base in
+    ``bases``, if given, has cells that hold the support of ``combined``
+    projected on the clique and pin each separator value."""
+    checks = []
+    for t, (sep, clique) in enumerate(zip(decomp.separators, decomp.cliques[1:]), start=1):
+        cells = bases[t].mass if bases else ()
+        if cells and len(set(map(bases[t].space.projector(sep), cells))) == len(cells):
+            checks.append(SeparatorCheck(sep, clique, True))
+        else:
+            checks.append(check_refinement(combined, sep, clique).checks[0])
     report = RefinementReport(tuple(checks))
     if report.passed:
-        return kinds, report, None
+        return report, None
     w = report.first_witness()
     message = f"a separator value admits multiple completions (witness {w!r})"
-    return kinds, report, RefinementViolated(message, report)
+    return report, RefinementViolated(message, report)
 
 
-def build_hdp(graph, clique_bases, nu, tol=CONSISTENCY_TOL, strict=False):
+def build_hdp(graph, clique_bases, nu, tol=CONSISTENCY_TOL):
     """Validate clique bases against a graph and fuse them into one prior.
 
     Raises the failure ``audit_hdp`` reports: NotDecomposable /
     NotConnected for an unusable graph, Inconsistent when clique bases
     disagree, and RefinementViolated when some separator value admits two
-    clique completions.  ``strict`` also audits each running-history
-    block against its separator.
+    clique completions.
     """
     bases = tuple(clique_bases)
-    _, decomp, combined, failure = _audit(graph, bases, tol, strict)
+    _, decomp, combined, failure = _audit(graph, bases, tol)
     if failure is not None:
         raise failure
     return HDPSpec(
@@ -333,9 +324,12 @@ def hdp_posterior(spec, data):
     """Conjugate update: the combined base absorbs one unit of mass per
     observation, each clique base the observations' projections, from one
     table of the distinct rows and their counts.  The posterior is again
-    such a prior (Ferguson 1973), so only degeneracy is checked again: a
-    row that gives a separator value a second completion raises
-    ObservationViolatesSupport.
+    such a prior (Ferguson 1973), so only degeneracy is checked again, on
+    the posterior clique bases, whose cells are the prior's and the rows'
+    clique values: a row that gives a separator value a second completion
+    raises ObservationViolatesSupport.  If the update rounds a prior cell's
+    mass to 0.0, which may leave it in the combined base, every clique is
+    checked on the combined base.
     """
     space = spec.combined.base.space
     counts = _counted(space, data)
@@ -345,12 +339,14 @@ def hdp_posterior(spec, data):
     bases = tuple(map(functools.partial(_posterior, spec.nu), spec.clique_bases, projected))
     nu, base = spec.combined.nu, spec.combined.base
     combined = DPParams(nu + sum(counts.values()), _posterior(nu, base, counts))
-    _, _, failure = _degeneracy(combined.base, spec.decomposition, spec.clique_bases, projected)
+    kept = all(b.mass.keys() >= p.mass.keys() for b, p in zip(bases, spec.clique_bases))
+    _, failure = _degeneracy(combined.base, spec.decomposition, bases if kept else None)
     if failure is not None:
-        # the fold of the clique bases names the witness by their own
-        # values: 1, True and 1.0 are equal but print differently
-        fold = functools.reduce(markov_combination, bases)
-        failure = _degeneracy(fold, spec.decomposition, bases)[2] or failure
+        # the join names the witness by the bases' own keys (1, True and 1.0
+        # are equal but print differently); bases a looser tol built may fail it
+        _, joined, unjoined = combine_clique_bases(spec.decomposition, bases)
+        if unjoined is None:
+            failure = _degeneracy(joined, spec.decomposition, bases)[1] or failure
         raise ObservationViolatesSupport(
             f"observations contradict the degeneracy structure of the base ({failure})",
             failure.report,

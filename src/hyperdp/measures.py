@@ -98,7 +98,7 @@ class ProductSpace:
         return tuple(map(operator.getitem, self._category_index, assignment))
 
     def as_tuple(self, assignment):
-        """Coerce a mapping or aligned sequence to a validated tuple."""
+        """Coerce a mapping or aligned sequence, not text, to a validated tuple."""
         if isinstance(assignment, dict):
             missing = [v for v in self.variables if v not in assignment]
             if missing:
@@ -107,6 +107,8 @@ class ProductSpace:
             if extra:
                 raise UnknownVariable(f"assignment names unknown variables {extra!r}")
             assignment = _projector(self.variables)(assignment)
+        elif isinstance(assignment, (str, bytes)):  # else read as its characters
+            raise ValueError(f"assignment {assignment!r} is text, not a sequence of values")
         else:
             assignment = tuple(assignment)
         if len(assignment) != len(self.variables):

@@ -28,8 +28,10 @@ def graph_to_dict(g):
 def graph_from_dict(obj):
     from .graphs import build_graph  # here, so that a command that reads no graph skips it
 
-    _refuse_infinite(obj["vertices"], "the graph's vertex list")
-    return build_graph(obj["vertices"], [tuple(e) for e in obj["edges"]])
+    vertices = _array(obj["vertices"], "vertices")
+    _refuse_infinite(vertices, "the graph's vertex list")
+    edges = _array(obj["edges"], "edges")
+    return build_graph(vertices, [tuple(_array(e, "edge {}", k)) for k, e in enumerate(edges, 1)])
 
 
 def decomposition_to_dict(decomp):
@@ -98,10 +100,12 @@ def measure_from_dict(obj):
     """
     from .measures import DiscreteMeasure, ProductSpace  # here, as check-graph reads no measure
 
-    space = ProductSpace.from_domains(obj["variables"], obj["domains"])
+    variables, domains = _array(obj["variables"], "variables"), obj["domains"]
+    domains = {v: _array(domains[v], "the domain of {!r}", v) for v in variables}
+    space = ProductSpace.from_domains(variables, domains)
     for var, domain in zip(space.variables, space.domains):
         _refuse_infinite(domain, f"the domain of {var!r}")
-    points = list(obj["points"])
+    points = _array(obj["points"], "points")
     cells = _columnar_cells(space, points)
     if cells is not None:
         try:
@@ -142,6 +146,16 @@ def _refuse_infinite(values, owner):
     bad = [v for v in values if isinstance(v, float) and not math.isfinite(v)]
     if bad:
         raise ValueError(f"{owner} has {bad[0]!r}, which is not a finite number")
+
+
+def _array(value, field, *args):
+    """``value`` if it is a JSON array, or a tuple from a Python caller.  A
+    string or an object there would be read as its characters or its keys, so
+    anything else is a ValueError that names the field, ``field.format(*args)``,
+    formatted only then."""
+    if type(value) in (list, tuple):
+        return value
+    raise ValueError(f"{field.format(*args)} must be a JSON array")
 
 
 def _number(value, field, *args):
@@ -187,7 +201,7 @@ def hdp_spec_from_dict(obj):
     """Parse the raw pieces; validation happens when they are assembled."""
     graph = graph_from_dict(obj["graph"])
     nu = _number(obj["nu"], "nu")
-    bases = [measure_from_dict(b) for b in obj["clique_bases"]]
+    bases = [measure_from_dict(b) for b in _array(obj["clique_bases"], "clique_bases")]
     return graph, nu, bases
 
 
@@ -294,7 +308,7 @@ def write_text(path, text):
 def likelihood_from_dict(obj, data_space, base_space):
     """Sparse likelihood table f(x | value); absent pairs mean zero."""
     table = {}
-    for k, entry in enumerate(obj["entries"], start=1):
+    for k, entry in enumerate(_array(obj["entries"], "entries"), start=1):
         x, pi = entry["x"], entry["pi"]
         if not (isinstance(x, dict) and isinstance(pi, dict)):
             raise ValueError(f"likelihood entry {k} {entry!r}: x and pi must be JSON objects")

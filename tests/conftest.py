@@ -1,5 +1,6 @@
 import bisect
 import csv
+import functools
 import itertools
 import math
 
@@ -33,8 +34,9 @@ from hyperdp.algebra import (
     is_consistent,
     markov_combination,
 )
+from hyperdp.dp import _counted, _posterior, _tally
 from hyperdp.errors import OutsideDomain
-from hyperdp.hdp import RefinementReport, check_refinement
+from hyperdp.hdp import HDPSpec, RefinementReport, SeparatorCheck, check_refinement
 from hyperdp.measures import CONSISTENCY_TOL
 from hyperdp.rng import stream
 
@@ -777,9 +779,10 @@ def reaudited_hdp_posterior(spec, data, tol=CONSISTENCY_TOL):
 
 # The pairwise loop and the fold that ``hdp.combine_clique_bases`` replaced
 # with one table of overlap laws, a scan and one join; the degeneracy stage
-# that checked every block on the combined base; and the per-row loops of
-# the conjugate update and of the CSV reader that now take each distinct
-# row once.
+# that checked every clique on the combined base; the posterior's stage that
+# read the rows on the side and named its witness from a fold; and the
+# per-row loops of the conjugate update and of the CSV reader that now take
+# each distinct row once.
 
 
 def folded_clique_bases(decomp, bases, tol=CONSISTENCY_TOL):
@@ -816,16 +819,14 @@ def folded_clique_bases(decomp, bases, tol=CONSISTENCY_TOL):
     return pairs, combined, None
 
 
-def looped_degeneracy(combined, decomp, strict=False):
+def looped_degeneracy(combined, decomp):
     """Oracle for ``hdp._degeneracy``: ``check_refinement`` of the combined
-    base on every block.  Returns the kinds, the report and the failure."""
-    blocks = [
-        (kind, sep, block)
-        for sep, clique, history in zip(decomp.separators, decomp.cliques[1:], decomp.histories)
-        for kind, block in (("clique", clique), ("history", history))[: 2 if strict else 1]
-    ]
+    base on every clique.  Returns the report and the failure."""
     report = RefinementReport(
-        tuple(check_refinement(combined, sep, block).checks[0] for _, sep, block in blocks)
+        tuple(
+            check_refinement(combined, sep, clique).checks[0]
+            for sep, clique in zip(decomp.separators, decomp.cliques[1:])
+        )
     )
     failure = None
     if not report.passed:
@@ -834,7 +835,54 @@ def looped_degeneracy(combined, decomp, strict=False):
             f"a separator value admits multiple completions (witness {w!r})",
             report,
         )
-    return [kind for kind, _, _ in blocks], report, failure
+    return report, failure
+
+
+def _seen_degeneracy(combined, decomp, bases, seen=None):
+    """The degeneracy stage as ``seen_hdp_posterior`` ran it: a clique passes
+    unchecked when its base's cells and the clique values ``seen`` holds for
+    it pin each separator value.  Returns the failure or None."""
+    checks = []
+    steps = zip(decomp.separators, decomp.cliques[1:], bases[1:])
+    for t, (sep, clique, base) in enumerate(steps, start=1):
+        values = {*base.mass, *(seen[t] if seen else ())}
+        if len(set(map(base.space.projector(sep), values))) == len(values):
+            checks.append(SeparatorCheck(sep, clique, True))
+        else:
+            checks.append(check_refinement(combined, sep, clique).checks[0])
+    report = RefinementReport(tuple(checks))
+    if report.passed:
+        return None
+    w = report.first_witness()
+    message = f"a separator value admits multiple completions (witness {w!r})"
+    return RefinementViolated(message, report)
+
+
+def seen_hdp_posterior(spec, data):
+    """Oracle for ``hdp.hdp_posterior``, as it was written before its
+    degeneracy stage took the posterior clique bases: the stage reads the
+    prior bases and, on the side, the clique values of the rows, and a
+    failure's witness comes from ``markov_combination`` folded along the
+    perfect ordering."""
+    space = spec.combined.base.space
+    counts = _counted(space, data)
+    if not counts:
+        return spec
+    projected = [_tally(counts, space.projector(b.space.variables)) for b in spec.clique_bases]
+    bases = tuple(map(functools.partial(_posterior, spec.nu), spec.clique_bases, projected))
+    nu, base = spec.combined.nu, spec.combined.base
+    combined = DPParams(nu + sum(counts.values()), _posterior(nu, base, counts))
+    failure = _seen_degeneracy(combined.base, spec.decomposition, spec.clique_bases, projected)
+    if failure is not None:
+        # the fold of the clique bases names the witness by their own
+        # values: 1, True and 1.0 are equal but print differently
+        fold = functools.reduce(markov_combination, bases)
+        failure = _seen_degeneracy(fold, spec.decomposition, bases) or failure
+        raise ObservationViolatesSupport(
+            f"observations contradict the degeneracy structure of the base ({failure})",
+            failure.report,
+        )
+    return HDPSpec(spec.graph, spec.decomposition, bases, combined.nu, combined)
 
 
 def looped_dp_posterior(params, data):

@@ -1107,6 +1107,68 @@ def test_a_boolean_likelihood_prob_is_named(tmp_path, capsys, value):
     _bool_payload(capsys, argv, f"likelihood entry 2 {entries[1]!r}: prob", value)
 
 
+def _set(obj, path, value):
+    """A copy of ``obj`` whose item at ``path``, a sequence of keys and
+    indices, is ``value``."""
+    obj = json.loads(json.dumps(obj))
+    *head, last = path
+    target = obj
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return obj
+
+
+BASE_X = measure_dict(("X",), {"X": (0, 1)}, {(0,): 0.5, (1,): 0.5})
+SPEC_IJK = {"graph": PATH_GRAPH, "nu": 4.0, "clique_bases": [UNIFORM_IJ, COPY_JK]}
+LIKELIHOOD_X = {"entries": [{"x": {"X": c}, "pi": {"X": c}, "prob": 1.0} for c in (0, 1)]}
+# (command, the input file it reads, where in it, a value that is no array,
+# the field the error names); each case but the number and null ones used to
+# be read as the value's characters or keys, most with exit 0
+ARRAY_FIELDS = [
+    ("check-graph", PATH_GRAPH, ("vertices",), "IJK", "vertices"),
+    ("check-graph", PATH_GRAPH, ("vertices",), {"I": 1, "J": 2, "K": 3}, "vertices"),
+    ("check-graph", PATH_GRAPH, ("vertices",), 3, "vertices"),
+    ("check-graph", PATH_GRAPH, ("edges",), {"IJ": 1, "JK": 2}, "edges"),
+    ("check-graph", PATH_GRAPH, ("edges",), "IJ", "edges"),
+    ("check-graph", PATH_GRAPH, ("edges", 1), "JK", "edge 2"),
+    ("check-graph", PATH_GRAPH, ("edges", 0), {"I": 1, "J": 2}, "edge 1"),
+    ("posterior", BASE_X, ("variables",), "X", "variables"),
+    ("posterior", BASE_X, ("variables",), {"X": 1}, "variables"),
+    ("posterior", BASE_X, ("domains", "X"), "01", "the domain of 'X'"),
+    ("posterior", BASE_X, ("domains", "X"), {"0": 1, "1": 2}, "the domain of 'X'"),
+    ("posterior", BASE_X, ("domains", "X"), None, "the domain of 'X'"),
+    ("posterior", BASE_X, ("points",), {"p": BASE_X["points"][0]}, "points"),
+    ("build-hdp", SPEC_IJK, ("clique_bases",), {"1": UNIFORM_IJ, "2": COPY_JK}, "clique_bases"),
+    ("build-hdp", SPEC_IJK, ("clique_bases", 1, "domains", "K"), "01", "the domain of 'K'"),
+    ("build-hdp", SPEC_IJK, ("graph", "edges", 0), "IJ", "edge 1"),
+    ("mixture", LIKELIHOOD_X, ("entries",), {"e": LIKELIHOOD_X["entries"][0]}, "entries"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, obj, path, value, field",
+    ARRAY_FIELDS,
+    ids=[f"{c[0]}-{'.'.join(map(str, c[2]))}-{type(c[3]).__name__}" for c in ARRAY_FIELDS],
+)
+def test_an_input_array_that_is_no_json_array_is_named(
+    tmp_path, capsys, command, obj, path, value, field
+):
+    path = write_json(tmp_path, "input.json", _set(obj, path, value))
+    data = tmp_path / "data.csv"
+    data.write_text("X\n0\n1\n", encoding="utf-8")
+    argv = {
+        "check-graph": ["check-graph", path],
+        "posterior": ["posterior", "--base", path, "--nu", "1", "--data", data],
+        "build-hdp": ["build-hdp", "--spec", path],
+        "mixture": ["mixture", "--data", data, "--base", write_json(tmp_path, "x.json", BASE_X),
+                    "--likelihood", path, "--a", "1", "--seed", "1"],
+    }[command]
+    assert cli.main([str(a) for a in argv]) == 1
+    detail = f"{field} must be a JSON array"
+    assert json.loads(capsys.readouterr().out) == {"error": "ValueError", "detail": detail}
+
+
 @pytest.mark.parametrize(
     "text, detail",
     [

@@ -619,6 +619,24 @@ def test_posterior_rejects_foreign_observations():
         dp_posterior(DPParams(1.0, ContinuousBase(sampler=lambda r: r.random())), [(0,)])
 
 
+def test_a_string_or_bytes_is_no_assignment():
+    # tuple() read "ab" as the cell ("a", "b") and b"ab" as (97, 98)
+    sp = ProductSpace.from_domains(("X", "Y"), {"X": ("a", "b"), "Y": ("a", "b")})
+    with pytest.raises(ValueError, match="^assignment 'ab' is text, not a sequence of values$"):
+        DiscreteMeasure(sp, {"ab": 0.5, ("b", "a"): 0.5})
+    codes = ProductSpace.from_domains(("X", "Y"), {"X": (97, 98), "Y": (97, 98)})
+    with pytest.raises(ValueError, match="^assignment b'ab' is text, not a sequence of values$"):
+        DiscreteMeasure(codes, {b"ab": 1.0})
+    m = DiscreteMeasure(sp, {("a", "b"): 0.5, ("b", "a"): 0.5})
+    with pytest.raises(ValueError, match="is text"):
+        m.mass_at("ab")
+    with pytest.raises(OutsideDomain, match="^observation 'ba' is outside the base's space"):
+        dp_posterior(DPParams(1.0, m), [("a", "b"), "ba"])
+    with pytest.raises(OutsideDomain, match="^observation b'ab' is outside the base's space"):
+        dp_posterior(DPParams(1.0, DiscreteMeasure(codes, {(97, 98): 1.0})), [b"ab"])
+    assert dp_posterior(DPParams(1.0, m), [("a", "b")]).base.mass[("a", "b")] == 0.75
+
+
 def test_posterior_adds_each_count_one_unit_at_a_time():
     # nu * g + 2 rounds up where g + 1.0 + 1.0 does not
     third = DPParams(1.0, one_var_base([1 / 3, 1 / 3, 1 / 3]))

@@ -174,6 +174,16 @@ CASES = {
         "reconcile", "--mu", "specs/edge_mu.json",
         "--lambda", "specs/edge_lambda_disagree.json", "--strategy", "average",
     ),
+    # a one-variable base on int and float categories, and data cells in
+    # every plain decimal form, with a column that is not read
+    "cdf_estimate_t_good": (
+        "cdf-estimate", "--base", "specs/cdf_base.json", "--nu", "3",
+        "--data", "specs/cdf_data.csv", "--t", "0.25",
+    ),
+    "cdf_estimate_t_grid_good": (
+        "cdf-estimate", "--base", "specs/cdf_base.json", "--nu", "3",
+        "--data", "specs/cdf_data.csv", "--t-grid=-4:12:9",
+    ),
 }
 
 

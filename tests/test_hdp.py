@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import json
 import math
 import pkgutil
 import re
@@ -33,6 +34,7 @@ from hyperdp import (
     check_refinement,
     dp_posterior,
     hdp_posterior,
+    hdp_spec_json,
     is_connected,
     is_consistent,
     is_markov,
@@ -54,6 +56,7 @@ from conftest import (
     looped_degeneracy,
     looped_dp_posterior,
     reaudited_hdp_posterior,
+    seen_hdp_posterior,
 )
 
 
@@ -61,11 +64,6 @@ from conftest import (
 def path_spec(path_graph, uniform_ij, copy_jk):
     # the second clique copies J into K, so the separator pins it down
     return build_hdp(path_graph, [uniform_ij, copy_jk], nu=4.0)
-
-
-def copy_measure(a, b):
-    sp = ProductSpace.from_domains((a, b), {a: (0, 1), b: (0, 1)})
-    return DiscreteMeasure(sp, {(0, 0): 0.5, (1, 1): 0.5})
 
 
 # ------------------------------------------------------------- refinement
@@ -113,9 +111,6 @@ def test_refinement_continuous_base():
     base = ContinuousBase(sampler=lambda rng: float(rng.random()))
     report = check_refinement(base, ("J",), ("J", "K"))
     assert report.passed
-    clashing = ContinuousBase(sampler=lambda rng: 0.0, atoms_distinct=False)
-    with pytest.raises(ValueError):
-        check_refinement(clashing, ("J",), ("J", "K"))
 
 
 def test_refinement_report_plumbing(space_jk, copy_jk):
@@ -149,19 +144,6 @@ def test_build_hdp_single_clique_degenerates(uniform_ij):
     assert spec.decomposition.separators == ()
     # with one clique the combined base is the input, bit for bit
     assert spec.combined.base is uniform_ij
-
-
-def test_build_hdp_strict_audits_history(path_graph, uniform_ij, copy_jk):
-    # J pins K but not I, so the history check fails where the clique
-    # check passes
-    build_hdp(path_graph, [uniform_ij, copy_jk], nu=1.0)
-    with pytest.raises(RefinementViolated) as err:
-        build_hdp(path_graph, [uniform_ij, copy_jk], nu=1.0, strict=True)
-    assert err.value.report.first_witness() == {"J": 0}
-    strict_ok = build_hdp(
-        path_graph, [copy_measure("I", "J"), copy_jk], nu=1.0, strict=True
-    )
-    assert strict_ok.combined.base.mass == {(0, 0, 0): 0.5, (1, 1, 1): 0.5}
 
 
 def test_build_hdp_rejections(path_graph, space_ij, space_jk, uniform_ij, copy_jk):
@@ -219,22 +201,27 @@ def test_audit_reports_every_stage(path_graph, uniform_ij, copy_jk):
     assert audit.combined == spec.combined.base
 
 
-def test_audit_strict_adds_history_blocks(path_graph, uniform_ij, copy_jk):
-    audit = audit_hdp(path_graph, [uniform_ij, copy_jk], strict=True)
-    history = audit.checks[-1]
-    assert history["name"] == "degenerate completion of history ['I', 'J'] given separator ['J']"
-    assert history["passed"] is False and history["witness"] == {"J": 0}
-    assert isinstance(audit.failure, RefinementViolated)
-    assert len(audit.failure.report.checks) == 2
-
-
-@pytest.mark.parametrize("strict", [False, True])
-def test_audit_entries_carry_the_failure_report(path_graph, space_jk, uniform_ij, strict):
-    audit = audit_hdp(path_graph, [uniform_ij, uniform_measure(space_jk)], strict=strict)
+def test_audit_entries_carry_the_failure_report(path_graph, space_jk, uniform_ij):
+    audit = audit_hdp(path_graph, [uniform_ij, uniform_measure(space_jk)])
     entries = [(c["witness"], c["conditional"]) for c in audit.checks if not c["passed"]]
     report = audit.failure.report
     assert entries == [(c.witness, c.conditional) for c in report.checks if not c.passed]
-    assert len(entries) == (2 if strict else 1)
+    assert len(entries) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: build_hdp(f["path_graph"], [f["uniform_ij"], f["copy_jk"]], 1.0, strict=False),
+        lambda f: audit_hdp(f["path_graph"], [f["uniform_ij"], f["copy_jk"]], strict=False),
+        lambda f: ContinuousBase(abs, atoms_distinct=True),
+        lambda f: ContinuousBase(abs, label="continuous"),
+    ],
+    ids=["build_hdp-strict", "audit_hdp-strict", "atoms_distinct", "label"],
+)
+def test_retired_settings_are_type_errors(call, path_graph, uniform_ij, copy_jk):
+    with pytest.raises(TypeError):
+        call(dict(locals()))
 
 
 def test_audit_reports_mass_lost_by_the_fold(space_ij, space_jk, path_graph):
@@ -482,21 +469,21 @@ def small_specs(draw):
         bases[k] = DiscreteMeasure(
             sp, {x: m / sum(masses) for x, m in zip(sp.assignments(), masses)}
         )
-    return graph, bases, draw(st.booleans())
+    return graph, bases
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_specs())
 def test_build_hdp_raises_exactly_when_the_audit_fails(case):
-    graph, bases, strict = case
-    audit = audit_hdp(graph, bases, strict=strict)
+    graph, bases = case
+    audit = audit_hdp(graph, bases)
     failing = [c for c in audit.checks if not c["passed"]]
     inconsistent = any(
         not is_consistent(a, b).consistent for a, b in itertools.combinations(bases, 2)
     )
     assert isinstance(audit.failure, Inconsistent) == inconsistent
     try:
-        spec = build_hdp(graph, bases, nu=1.0, strict=strict)
+        spec = build_hdp(graph, bases, nu=1.0)
     except HyperDPError as exc:
         assert failing
         assert type(exc).__name__ == type(audit.failure).__name__
@@ -515,15 +502,15 @@ def test_build_hdp_raises_exactly_when_the_audit_fails(case):
 def test_degeneracy_agrees_with_the_check_of_every_block(case):
     # a clique whose base pins each separator value passes without
     # grouping the combined base; the others give the same report
-    graph, bases, strict = case
+    graph, bases = case
     decomp = perfect_ordering(graph)
     _, combined, failure = hdp.combine_clique_bases(decomp, bases)
     if failure is not None:
         return
-    kinds, report, failure = hdp._degeneracy(combined, decomp, bases, strict=strict)
-    want = looped_degeneracy(combined, decomp, strict)
-    assert (kinds, report) == want[:2]
-    assert repr(failure) == repr(want[2])
+    report, failure = hdp._degeneracy(combined, decomp, bases)
+    want = looped_degeneracy(combined, decomp)
+    assert report == want[0]
+    assert repr(failure) == repr(want[1])
 
 
 def test_star_import_exposes_the_public_names():
@@ -717,17 +704,25 @@ STAND_INS = {0: (0, False, 0.0), 1: (1, True, 1.0)}
 
 
 @st.composite
-def posterior_cases(draw, bad_rows=True):
+def posterior_cases(draw, bad_rows=True, drift=False):
     """A spec that passes its audit, and rows for its update.
 
     The graph is a path or a star on 2-4 vertices, or a connected
     chordal graph on at most 5, with 2 or 3 values per vertex.  The
     joint law weighs a few cells of the first clique, and every later
     clique sets its residual vertices to a drawn function of its
-    separator value, so every separator pins its clique.  Rows repeat
-    support points, leave the support, are given as dicts, and take
-    False or 0.0 for a 0 and True or 1.0 for a 1; with ``bad_rows`` one
-    of them may be no row of the space.
+    separator value, so every separator pins its clique.  The cells of
+    the joint, and so of the clique bases, may take False or 0.0 for a 0
+    and True or 1.0 for a 1, and one of them may have a subnormal mass,
+    which an update can round to zero.  Rows repeat support points, leave
+    the support, are given as dicts, and take stand-ins too; with
+    ``bad_rows`` one of them may be no row of the space.
+
+    With ``drift`` that cell may instead have 1e-10 of mass, and a later
+    clique base shift its share to its heaviest cell: the bases then agree
+    only within tol, and a subnormal clique cell stands under a combined
+    cell of 1e-10.  One row gives that cell's separator value a second
+    completion, and the others repeat support points.
     """
     shape = draw(st.sampled_from(["path", "star", "chordal"]))
     if shape == "chordal":
@@ -755,19 +750,50 @@ def posterior_cases(draw, bad_rows=True):
                 completion[key] = draw(values(res))
             row.update(zip(res, completion[key]))
     weights = draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
+    masses = [w / sum(weights) for w in weights]
+    tiny = draw(st.sampled_from([None, 5e-324, 1e-320, 2e-308]))
+    if drift and draw(st.booleans()):
+        tiny = 1e-10
+    if tiny is not None and len(rows) > 1:
+        masses = [w * (1.0 - tiny) / sum(weights[1:]) for w in weights]
+        masses[0] = tiny
     vertices = ProductSpace.from_domains(graph.vertices, domains)
-    joint = DiscreteMeasure(
-        vertices, {vertices.as_tuple(r): w / sum(weights) for r, w in zip(rows, weights)}
-    )
+    keys = [
+        tuple(draw(st.sampled_from(STAND_INS.get(c, (c,)))) for c in vertices.as_tuple(r))
+        for r in rows
+    ]
+    joint = DiscreteMeasure(vertices, dict(zip(keys, masses)))
     nu = draw(st.one_of(st.sampled_from([0.5, 1.0, 3.0, 4.0, 123.0]), st.floats(0.5, 123.0)))
-    spec = build_hdp(graph, [marginalize(joint, c) for c in decomp.cliques], nu)
+    bases, shaved = [marginalize(joint, c) for c in decomp.cliques], None
+    if tiny == 1e-10 and len(bases) > 1:
+        k = draw(st.integers(1, len(bases) - 1))
+        mass = dict(bases[k].mass)
+        small = [x for x, w in mass.items() if w < 1e-9]
+        if small:
+            heaviest = max(mass, key=mass.get)
+            mass[heaviest] += mass[small[0]]
+            mass[small[0]] = 5e-324
+            bases[k] = DiscreteMeasure(bases[k].space, mass)
+            shaved = (k, small[0])
+    spec = build_hdp(graph, bases, nu)
     space = spec.combined.base.space
     anywhere = st.tuples(*(st.sampled_from(d) for d in space.domains))
-    point = st.one_of(st.sampled_from(list(spec.combined.base.mass)), anywhere)
+    point = st.sampled_from(list(spec.combined.base.mass))
+    if not shaved:
+        point = st.one_of(point, anywhere)
     data = []
     for x in draw(st.lists(point, min_size=1, max_size=12)):
         x = tuple(draw(st.sampled_from(STAND_INS.get(c, (c,)))) for c in x)
         data.append(dict(zip(space.variables, x)) if draw(st.booleans()) else x)
+    if shaved:
+        # a row that gives the shaved cell's separator value a second completion
+        k, cell = shaved
+        on_clique = space.projector(bases[k].space.variables)
+        x = next(x for x in spec.combined.base.mass if on_clique(x) == cell)
+        row = dict(zip(space.variables, x))
+        v = decomp.residuals[k - 1][0]
+        row[v] = draw(st.sampled_from([c for c in domains[v] if c != row[v]]))
+        data.insert(draw(st.integers(0, len(data))), row)
     if bad_rows and draw(st.integers(0, 3)) == 0:
         x = data[-1] if isinstance(data[-1], tuple) else tuple(data[-1].values())
         bad = draw(
@@ -794,6 +820,66 @@ def test_posterior_agrees_with_the_reaudited_update(case):
     spec, data = case
     assert _posterior_outcome(hdp_posterior, spec, data) == _posterior_outcome(
         reaudited_hdp_posterior, spec, data
+    )
+
+
+def _payload_bytes(update, spec, data):
+    """The printed spec of an update, or its error's class, payload bytes and
+    report."""
+    try:
+        post = update(spec, data)
+    except HyperDPError as exc:
+        return type(exc), json.dumps(exc.payload()), repr(getattr(exc, "report", None))
+    return hdp_spec_json(post.graph, post.nu, post.clique_bases), repr(post.combined)
+
+
+@settings(max_examples=100, deadline=None)
+@given(posterior_cases(drift=True))
+def test_posterior_agrees_with_the_stage_that_read_the_rows_on_the_side(case):
+    # the degeneracy stage reads the posterior clique bases, whose cells are
+    # the prior's and the rows' clique values unless the update rounded a
+    # prior cell to zero, and names its witness from combine_clique_bases'
+    # one join, not from a fold of markov_combination
+    spec, data = case
+    assert _payload_bytes(hdp_posterior, spec, data) == _payload_bytes(
+        seen_hdp_posterior, spec, data
+    )
+
+
+def test_a_posterior_whose_bases_fail_the_join_names_the_witness_of_its_combined_base(
+    path_graph, space_jk, uniform_ij
+):
+    # the spec passes at tol 1e-6, but its posterior bases, 5e-8 apart on J,
+    # fail the join at the default tol, so the witness comes from the combined
+    # base; a fold of markov_combination raised Inconsistent here instead
+    second = DiscreteMeasure(space_jk, {(0, 0): 0.5 + 1e-7, (1, 1): 0.5 - 1e-7})
+    spec = build_hdp(path_graph, [uniform_ij, second], 1.0, tol=1e-6)
+    rows = [(0, 0, 1)]
+    assert hdp.combine_clique_bases(spec.decomposition, spec.clique_bases)[2] is not None
+    with pytest.raises(ObservationViolatesSupport) as err:
+        hdp_posterior(spec, rows)
+    assert err.value.payload()["witness"] == {"J": 0}
+    (check,) = err.value.report.checks
+    assert check.conditional == pytest.approx({"(0, 0)": 1 / 3, "(0, 1)": 2 / 3}, abs=1e-12)
+    with pytest.raises(Inconsistent):
+        seen_hdp_posterior(spec, rows)
+
+
+def test_a_prior_cell_the_update_rounds_to_zero_still_counts_for_the_degeneracy_check(
+    path_graph, space_ij, space_jk
+):
+    # the bases agree on J within tol; the combined cell (0, 0, 0) keeps
+    # 5e-11 of mass while the update rounds its clique cell (0, 0) in the
+    # second base to 0.0, so the posterior bases alone look pinned
+    first = DiscreteMeasure(space_ij, {(0, 0): 1e-10, (1, 1): 1 - 1e-10})
+    second = DiscreteMeasure(space_jk, {(0, 0): 5e-324, (1, 1): 1.0})
+    spec = build_hdp(path_graph, [first, second], 1.0)
+    rows = [(0, 0, 1)]
+    with pytest.raises(ObservationViolatesSupport) as err:
+        hdp_posterior(spec, rows)
+    assert err.value.payload()["witness"] == {"J": 0}
+    assert _payload_bytes(hdp_posterior, spec, rows) == _payload_bytes(
+        seen_hdp_posterior, spec, rows
     )
 
 

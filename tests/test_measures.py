@@ -310,6 +310,16 @@ def test_columnar_construction_matches_the_per_cell_loop(case):
     assert list(mass.items()) == before
 
 
+class _Cell:
+    """A key that is a sequence of values but no tuple, hashed by identity."""
+
+    def __init__(self, *values):
+        self.values = values
+
+    def __iter__(self):
+        return iter(self.values)
+
+
 def test_construction_names_the_first_bad_cell():
     sp = ProductSpace.from_domains(("A", "B"), {"A": ("a", "b"), "B": (0, 1)})
     cases = [
@@ -324,8 +334,11 @@ def test_construction_names_the_first_bad_cell():
         assert str(caught.value) == message
     # keys that are not tuples are coerced, then merged in first-seen order
     chars = ProductSpace.from_domains(("A", "B"), {"A": ("a", "b"), "B": ("0", "1")})
-    merged = DiscreteMeasure(chars, {"a1": 0.25, ("a", "1"): 0.5, "b0": -0.0})
+    merged = DiscreteMeasure(chars, {_Cell("a", "1"): 0.25, ("a", "1"): 0.5, _Cell("b", "0"): -0.0})
     assert merged.mass == {("a", "1"): 0.75} and type(next(iter(merged.mass))) is tuple
+    # but a string is no sequence of values: "a1" was read as ("a", "1")
+    with pytest.raises(ValueError, match="^assignment 'a1' is text, not a sequence of values$"):
+        DiscreteMeasure(chars, {"a1": 0.25, ("a", "1"): 0.5})
 
 
 def test_construction_without_variables():

@@ -71,7 +71,7 @@ def _samples():
         "ProductSpace": [((("A", "B"), ((0, 1), ("x", "y"))), {}), ((("C",), ((True,),)), {})],
         "DiscreteMeasure": [((space, {(0, "x"): 0.25, (1, "y"): 0.75}), {})],
         "ConsistencyReport": [((("J",), True, False, 0.0, 0.25), {})],
-        "ContinuousBase": [((abs,), {}), ((abs, math.erf, False, "erf"), {})],
+        "ContinuousBase": [((abs,), {}), ((abs, math.erf), {})],
         "DPParams": [((3, base), {})],
         "SamplerConfig": [((7,), {}), ((7, 0.5, 3), {})],
         "WeightedAtoms": [

@@ -215,6 +215,27 @@ def test_hdp_spec_round_trip(path_graph, uniform_ij, copy_jk):
     assert bases == [uniform_ij, copy_jk]
 
 
+def _tupled(obj):
+    if isinstance(obj, list):
+        return tuple(map(_tupled, obj))
+    if isinstance(obj, dict):
+        return {k: _tupled(v) for k, v in obj.items()}
+    return obj
+
+
+def test_the_loaders_take_tuples_from_python_but_no_string(path_graph, uniform_ij, copy_jk):
+    # a JSON file gives lists, but a Python caller may give tuples
+    spec = json.loads(hdp_spec_json(path_graph, 4.0, [uniform_ij, copy_jk]))
+    assert hdp_spec_from_dict(_tupled(spec)) == hdp_spec_from_dict(spec)
+    sp = ProductSpace.from_domains(("X",), {"X": (0, 1)})
+    table = {"entries": [{"x": {"X": 1}, "pi": {"X": 0}, "prob": 0.5}]}
+    assert likelihood_from_dict(_tupled(table), sp, sp)((1,), (0,)) == 0.5
+    with pytest.raises(ValueError, match="^vertices must be a JSON array$"):
+        graph_from_dict({"vertices": "IJK", "edges": []})
+    with pytest.raises(ValueError, match="^variables must be a JSON array$"):
+        measure_from_dict({"variables": "X", "domains": {"X": [0]}, "points": []})
+
+
 def test_atoms_json_line_schema_and_round_trip():
     sp = ProductSpace.from_domains(("X",), {"X": (0, 1)})
     theta = WeightedAtoms(((0,), (1,)), (0.75, 0.25), 1e-11, sp)
